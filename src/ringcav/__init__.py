@@ -22,8 +22,7 @@ from .spectra import (EntanglementResult, IntegrandTerms, QuadratureConfig,
                       d_of_omega, entanglement_result, integrand_terms,
                       momentum_variance, q_plus_variance)
 from .stability import (DriftMatrix, StabilityVerdict, drift_matrix,
-                        eigen_stable, eigenvalues, routh_hurwitz_stable,
-                        stability_verdict)
+                        eigenvalues, routh_hurwitz_stable, stability_verdict)
 from .steady import (SteadyState, find_steady_branches,
                      steady_state_at_detuning)
 from .sweep import (MinimizeResult, SweepAxis, SweepRow, SweepSpec,
@@ -41,7 +40,7 @@ __all__ = [
     "derive_params", "baseline_params",
     "SteadyState", "steady_state_at_detuning", "find_steady_branches",
     "DriftMatrix", "StabilityVerdict", "drift_matrix", "eigenvalues",
-    "eigen_stable", "routh_hurwitz_stable", "stability_verdict",
+    "routh_hurwitz_stable", "stability_verdict",
     "QuadResult", "integrate_adaptive",
     "QuadratureConfig", "IntegrandTerms", "EntanglementResult",
     "d_of_omega", "integrand_terms", "momentum_variance",

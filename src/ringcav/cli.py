@@ -20,7 +20,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import (ConfigError, InternalInconsistency, InvalidParameter,
                      NoStablePoint, NumericalFailure, ParseError,
@@ -308,31 +308,38 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(x: float | None) -> str:
+# Record fields that stay out of CSV and JSON output.
+_UNLISTED = ("branch_note",)
+
+
+def _record(obj) -> dict:
+    """A result dataclass as a flat dict in field order; a complex field
+    ``z`` becomes ``z_re`` and ``z_im``."""
+    rec = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, complex):
+            rec[f"{f.name}_re"] = value.real
+            rec[f"{f.name}_im"] = value.imag
+        elif f.name not in _UNLISTED:
+            rec[f.name] = value
+    return rec
+
+
+def _cell(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
     return "" if x is None else f"{x:.12g}"
 
 
-def _rows_to_csv(rows: list[SweepRow]) -> str:
-    out = [CSV_HEADER]
-    for r in rows:
-        out.append(",".join([
-            _fmt(r.axis_value), _fmt(r.var_q_plus), _fmt(r.var_p_minus),
-            _fmt(r.product), _fmt(r.sum),
-            "true" if r.stable else "false",
-        ]))
-    return "\n".join(out) + "\n"
-
-
-def _rows_to_json(rows: list[SweepRow]) -> str:
-    objs = [{
-        "axis_value": r.axis_value,
-        "var_q_plus": r.var_q_plus,
-        "var_p_minus": r.var_p_minus,
-        "product": r.product,
-        "sum": r.sum,
-        "stable": r.stable,
-    } for r in rows]
-    return json.dumps(objs, indent=2) + "\n"
+def _render(records: list[dict], fmt: str, single: bool) -> str:
+    """CSV with a header row, or indented JSON: a bare object when
+    ``single``, else a list."""
+    if fmt == "json":
+        return json.dumps(records[0] if single else records, indent=2) + "\n"
+    lines = [",".join(records[0])]
+    lines += [",".join(map(_cell, r.values())) for r in records]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, path: str) -> None:
@@ -378,8 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ringcav",
         description="Steady states, stability and mirror-mirror "
                     "entanglement for a laser-driven ring cavity fed "
-                    "with squeezed vacuum.",
-        epilog="RINGCAV_THREADS sets the sweep worker-thread count.")
+                    "with squeezed vacuum.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_: str, **kw) -> argparse.ArgumentParser:
@@ -412,13 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="detuning window in units of the mechanical "
                          "frequency (default 0.5 1.5)")
 
-    for name, npts, help_ in (
-            ("fig2", 200, "preset: detuning scan of both criteria at one "
-                          "squeezing value"),
-            ("fig3", 200, "preset: detuning scan of both criteria at one "
-                          "laser power"),
-            ("fig4", 201, "preset: temperature scan of both criteria at "
-                          "the optimal detuning")):
+    for name, (npts, help_, *_) in _PRESETS.items():
         sp = add(name, help_)
         sp.add_argument("--points", type=int, default=npts,
                         help=f"grid points (default {npts})")
@@ -465,26 +465,6 @@ def _apply_overrides(cfg: RunConfig, ns: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _result_rows(res) -> list[SweepRow]:
-    return [SweepRow(axis_value=res.delta, var_q_plus=res.var_q_plus,
-                     var_p_minus=res.var_p_minus, product=res.product,
-                     sum=res.sum, stable=True)]
-
-
-def _emit_rows(rows: list[SweepRow], cfg: RunConfig,
-               gnuplot: str | None) -> None:
-    if cfg.output_format == "csv":
-        text = _rows_to_csv(rows)
-    else:
-        text = _rows_to_json(rows)
-    if gnuplot is not None:
-        if cfg.output_format != "csv" or cfg.output_path == "-":
-            raise ValidationError(
-                "gnuplot_script", "needs csv format and an --output file")
-        _emit(_gnuplot_script(cfg.output_path), gnuplot)
-    _emit(text, cfg.output_path)
-
-
 def _summarise(rows: list[SweepRow], what: str) -> None:
     stable = [r for r in rows if r.stable and r.var_p_minus is not None]
     if not stable:
@@ -495,8 +475,38 @@ def _summarise(rows: list[SweepRow], what: str) -> None:
           f"axis value {best.axis_value:.6g}", file=sys.stderr)
 
 
-def _dispatch(ns: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load_config(ns), ns)
+def _summarise_crossing(rows: list[SweepRow], what: str) -> None:
+    stable = [r for r in rows if r.stable]
+    if not stable:
+        return
+    first = stable[0]
+    crossing = next((r.axis_value for r in stable if r.product >= 1.0),
+                    None)
+    msg = (f"{what}: product = {first.product:.6g} at "
+           f"T = {first.axis_value:.6g} K")
+    if crossing is not None:
+        msg += f"; first product >= 1 at T = {crossing:.6g} K"
+    print(msg, file=sys.stderr)
+
+
+# Canned scans: default points, help, axis, axis range, operating
+# detuning and stderr summary.  Detunings are in units of the mechanical
+# frequency, temperatures in K.
+_PRESETS = {
+    "fig2": (200, "preset: detuning scan of both criteria at one "
+                  "squeezing value",
+             SweepAxis.DETUNING, (0.5, 1.5), None, _summarise),
+    "fig3": (200, "preset: detuning scan of both criteria at one "
+                  "laser power",
+             SweepAxis.DETUNING, (0.5, 1.5), None, _summarise),
+    "fig4": (201, "preset: temperature scan of both criteria at the "
+                  "optimal detuning",
+             SweepAxis.BATH_TEMP, (0.0, 200e-6), 0.965, _summarise_crossing),
+}
+
+
+def _results(ns: argparse.Namespace, cfg: RunConfig) -> list:
+    """The command's results, as dataclasses in output order."""
     p = cfg.params
     d = derive_params(p)
     wm = p.mech_freq
@@ -504,111 +514,58 @@ def _dispatch(ns: argparse.Namespace) -> int:
     if ns.command == "point":
         res = entanglement_result(p, d, ns.delta_per_wm * wm,
                                   cfg.quadrature)
-        if cfg.output_format == "csv":
-            _emit(_rows_to_csv(_result_rows(res)), cfg.output_path)
-        else:
-            obj = {"delta": res.delta, "var_q_plus": res.var_q_plus,
-                   "var_p_minus": res.var_p_minus, "product": res.product,
-                   "sum": res.sum,
-                   "product_entangled": res.product_entangled,
-                   "sum_entangled": res.sum_entangled}
-            _emit(json.dumps(obj, indent=2) + "\n", cfg.output_path)
-        return 0
-
+        if cfg.output_format == "json":
+            return [res]
+        # a sweep row, so that point and sweep CSVs concatenate
+        return [SweepRow(axis_value=res.delta, var_q_plus=res.var_q_plus,
+                         var_p_minus=res.var_p_minus, product=res.product,
+                         sum=res.sum, stable=True)]
     if ns.command == "branches":
-        branches = find_steady_branches(p, d, ns.delta_per_wm * wm)
-        if cfg.output_format == "csv":
-            lines = ["detuning,amplitude_re,amplitude_im,q_minus_s,"
-                     "p_minus_s,photon_number,tangent"]
-            for s in branches:
-                lines.append(",".join([
-                    _fmt(s.detuning), _fmt(s.amplitude.real),
-                    _fmt(s.amplitude.imag), _fmt(s.q_minus_s),
-                    _fmt(s.p_minus_s), _fmt(s.photon_number),
-                    "true" if s.tangent else "false"]))
-            _emit("\n".join(lines) + "\n", cfg.output_path)
-        else:
-            objs = [{"detuning": s.detuning,
-                     "amplitude_re": s.amplitude.real,
-                     "amplitude_im": s.amplitude.imag,
-                     "q_minus_s": s.q_minus_s, "p_minus_s": s.p_minus_s,
-                     "photon_number": s.photon_number,
-                     "tangent": s.tangent} for s in branches]
-            _emit(json.dumps(objs, indent=2) + "\n", cfg.output_path)
-        return 0
-
+        return find_steady_branches(p, d, ns.delta_per_wm * wm)
     if ns.command == "stability":
         s = steady_state_at_detuning(p, d, ns.delta_per_wm * wm)
-        v = stability_verdict(p, d, s)
-        obj = {"stable": v.stable, "routh_hurwitz": v.routh_hurwitz,
-               "eigenvalue": v.eigenvalue, "margin": v.margin}
-        if cfg.output_format == "csv":
-            _emit("stable,routh_hurwitz,eigenvalue,margin\n"
-                  + ",".join(["true" if v.stable else "false",
-                              "true" if v.routh_hurwitz else "false",
-                              "true" if v.eigenvalue else "false",
-                              _fmt(v.margin)]) + "\n", cfg.output_path)
-        else:
-            _emit(json.dumps(obj, indent=2) + "\n", cfg.output_path)
-        return 0
-
+        return [stability_verdict(p, d, s)]
+    if ns.command == "minimize":
+        return [minimize_over_detuning(p, d, tuple(ns.window),
+                                       cfg.quadrature)]
     if ns.command == "sweep":
         if cfg.sweep is None:
             raise ValidationError(
                 "sweep", "the sweep command needs a [sweep] config section")
-        rows = run_sweep(cfg.sweep)
-        _emit_rows(rows, cfg, ns.gnuplot_script)
-        return 0
+        return run_sweep(cfg.sweep)
+    if ns.command not in _PRESETS:
+        raise InternalInconsistency(f"unhandled command {ns.command!r}")
+    _, _, axis, (lo, hi), delta_per_wm, summarise = _PRESETS[ns.command]
+    unit = wm if axis is SweepAxis.DETUNING else 1.0
+    rows = run_sweep(SweepSpec(
+        axis=axis, start=lo * unit, stop=hi * unit, points=ns.points,
+        fixed=p, quadrature=cfg.quadrature,
+        delta=None if delta_per_wm is None else delta_per_wm * wm))
+    summarise(rows, ns.command)
+    return rows
 
-    if ns.command == "minimize":
-        res = minimize_over_detuning(p, d, tuple(ns.window), cfg.quadrature)
-        if cfg.output_format == "csv":
-            _emit("delta_star,value\n"
-                  + f"{_fmt(res.delta_star)},{_fmt(res.value)}\n",
-                  cfg.output_path)
-        else:
-            _emit(json.dumps({"delta_star": res.delta_star,
-                              "value": res.value}, indent=2) + "\n",
-                  cfg.output_path)
-        return 0
 
-    if ns.command in ("fig2", "fig3"):
-        spec = SweepSpec(axis=SweepAxis.DETUNING, start=0.5 * wm,
-                         stop=1.5 * wm, points=ns.points, fixed=p,
-                         quadrature=cfg.quadrature)
-        rows = run_sweep(spec)
-        _summarise(rows, ns.command)
-        _emit_rows(rows, cfg, ns.gnuplot_script)
-        return 0
-
-    if ns.command == "fig4":
-        spec = SweepSpec(axis=SweepAxis.BATH_TEMP, start=0.0,
-                         stop=200e-6, points=ns.points, fixed=p,
-                         quadrature=cfg.quadrature, delta=0.965 * wm)
-        rows = run_sweep(spec)
-        stable = [r for r in rows if r.stable]
-        if stable:
-            first = stable[0]
-            crossing = next((r.axis_value for r in stable
-                             if r.product is not None and r.product >= 1.0),
-                            None)
-            msg = (f"fig4: product = {first.product:.6g} at "
-                   f"T = {first.axis_value:.6g} K")
-            if crossing is not None:
-                msg += f"; first product >= 1 at T = {crossing:.6g} K"
-            print(msg, file=sys.stderr)
-        _emit_rows(rows, cfg, ns.gnuplot_script)
-        return 0
-
-    raise InternalInconsistency(f"unhandled command {ns.command!r}")
+def _dispatch(ns: argparse.Namespace) -> int:
+    cfg = _apply_overrides(_load_config(ns), ns)
+    results = _results(ns, cfg)
+    text = _render([_record(r) for r in results], cfg.output_format,
+                   single=ns.command in ("point", "stability", "minimize"))
+    gnuplot = getattr(ns, "gnuplot_script", None)
+    if gnuplot is not None:
+        if cfg.output_format != "csv" or cfg.output_path == "-":
+            raise ValidationError(
+                "gnuplot_script", "needs csv format and an --output file")
+        _emit(_gnuplot_script(cfg.output_path), gnuplot)
+    _emit(text, cfg.output_path)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code.
 
-    0 on success, 1 for configuration or usage errors, 2 for numerical
-    failures and physically meaningless requests (unstable point, no
-    stable point in a window, internal cross-check mismatch).
+    0 on success, 1 for configuration, usage or file errors, 2 for
+    numerical failures and physically meaningless requests (unstable
+    point, no stable point in a window, internal cross-check mismatch).
     """
     parser = _build_parser()
     try:
@@ -618,7 +575,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code == 0 else 1
     try:
         return _dispatch(ns)
-    except (ConfigError, InvalidParameter, FileNotFoundError) as err:
+    except (ConfigError, InvalidParameter, OSError,
+            UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (NumericalFailure, UnstableOperatingPoint, NoStablePoint,

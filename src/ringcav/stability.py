@@ -22,7 +22,6 @@ __all__ = [
     "StabilityVerdict",
     "drift_matrix",
     "eigenvalues",
-    "eigen_stable",
     "routh_hurwitz_stable",
     "stability_verdict",
 ]
@@ -74,11 +73,6 @@ def eigenvalues(a: DriftMatrix) -> np.ndarray:
         raise NumericalFailure(f"eigenvalue computation failed: {err}") from err
     order = np.lexsort((ev.imag, ev.real))[::-1]
     return ev[order]
-
-
-def eigen_stable(a: DriftMatrix) -> bool:
-    """True when every eigenvalue has a strictly negative real part."""
-    return bool(np.max(eigenvalues(a).real) < 0.0)
 
 
 def routh_hurwitz_stable(p: PhysicalParams, d: DerivedParams,

@@ -10,11 +10,12 @@ branches: the usual optical multistability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import InvalidParameter, NumericalFailure
 from .model import DerivedParams, Geometry, PhysicalParams
 
 __all__ = ["SteadyState", "steady_state_at_detuning", "find_steady_branches"]
@@ -58,7 +59,11 @@ class SteadyState:
 
 def steady_state_at_detuning(p: PhysicalParams, d: DerivedParams,
                              delta: float) -> SteadyState:
-    """Steady state for a prescribed *effective* detuning delta (rad/s)."""
+    """Steady state for a prescribed *effective* detuning delta (rad/s).
+
+    A non-finite delta raises InvalidParameter."""
+    if not math.isfinite(delta):
+        raise InvalidParameter("delta", delta, "finite")
     amp = d.drive_eps / complex(p.cavity_decay, delta)
     n = abs(amp) ** 2
     disp = 2.0 * d.coupling_g * d.chi * n / p.mech_freq
@@ -86,8 +91,11 @@ def find_steady_branches(p: PhysicalParams, d: DerivedParams,
     for the effective detuning Delta, polishes each real root by Newton
     iteration and returns the corresponding steady states sorted by
     effective detuning.  Between one and three branches exist; branches
-    at a fold of the response curve carry ``tangent=True``.
+    at a fold of the response curve carry ``tangent=True``.  A non-finite
+    bare detuning raises InvalidParameter.
     """
+    if not math.isfinite(bare_detuning):
+        raise InvalidParameter("bare_detuning", bare_detuning, "finite")
     kappa = p.cavity_decay
     d0 = float(bare_detuning)
     shift = 2.0 * (d.coupling_g * d.chi * d.drive_eps) ** 2 / p.mech_freq

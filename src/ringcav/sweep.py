@@ -3,23 +3,19 @@
 A sweep walks one axis (detuning, squeezing, laser power or bath
 temperature) across a uniform grid, evaluating both entanglement
 criteria at every point; unstable points are reported as such instead
-of aborting the scan.  Rows come back in grid order regardless of the
-worker-thread count, which is taken from the RINGCAV_THREADS
-environment variable.
+of aborting the scan.  Rows come back in grid order.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (InvalidParameter, NumericalFailure, NoStablePoint,
-                     UnstableOperatingPoint, ValidationError)
+                     UnstableOperatingPoint)
 from .model import DerivedParams, PhysicalParams, derive_params
 from .spectra import (QuadratureConfig, entanglement_result,
                       momentum_variance)
@@ -34,8 +30,6 @@ __all__ = [
     "run_sweep",
     "minimize_over_detuning",
 ]
-
-_THREADS_ENV = "RINGCAV_THREADS"
 
 
 class SweepAxis(enum.Enum):
@@ -111,20 +105,6 @@ _AXIS_FIELD = {
 }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(_THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValidationError(_THREADS_ENV,
-                              f"must be a positive integer, got {raw!r}")
-    return n
-
-
 def _sweep_row(spec: SweepSpec, value: float) -> SweepRow:
     if spec.axis is SweepAxis.DETUNING:
         p = spec.fixed
@@ -152,10 +132,6 @@ def _sweep_row(spec: SweepSpec, value: float) -> SweepRow:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the sweep, in grid order.
 
-    Worker threads (RINGCAV_THREADS, default 1) split the grid; results
-    are identical for any thread count because every row is computed
-    independently by the same pure function.
-
     Raises
     ------
     NumericalFailure
@@ -163,11 +139,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """
     grid = [float(v) for v in
             np.linspace(spec.start, spec.stop, spec.points)]
-    workers = _worker_count()
-    if workers == 1:
-        return [_sweep_row(spec, v) for v in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda v: _sweep_row(spec, v), grid))
+    return [_sweep_row(spec, v) for v in grid]
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,32 @@ def test_help_exits_0(capsys):
     assert main(["point", "--help"]) == 0
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["point", "stability", "branches"])
+def test_non_finite_detuning_is_usage_error(command, value, capsys):
+    code, out, err = run([command, f"--delta-per-wm={value}"], capsys)
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_os_and_decode_failures_exit_1(tmp_path, capsys):
+    undecodable = tmp_path / "latin1.cfg"
+    undecodable.write_bytes(b"\xff\xfe")
+    csv_path = str(tmp_path / "scan.csv")
+    for argv in (["point", "--delta-per-wm", "1", "--output", str(tmp_path)],
+                 ["point", "--delta-per-wm", "1", "--config", str(tmp_path)],
+                 ["point", "--delta-per-wm", "1", "--config",
+                  str(undecodable)],
+                 ["fig2", "--points", "2", "--output", csv_path,
+                  "--gnuplot-script", str(tmp_path)]):
+        code, out, err = run(argv, capsys)
+        assert code == 1, argv
+        assert err.splitlines()[-1].startswith("error:"), argv
+        assert "Traceback" not in err
+
+
 def test_unstable_config_value_exits_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[params]\nmirror_mass = -1\n")
@@ -318,3 +344,162 @@ def test_provenance_echoed_to_stderr(capsys):
     code, out, err = run(["point", "--delta-per-wm", "0.965"], capsys)
     assert code == 0
     assert "config:" in err
+
+
+# ------------------------------------------------------ exact output bytes
+#
+# Expected stdout is rebuilt here from library calls with the documented
+# rules: CSV cells are true/false for booleans, empty for None and
+# ``.12g`` otherwise; JSON is ``json.dumps(..., indent=2)`` plus a newline,
+# a bare object for point, stability and minimize.
+
+DEFAULTS_NOTE = "config: no config file; package defaults in effect\n"
+
+
+def _cell(x):
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return "" if x is None else f"{x:.12g}"
+
+
+def _csv_text(records):
+    lines = [",".join(records[0])]
+    lines += [",".join(_cell(v) for v in r.values()) for r in records]
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _sweep_records(rows):
+    return [{"axis_value": r.axis_value, "var_q_plus": r.var_q_plus,
+             "var_p_minus": r.var_p_minus, "product": r.product,
+             "sum": r.sum, "stable": r.stable} for r in rows]
+
+
+def _expect_point():
+    p = rc.baseline_params()
+    res = rc.entanglement_result(p, rc.derive_params(p), 0.965 * p.mech_freq)
+    row = {"axis_value": res.delta, "var_q_plus": res.var_q_plus,
+           "var_p_minus": res.var_p_minus, "product": res.product,
+           "sum": res.sum, "stable": True}
+    obj = {"delta": res.delta, "var_q_plus": res.var_q_plus,
+           "var_p_minus": res.var_p_minus, "product": res.product,
+           "sum": res.sum, "product_entangled": res.product_entangled,
+           "sum_entangled": res.sum_entangled}
+    return _csv_text([row]), _json_text(obj), ""
+
+
+def _expect_branches(x):
+    p = rc.baseline_params()
+    recs = [{"detuning": s.detuning, "amplitude_re": s.amplitude.real,
+             "amplitude_im": s.amplitude.imag, "q_minus_s": s.q_minus_s,
+             "p_minus_s": s.p_minus_s, "photon_number": s.photon_number,
+             "tangent": s.tangent}
+            for s in rc.find_steady_branches(p, rc.derive_params(p),
+                                             x * p.mech_freq)]
+    return _csv_text(recs), _json_text(recs), ""
+
+
+def _expect_stability(x, **overrides):
+    p = rc.baseline_params(**overrides)
+    d = rc.derive_params(p)
+    v = rc.stability_verdict(
+        p, d, rc.steady_state_at_detuning(p, d, x * p.mech_freq))
+    rec = {"stable": v.stable, "routh_hurwitz": v.routh_hurwitz,
+           "eigenvalue": v.eigenvalue, "margin": v.margin}
+    return _csv_text([rec]), _json_text(rec), ""
+
+
+def _expect_minimize():
+    p = rc.baseline_params()
+    res = rc.minimize_over_detuning(p, rc.derive_params(p), (0.9, 1.05),
+                                    rc.QuadratureConfig())
+    rec = {"delta_star": res.delta_star, "value": res.value}
+    return _csv_text([rec]), _json_text(rec), ""
+
+
+def _fig2_rows(points, **overrides):
+    p = rc.baseline_params(**overrides)
+    return rc.run_sweep(rc.SweepSpec(
+        axis=rc.SweepAxis.DETUNING, start=0.5 * p.mech_freq,
+        stop=1.5 * p.mech_freq, points=points, fixed=p))
+
+
+def _fig2_summary(rows):
+    best = min((r for r in rows if r.stable), key=lambda r: r.var_p_minus)
+    return (f"fig2: min var_p_minus = {best.var_p_minus:.6g} at "
+            f"axis value {best.axis_value:.6g}\n")
+
+
+def _expect_fig2():
+    rows = _fig2_rows(6, laser_power=1e-3 * 20.0)
+    assert any(not r.stable for r in rows)
+    recs = _sweep_records(rows)
+    return _csv_text(recs), _json_text(recs), _fig2_summary(rows)
+
+
+def _expect_fig4():
+    p = rc.baseline_params()
+    rows = rc.run_sweep(rc.SweepSpec(
+        axis=rc.SweepAxis.BATH_TEMP, start=0.0, stop=200e-6, points=3,
+        fixed=p, delta=0.965 * p.mech_freq))
+    assert rows[0].axis_value == 0.0 and all(r.stable for r in rows)
+    summary = (f"fig4: product = {rows[0].product:.6g} at "
+               f"T = {rows[0].axis_value:.6g} K")
+    crossing = [r.axis_value for r in rows if r.product >= 1.0]
+    if crossing:
+        summary += f"; first product >= 1 at T = {crossing[0]:.6g} K"
+    recs = _sweep_records(rows)
+    return _csv_text(recs), _json_text(recs), summary + "\n"
+
+
+EXACT_CASES = {
+    "point": (["point", "--delta-per-wm", "0.965"], _expect_point),
+    "branches-3": (["branches", "--delta-per-wm", "0.55"],
+                   lambda: _expect_branches(0.55)),
+    "branches-1": (["branches", "--delta-per-wm", "1.2"],
+                   lambda: _expect_branches(1.2)),
+    "stability-stable": (["stability", "--delta-per-wm", "0.965"],
+                         lambda: _expect_stability(0.965)),
+    "stability-unstable": (
+        ["stability", "--delta-per-wm", "0.5", "--power-mw", "20"],
+        lambda: _expect_stability(0.5, laser_power=1e-3 * 20.0)),
+    "minimize": (["minimize", "--window", "0.9", "1.05"], _expect_minimize),
+    "fig4": (["fig4", "--points", "3"], _expect_fig4),
+    "fig2-unstable": (["fig2", "--points", "6", "--power-mw", "20"],
+                      _expect_fig2),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_exact_output_bytes(case, fmt, capsys):
+    argv, expect = EXACT_CASES[case]
+    csv_text, json_text, summary = expect()
+    code, out, err = run(argv + ["--format", fmt], capsys)
+    assert code == 0
+    assert out == (csv_text if fmt == "csv" else json_text)
+    assert err == DEFAULTS_NOTE + summary
+
+
+def test_exact_output_and_gnuplot_files(tmp_path, capsys):
+    csv_path = tmp_path / "scan.csv"
+    gp_path = tmp_path / "scan.gp"
+    code, out, err = run(["fig2", "--points", "3", "--output", str(csv_path),
+                          "--gnuplot-script", str(gp_path)], capsys)
+    assert code == 0
+    assert out == ""
+    rows = _fig2_rows(3)
+    assert err == DEFAULTS_NOTE + _fig2_summary(rows)
+    assert csv_path.read_text() == _csv_text(_sweep_records(rows))
+    assert gp_path.read_text() == (
+        "set datafile separator ','\n"
+        "set key autotitle columnhead\n"
+        "set xlabel 'axis value'\n"
+        "set ylabel 'variance and criteria'\n"
+        f"plot '{csv_path}' using 1:3 with lines title 'var p minus', \\\n"
+        "     '' using 1:4 with lines title 'product', \\\n"
+        "     '' using 1:5 with lines title 'sum'\n"
+        "pause -1\n")

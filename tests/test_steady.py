@@ -82,6 +82,15 @@ def test_zero_power_collapses_to_bare_detuning(baseline):
     assert branches[0].q_minus_s == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_detuning_rejected(baseline, bad):
+    p, d = baseline
+    with pytest.raises(rc.InvalidParameter):
+        rc.steady_state_at_detuning(p, d, bad)
+    with pytest.raises(rc.InvalidParameter):
+        rc.find_steady_branches(p, d, bad)
+
+
 def test_fold_branches_are_flagged_tangent(baseline):
     # scan for the fold: the first bare detuning where the count jumps
     p, d = baseline

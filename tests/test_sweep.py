@@ -94,24 +94,6 @@ def test_temperature_axis_moves_both_columns(baseline):
     assert rows[0].var_p_minus < rows[2].var_p_minus
 
 
-def test_thread_count_does_not_change_rows(baseline, monkeypatch):
-    p, _ = baseline
-    spec = _spec(points=6)
-    monkeypatch.delenv("RINGCAV_THREADS", raising=False)
-    serial = rc.run_sweep(spec)
-    monkeypatch.setenv("RINGCAV_THREADS", "4")
-    threaded = rc.run_sweep(spec)
-    assert serial == threaded
-
-
-def test_bad_thread_env_rejected(baseline, monkeypatch):
-    spec = _spec()
-    for bad in ("0", "-2", "many"):
-        monkeypatch.setenv("RINGCAV_THREADS", bad)
-        with pytest.raises(rc.ValidationError):
-            rc.run_sweep(spec)
-
-
 def test_minimize_baseline(baseline):
     p, d = baseline
     res = rc.minimize_over_detuning(p, d)
