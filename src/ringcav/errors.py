@@ -60,7 +60,15 @@ class NumericalFailure(RingCavError):
 
 
 class UnstableOperatingPoint(RingCavError):
-    """Spectra were requested at a point where the linearised dynamics diverge."""
+    """Spectra were requested at a point where the linearised dynamics diverge.
+
+    ``margin`` is the stability margin of the point (rad/s), minus the
+    largest eigenvalue real part of the drift matrix: zero or negative.
+    """
+
+    def __init__(self, message: str, margin: float):
+        self.margin = margin
+        super().__init__(message)
 
 
 class NoStablePoint(RingCavError):

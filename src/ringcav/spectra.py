@@ -13,6 +13,14 @@ the frequency integral of a spectral density made of three pieces:
   correlation M; they enter shifted by twice the mechanical frequency
   and only their symmetric combination over +/- frequency is real.
 
+Every piece is a rational function of frequency except for the bath
+weight's Bose factor, and the poles are i times the drift-matrix
+eigenvalues (and their mirror images and 2 omega_m shifts), so the
+variance integral is summed exactly from residues; the Bose part goes
+through Binet's second formula for the digamma function.  The adaptive
+integral of ``quadrature`` serves the cases the residues cannot: a
+(near-)double pole, and the Bose tail beyond the cutoff.
+
 The variance of the orthogonal mechanical quadrature (the one decoupled
 from the light) stays thermal.  A product of the two variances below 1,
 or their sum below 2, witnesses entanglement between the two mirrors.
@@ -20,6 +28,7 @@ or their sum below 2, witnesses entanglement between the two mirrors.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -48,6 +57,29 @@ __all__ = [
 # integral, relative to its real part.
 _IMAG_RESIDUAL = 1e-8
 
+# Eigenvalues closer than this (relative to omega_m) make a near-double
+# pole whose residues cancel each other; the variance then comes from
+# the adaptive integral.
+_POLE_GAP = 1e-6
+
+# The Bose tail beyond the cutoff is integrated when its closed-form
+# bound exceeds this fraction of the variance, i.e. when it can move
+# the double-precision result.
+_TAIL_NEGLIGIBLE = 1e-16
+
+# Offsets, in line widths, of the mesh points placed across a resonance.
+_LADDER = np.array([0.0, 2.0, -2.0, 6.0, -6.0, 18.0, -18.0, 54.0, -54.0])
+
+# B_2k / 2k for k = 8 ... 1: the coefficients of the series in 1 / z^2
+# that ln z - 1/(2z) - digamma(z) approaches at large z.
+_DIGAMMA_SERIES = (-3617.0 / 8160.0, 1.0 / 12.0, -691.0 / 32760.0,
+                   1.0 / 132.0, -1.0 / 240.0, 1.0 / 252.0, -1.0 / 120.0,
+                   1.0 / 12.0)
+
+# The six pairs of the four eigenvalues.
+_PAIRS = np.triu_indices(4, 1)
+_EYE8 = np.eye(8)
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -63,6 +95,12 @@ class QuadratureConfig:
         Tolerances handed to the adaptive integrator.
     max_depth:
         Refinement-generation limit of the adaptive integrator.
+
+    The variance itself is exact (a sum of residues); ``rel_tol``,
+    ``abs_tol`` and ``max_depth`` govern only the two integrals still
+    done adaptively: the whole window when two drift-matrix eigenvalues
+    (nearly) coincide, and the Bose tail beyond the cutoff when it is
+    not negligible.
     """
 
     cutoff: float = 50.0
@@ -124,34 +162,42 @@ def _thermal_weight(p: PhysicalParams) -> Callable[[np.ndarray], np.ndarray]:
     return weight
 
 
+def _numerators(w, p: PhysicalParams, d: DerivedParams, s: SteadyState):
+    """Numerator polynomials of the three spectral pieces; complex w too.
+
+    a(w) = (squeezed + 2 gamma_m / omega_m * W(w) * bath) / (d(w) d(-w))
+    with W the bath weight, b(w) = corr_b / (d(w) d(2 omega_m - w)) and
+    c(w) = corr_c / (d(w) d(-2 omega_m - w)).
+    """
+    kappa = p.cavity_decay
+    delta = s.detuning
+    nsq = d.n_squeeze
+    pref = 8.0 * kappa * d.coupling_g ** 2 * d.chi ** 2
+    squeezed = pref * s.photon_number * (
+        (nsq + 1.0) * (kappa ** 2 + (delta + w) ** 2)
+        + nsq * (kappa ** 2 + (delta - w) ** 2))
+    bath = ((delta ** 2 + kappa ** 2 - w * w) ** 2
+            + 4.0 * kappa ** 2 * w * w)
+    corr_b = (pref * np.conj(s.amplitude) ** 2 * d.m_squeeze
+              * (kappa - 1j * (delta + w))
+              * (kappa - 1j * (delta + 2.0 * p.mech_freq - w)))
+    corr_c = (pref * s.amplitude ** 2 * np.conj(d.m_squeeze)
+              * (kappa + 1j * (delta - w))
+              * (kappa + 1j * (delta + 2.0 * p.mech_freq + w)))
+    return squeezed, bath, corr_b, corr_c
+
+
 def _raw_terms(w, p: PhysicalParams, d: DerivedParams, s: SteadyState,
                thermal: Callable[[np.ndarray], np.ndarray]):
     """The three spectral pieces a(w), b(w), c(w) on an array w."""
     wm = p.mech_freq
-    kappa = p.cavity_decay
-    delta = s.detuning
-    n = s.photon_number
-    pref = 8.0 * kappa * d.coupling_g ** 2 * d.chi ** 2
-    nsq = d.n_squeeze
-    msq = d.m_squeeze
-    amp = s.amplitude
-
+    squeezed, bath, corr_b, corr_c = _numerators(w, p, d, s)
     dw = d_of_omega(w, p, d, s)
     dmw = np.conj(dw)  # d(-w)
-
-    a = (pref * n * ((nsq + 1.0) * (kappa ** 2 + (delta + w) ** 2)
-                     + nsq * (kappa ** 2 + (delta - w) ** 2))
-         + 2.0 * d.gamma_m / wm * thermal(w)
-         * ((delta ** 2 + kappa ** 2 - w * w) ** 2
-            + 4.0 * kappa ** 2 * w * w)) / (dw * dmw)
-    b = (pref * np.conj(amp) ** 2 * msq
-         * (kappa - 1j * (delta + w))
-         * (kappa - 1j * (delta + 2.0 * wm - w))
-         / (dw * d_of_omega(2.0 * wm - w, p, d, s)))
-    c = (pref * amp ** 2 * np.conj(msq)
-         * (kappa + 1j * (delta - w))
-         * (kappa + 1j * (delta + 2.0 * wm + w))
-         / (dw * d_of_omega(-2.0 * wm - w, p, d, s)))
+    a = ((squeezed + 2.0 * d.gamma_m / wm * thermal(w) * bath)
+         / (dw * dmw))
+    b = corr_b / (dw * d_of_omega(2.0 * wm - w, p, d, s))
+    c = corr_c / (dw * d_of_omega(-2.0 * wm - w, p, d, s))
     return a, b, c
 
 
@@ -192,7 +238,7 @@ def integrand_terms(omega: float, p: PhysicalParams, d: DerivedParams,
 
 
 def _breakpoints(p: PhysicalParams, d: DerivedParams, s: SteadyState,
-                 cutoff: float) -> np.ndarray:
+                 cutoff: float, ev: np.ndarray | None = None) -> np.ndarray:
     """Initial integration mesh clustered on the known resonances.
 
     Eigenvalues of the drift matrix locate the poles of the response:
@@ -201,30 +247,26 @@ def _breakpoints(p: PhysicalParams, d: DerivedParams, s: SteadyState,
     around +/- (2 omega_m -/+ Omega).  A geometric ladder of points is
     placed across every such line so the first partition already
     resolves features a thousand times narrower than the window.
+    ``ev`` are the eigenvalues when the caller already has them.
     """
     wm = p.mech_freq
     lim = cutoff * wm
     delta = s.detuning
+    if ev is None:
+        ev = eigenvalues(drift_matrix(p, d, s))
 
-    pts = {0.0, -lim, lim}
-    for marker in (wm, delta, 2.0 * wm - delta, 2.0 * wm + delta):
-        pts.add(marker)
-        pts.add(-marker)
+    markers = np.array([wm, delta, 2.0 * wm - delta, 2.0 * wm + delta])
+    lines = ev[ev.imag != 0.0]
+    center = np.abs(lines.imag)
+    width = np.maximum(2.0 * np.abs(lines.real), 1e-9 * wm)
+    bases = np.stack([center, -center,
+                      2.0 * wm - center, 2.0 * wm + center,
+                      -2.0 * wm + center, -2.0 * wm - center], axis=1)
+    ladder = bases[:, :, None] + _LADDER * width[:, None, None]
+    pts = np.concatenate([[0.0, -lim, lim], markers, -markers,
+                          ladder.ravel()])
 
-    ev = eigenvalues(drift_matrix(p, d, s))
-    for lam in ev:
-        center = abs(lam.imag)
-        if center == 0.0:
-            continue
-        width = max(2.0 * abs(lam.real), 1e-9 * wm)
-        for base in (center, -center,
-                     2.0 * wm - center, 2.0 * wm + center,
-                     -2.0 * wm + center, -2.0 * wm - center):
-            for step in (0.0, 2.0, -2.0, 6.0, -6.0, 18.0, -18.0,
-                         54.0, -54.0):
-                pts.add(base + step * width)
-
-    mesh = np.array(sorted(x for x in pts if -lim <= x <= lim))
+    mesh = np.sort(pts[(pts >= -lim) & (pts <= lim)])
     keep = np.concatenate([[True], np.diff(mesh) > 1e-9 * wm])
     mesh = mesh[keep]
     if mesh[0] != -lim:
@@ -234,31 +276,9 @@ def _breakpoints(p: PhysicalParams, d: DerivedParams, s: SteadyState,
     return mesh
 
 
-def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
-                      quad: QuadratureConfig | None = None) -> float:
-    """Stationary variance of the light-coupled mechanical momentum.
-
-    Integrates the spectral density over [-cutoff, cutoff] * omega_m
-    with the batched adaptive rule, after checking that s is a stable
-    operating point.
-
-    Raises
-    ------
-    UnstableOperatingPoint
-        If the drift matrix has an eigenvalue with non-negative real
-        part; the stationary variance does not exist there.
-    NumericalFailure
-        If the integral does not converge, leaks a non-negligible
-        imaginary part, or comes out non-positive.
-    """
-    if quad is None:
-        quad = QuadratureConfig()
-    verdict = stability_verdict(p, d, s)
-    if not verdict.stable:
-        raise UnstableOperatingPoint(
-            f"no stationary state at detuning {s.detuning!r} rad/s "
-            f"(stability margin {verdict.margin!r} rad/s)")
-
+def _adaptive_integral(p: PhysicalParams, d: DerivedParams, s: SteadyState,
+                       ev: np.ndarray, quad: QuadratureConfig) -> complex:
+    """The density integrated over the window by the adaptive rule."""
     wm = p.mech_freq
     thermal = _thermal_weight(p)
 
@@ -267,11 +287,156 @@ def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
         return (w * w * a + w * (w - 2.0 * wm) * b
                 + w * (w + 2.0 * wm) * c)
 
-    mesh = _breakpoints(p, d, s, quad.cutoff)
-    result = integrate_adaptive(density, mesh, rel_tol=quad.rel_tol,
-                                abs_tol=quad.abs_tol,
-                                max_depth=quad.max_depth)
-    value = result.value / (2.0 * math.pi)
+    mesh = _breakpoints(p, d, s, quad.cutoff, ev)
+    return integrate_adaptive(density, mesh, rel_tol=quad.rel_tol,
+                              abs_tol=quad.abs_tol,
+                              max_depth=quad.max_depth).value
+
+
+def _binet(z: complex) -> complex:
+    """ln z - 1/(2z) - digamma(z) for Re z > 0.
+
+    By Binet's second formula this is twice the integral over [0, inf)
+    of x / ((x^2 + z^2) (exp(2 pi x) - 1)).  The recurrence
+    digamma(z + 1) = digamma(z) + 1/z shifts z to |z| >= 12, where the
+    asymptotic series of this very combination, sum_k B_2k / (2k z^2k),
+    is summed to eight terms; it is small at large z, so nothing
+    cancels there.
+    """
+    size = abs(z)
+    shift = math.ceil(math.sqrt(144.0 - size * size)) if size < 12.0 else 0
+    w = z + shift
+    u = 1.0 / (w * w)
+    out = 0j
+    for c in _DIGAMMA_SERIES:
+        out = (out + c) * u
+    if shift:
+        out += (cmath.log(z / w) - 0.5 / z + 0.5 / w
+                + sum(1.0 / (z + k) for k in range(shift)))
+    return out
+
+
+def _bose_tail(p: PhysicalParams, d: DerivedParams, s: SteadyState,
+               ev: np.ndarray, lo: float, hi: float,
+               quad: QuadratureConfig) -> float:
+    """Integral over [lo, hi] of w H(w) n(w) by the adaptive rule.
+
+    H(w) = w^2 bath(w) / |d(w)|^2 is the bath piece of the density
+    without its weight, n the Bose occupation.  The mesh doubles from lo
+    and crosses any resonance that lies beyond the cutoff.
+    """
+    beta = HBAR / (KB * p.bath_temp)
+
+    def density(w: np.ndarray) -> np.ndarray:
+        bath = _numerators(w, p, d, s)[1]
+        with np.errstate(over="ignore"):
+            return (w ** 3 * bath / np.abs(d_of_omega(w, p, d, s)) ** 2
+                    / np.expm1(beta * w))
+
+    doubling = lo * 2.0 ** np.arange(1, int(math.log2(hi / lo)) + 1)
+    width = np.maximum(2.0 * np.abs(ev.real), 1e-9 * p.mech_freq)
+    ladder = (np.abs(ev.imag)[:, None] + _LADDER * width[:, None]).ravel()
+    inner = np.concatenate([doubling, ladder])
+    mesh = np.sort(np.concatenate([[lo, hi],
+                                   inner[(inner > lo) & (inner < hi)]]))
+    return integrate_adaptive(density, mesh, rel_tol=quad.rel_tol,
+                              abs_tol=quad.abs_tol,
+                              max_depth=quad.max_depth).value.real
+
+
+def _residue_integral(p: PhysicalParams, d: DerivedParams, s: SteadyState,
+                      ev: np.ndarray, quad: QuadratureConfig) -> complex:
+    """The density integrated over the window, summed from its poles.
+
+    Each piece is a polynomial over prod_k (w - q_k) with simple poles
+    q_k: the zeros r_j = i lambda_j of d(w), and those of d(-w) (for a)
+    or of d(2 omega_m - w) and d(-2 omega_m - w) (for b and c).  Partial
+    fractions integrate it exactly over [-L, L]:
+    int dw / (w - q) = -2 atanh(L / q).  The vacuum half 2 w theta(w) of
+    the bath weight is rational on [0, L], where
+    int dw / (w - q) = log(1 - L / q).  Its Bose half 2 |w| n(|w|) is
+    summed over [0, inf) by Binet's formula, less the tail beyond L.
+    """
+    wm = p.mech_freq
+    lim = quad.cutoff * wm
+    r = 1j * ev
+    poles = np.concatenate([r, -r, r, 2.0 * wm - r, r, -2.0 * wm - r])
+    grid = poles.reshape(3, 8)
+    qa, qb, qc = grid
+    # 1 / Q'(q_k) for the monic denominator Q of each piece
+    spread = 1.0 / (grid[:, :, None] - grid[:, None, :] + _EYE8).prod(axis=2)
+    squeezed, bath, corr_b, corr_c = _numerators(grid, p, d, s)
+    base = qa * qa * spread[0]
+    residues = np.concatenate([
+        base * squeezed[0],
+        qb * (qb - 2.0 * wm) * corr_b[1] * spread[1],
+        qc * (qc + 2.0 * wm) * corr_c[2] * spread[2]])
+    total = residues @ (-2.0 * np.arctanh(lim / poles))
+
+    # residues of H(w) = w^2 bath(w) / (d(w) d(-w)); H is even, so
+    # those at -r_j are minus those at r_j
+    h = base * bath[0]
+    scale = 2.0 * d.gamma_m / wm
+    v = lim / qa
+    total += 4.0 * scale * ((qa * h) @ np.arctanh(v / (v - 2.0)))
+    if p.bath_temp <= 0.0:
+        return complex(total)
+
+    # int_0^inf w H(w) n(w) dw = sum_j h_j r_j binet(zeta_j)
+    kt = KB * p.bath_temp / HBAR
+    hr = h[:4] * r
+    zeta = (ev / (-2.0 * math.pi * kt)).tolist()
+    total += 4.0 * scale * (hr @ np.array([_binet(z) for z in zeta]))
+    # on [L, inf), |w H(w)| <= sum_j 2 |h_j r_j| sup w / |w^2 - r_j^2|,
+    # and the Bose occupation integrates in closed form
+    reach = 0.0
+    for hr_j, r_j in zip(np.abs(hr).tolist(), r.tolist()):
+        sup = 1.0 / abs(r_j.imag)
+        if abs(r_j) < lim:
+            sup = min(sup, lim / (lim * lim - abs(r_j) ** 2))
+        reach += hr_j * sup
+    bound = 8.0 * scale * reach * kt * -math.log1p(-math.exp(-lim / kt))
+    floor = _TAIL_NEGLIGIBLE * abs(total)
+    if bound > floor > 0.0:
+        upper = lim + kt * math.log(bound / floor)
+        total -= 4.0 * scale * _bose_tail(p, d, s, ev, lim, upper, quad)
+    return complex(total)
+
+
+def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
+                      quad: QuadratureConfig | None = None) -> float:
+    """Stationary variance of the light-coupled mechanical momentum.
+
+    The spectral density over [-cutoff, cutoff] * omega_m, summed
+    exactly from the poles that the drift-matrix eigenvalues give; the
+    same eigenvalues decide stability first.  When two eigenvalues
+    (nearly) coincide the residues cancel, and the batched adaptive
+    rule integrates the density instead.
+
+    Raises
+    ------
+    UnstableOperatingPoint
+        If the drift matrix has an eigenvalue with non-negative real
+        part; the stationary variance does not exist there.
+    NumericalFailure
+        If an adaptive integral does not converge, or the variance
+        leaks a non-negligible imaginary part or comes out non-positive.
+    """
+    if quad is None:
+        quad = QuadratureConfig()
+    ev = eigenvalues(drift_matrix(p, d, s))
+    verdict = stability_verdict(p, d, s, ev)
+    if not verdict.stable:
+        raise UnstableOperatingPoint(
+            f"no stationary state at detuning {s.detuning!r} rad/s "
+            f"(stability margin {verdict.margin!r} rad/s)", verdict.margin)
+
+    gap = np.min(np.abs(ev[:, None] - ev)[_PAIRS])
+    if gap < _POLE_GAP * p.mech_freq:
+        value = _adaptive_integral(p, d, s, ev, quad)
+    else:
+        value = _residue_integral(p, d, s, ev, quad)
+    value /= 2.0 * math.pi
     if abs(value.imag) > _IMAG_RESIDUAL * abs(value.real):
         raise NumericalFailure(
             f"variance integral left imaginary residue {value!r}")

@@ -116,8 +116,13 @@ class StabilityVerdict:
 
 
 def stability_verdict(p: PhysicalParams, d: DerivedParams,
-                      s: SteadyState) -> StabilityVerdict:
+                      s: SteadyState,
+                      ev: np.ndarray | None = None) -> StabilityVerdict:
     """Run both stability tests and cross-check them.
+
+    ``ev`` are the drift-matrix eigenvalues at s, as ``eigenvalues``
+    returns them, when the caller has already computed them (the noise
+    spectra take their poles from the same decomposition).
 
     Raises
     ------
@@ -125,8 +130,8 @@ def stability_verdict(p: PhysicalParams, d: DerivedParams,
         If the two tests disagree while the slowest eigenvalue is not
         within 1e-9 * omega_m of the imaginary axis.
     """
-    a = drift_matrix(p, d, s)
-    ev = eigenvalues(a)
+    if ev is None:
+        ev = eigenvalues(drift_matrix(p, d, s))
     max_re = float(np.max(ev.real))
     eig_ok = max_re < 0.0
     rh_ok = routh_hurwitz_stable(p, d, s)

@@ -24,6 +24,27 @@ __all__ = ["SteadyState", "steady_state_at_detuning", "find_steady_branches"]
 # are treated as one marginal branch at a fold of the response curve.
 _MERGE_REL = 1e-6
 
+# A root of the branch cubic counts as real when its imaginary part is
+# below this fraction of the detuning scale.
+_REAL_ROOT_TOL = 1e-6
+
+
+def _detuning_error(name: str, value: float,
+                    kappa: float) -> InvalidParameter:
+    """The error for a detuning outside |value| < kappa / _REAL_ROOT_TOL.
+
+    Beyond that bound the cubic's complex pair of roots near +/- i kappa
+    passes the real-root test as spurious branches; further out kappa
+    is lost against the detuning altogether (in kappa^2 + delta^2 and
+    in the drift-matrix eigenvalues -kappa +/- i delta), and with it the
+    decay that decides stability.
+    """
+    if not math.isfinite(value):
+        return InvalidParameter(name, value, "finite")
+    limit = kappa / _REAL_ROOT_TOL
+    return InvalidParameter(name, value,
+                            f"|{name}| < 1e6 kappa = {limit!r} rad/s")
+
 
 @dataclass(frozen=True)
 class SteadyState:
@@ -61,9 +82,10 @@ def steady_state_at_detuning(p: PhysicalParams, d: DerivedParams,
                              delta: float) -> SteadyState:
     """Steady state for a prescribed *effective* detuning delta (rad/s).
 
-    A non-finite delta raises InvalidParameter."""
-    if not math.isfinite(delta):
-        raise InvalidParameter("delta", delta, "finite")
+    A non-finite delta, or one with |delta| >= 1e6 kappa, raises
+    InvalidParameter."""
+    if not abs(delta) < p.cavity_decay / _REAL_ROOT_TOL:
+        raise _detuning_error("delta", delta, p.cavity_decay)
     amp = d.drive_eps / complex(p.cavity_decay, delta)
     n = abs(amp) ** 2
     disp = 2.0 * d.coupling_g * d.chi * n / p.mech_freq
@@ -91,11 +113,12 @@ def find_steady_branches(p: PhysicalParams, d: DerivedParams,
     for the effective detuning Delta, polishes each real root by Newton
     iteration and returns the corresponding steady states sorted by
     effective detuning.  Between one and three branches exist; branches
-    at a fold of the response curve carry ``tangent=True``.  A non-finite
-    bare detuning raises InvalidParameter.
+    at a fold of the response curve carry ``tangent=True``.  A bare
+    detuning outside the range steady_state_at_detuning accepts raises
+    InvalidParameter.
     """
-    if not math.isfinite(bare_detuning):
-        raise InvalidParameter("bare_detuning", bare_detuning, "finite")
+    if not abs(bare_detuning) < p.cavity_decay / _REAL_ROOT_TOL:
+        raise _detuning_error("bare_detuning", bare_detuning, p.cavity_decay)
     kappa = p.cavity_decay
     d0 = float(bare_detuning)
     shift = 2.0 * (d.coupling_g * d.chi * d.drive_eps) ** 2 / p.mech_freq
@@ -104,7 +127,8 @@ def find_steady_branches(p: PhysicalParams, d: DerivedParams,
     roots = np.roots(coeffs)
     scale = max(abs(d0), kappa, abs(shift) ** (1.0 / 3.0), 1.0)
 
-    real = [float(r.real) for r in roots if abs(r.imag) <= 1e-6 * scale]
+    real = [float(r.real) for r in roots
+            if abs(r.imag) <= _REAL_ROOT_TOL * scale]
     if not real:
         raise NumericalFailure(
             f"no real steady-state detuning found for bare detuning {d0!r}")

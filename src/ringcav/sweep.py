@@ -19,7 +19,9 @@ from .errors import (InvalidParameter, NumericalFailure, NoStablePoint,
 from .model import DerivedParams, PhysicalParams, derive_params
 from .spectra import (QuadratureConfig, entanglement_result,
                       momentum_variance)
-from .stability import stability_verdict
+# the verdict stays importable from here for callers that look it up
+# in this namespace; momentum_variance runs it once per point
+from .stability import stability_verdict  # noqa: F401
 from .steady import steady_state_at_detuning
 
 __all__ = [
@@ -112,15 +114,13 @@ def _sweep_row(spec: SweepSpec, value: float) -> SweepRow:
     else:
         p = replace(spec.fixed, **{_AXIS_FIELD[spec.axis]: value})
         delta = spec.delta
-    d = derive_params(p)
-    s = steady_state_at_detuning(p, d, delta)
-    verdict = stability_verdict(p, d, s)
-    if not verdict.stable:
+    try:
+        res = entanglement_result(p, derive_params(p), delta,
+                                  spec.quadrature)
+    except UnstableOperatingPoint as err:
         return SweepRow(axis_value=value, var_q_plus=None, var_p_minus=None,
                         product=None, sum=None, stable=False,
-                        branch_note=f"unstable, margin {verdict.margin!r} rad/s")
-    try:
-        res = entanglement_result(p, d, delta, spec.quadrature)
+                        branch_note=f"unstable, margin {err.margin!r} rad/s")
     except NumericalFailure as err:
         raise NumericalFailure(
             f"at axis value {value!r}: {err}") from err
@@ -155,8 +155,6 @@ def _variance_at(p: PhysicalParams, d: DerivedParams, delta: float,
                  quad: QuadratureConfig) -> float:
     """Variance at one detuning; +inf when the point is unstable."""
     s = steady_state_at_detuning(p, d, delta)
-    if not stability_verdict(p, d, s).stable:
-        return math.inf
     try:
         return momentum_variance(p, d, s, quad)
     except UnstableOperatingPoint:

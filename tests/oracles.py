@@ -75,3 +75,73 @@ def characteristic_polynomial_roots(kappa, wm, gm, delta, g, chi, n):
         wm * wm * k2d2 - wm * delta * g2,
     ]
     return np.roots(coeffs)
+
+
+def mpmath_momentum_variance(wavelength, cavity_length, mirror_mass,
+                             kappa, wm, quality, fold_angle, bath_temp,
+                             power, r, phase, delta, cutoff=50.0, dps=30):
+    """Coupled-momentum variance in dps-digit arithmetic.
+
+    The same defining integral as trapezoid_momentum_variance, written
+    with mpmath and integrated by mpmath.quad (tanh-sinh) on intervals
+    broken at 0, +/- omega_m, +/- delta and +/- (2 omega_m -/+ delta).
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        hbar = mp.mpf("1.054571817e-34")
+        kb = mp.mpf("1.380649e-23")
+        c_light = mp.mpf(299792458)
+        kappa, wm, delta = mp.mpf(kappa), mp.mpf(wm), mp.mpf(delta)
+        temp = mp.mpf(bath_temp)
+        gm = wm / mp.mpf(quality)
+        wl = 2 * mp.pi * c_light / mp.mpf(wavelength)
+        g = (wl / mp.mpf(cavity_length)) * mp.sqrt(
+            hbar / (mp.mpf(mirror_mass) * wm))
+        chi = mp.cos(mp.mpf(fold_angle) / 2) ** 2
+        eps = mp.sqrt(2 * kappa * mp.mpf(power) / (hbar * wl))
+        cs = eps / mp.mpc(kappa, delta)
+        n = abs(cs) ** 2
+        nsq = mp.sinh(mp.mpf(r)) ** 2
+        msq = (mp.sinh(mp.mpf(r)) * mp.cosh(mp.mpf(r))
+               * mp.expj(mp.mpf(phase)))
+        pref = 8 * kappa * g * g * chi * chi
+        j = mp.mpc(0, 1)
+
+        def dd(w):
+            return (-4 * wm * delta * g * g * n * chi * chi
+                    + (wm * wm - w * w - j * gm * w)
+                    * ((kappa - j * w) ** 2 + delta * delta))
+
+        def weight(w):
+            # w (1 + coth(hbar w / 2 kB T)), finite through w = 0
+            if temp == 0:
+                return 2 * w if w > 0 else mp.mpf(0)
+            if w == 0:
+                return 2 * kb * temp / hbar
+            return 2 * w / -mp.expm1(-hbar * w / (kb * temp))
+
+        def density(w):
+            dw = dd(w)
+            a = (pref * n * ((nsq + 1) * (kappa ** 2 + (delta + w) ** 2)
+                             + nsq * (kappa ** 2 + (delta - w) ** 2))
+                 + 2 * gm / wm * weight(w)
+                 * ((delta ** 2 + kappa ** 2 - w * w) ** 2
+                    + 4 * kappa ** 2 * w * w)) / abs(dw) ** 2
+            b = (pref * mp.conj(cs) ** 2 * msq
+                 * (kappa - j * (delta + w))
+                 * (kappa - j * (delta + 2 * wm - w))
+                 / (dw * dd(2 * wm - w)))
+            c = (pref * cs ** 2 * mp.conj(msq)
+                 * (kappa + j * (delta - w))
+                 * (kappa + j * (delta + 2 * wm + w))
+                 / (dw * dd(-2 * wm - w)))
+            return mp.re(w * w * a + w * (w - 2 * wm) * b
+                         + w * (w + 2 * wm) * c)
+
+        lim = mp.mpf(cutoff) * wm
+        marks = {mp.mpf(0), -lim, lim}
+        for m in (wm, delta, 2 * wm - delta, 2 * wm + delta):
+            marks.update((m, -m))
+        pts = sorted(x for x in marks if -lim <= x <= lim)
+        return float(mp.quad(density, pts) / (2 * mp.pi))

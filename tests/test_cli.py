@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -229,6 +233,36 @@ def test_non_finite_detuning_is_usage_error(command, value, capsys):
     assert "error:" in err
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["branches", "--delta-per-wm", "1e300"],
+    ["point", "--delta-per-wm", "1e300"],
+    ["stability", "--delta-per-wm", "1e200"],
+    ["point", "--delta-per-wm", "1e20"],
+    ["minimize", "--window", "1e19", "1e20"],
+])
+def test_unresolvable_detuning_is_usage_error(argv, capsys):
+    # at 1e6 kappa and beyond the cubic grows spurious branches and,
+    # further out, kappa is lost against the detuning
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert "error:" in err and "< 1e6 kappa" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(rc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringcav", "point", "--delta-per-wm", "0.965"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert "Warning" not in proc.stderr
+    assert proc.stdout.startswith(CSV_HEADER + "\n5741920.30889,")
 
 
 def test_os_and_decode_failures_exit_1(tmp_path, capsys):
@@ -461,6 +495,16 @@ EXACT_CASES = {
                    lambda: _expect_branches(0.55)),
     "branches-1": (["branches", "--delta-per-wm", "1.2"],
                    lambda: _expect_branches(1.2)),
+    "branches-edge-neg": (["branches", "--delta-per-wm", "-2"],
+                          lambda: _expect_branches(-2.0)),
+    "branches-edge-zero": (["branches", "--delta-per-wm", "0"],
+                           lambda: _expect_branches(0.0)),
+    "branches-edge-pos": (["branches", "--delta-per-wm", "2"],
+                          lambda: _expect_branches(2.0)),
+    "stability-edge-neg": (["stability", "--delta-per-wm", "-2"],
+                           lambda: _expect_stability(-2.0)),
+    "stability-edge-pos": (["stability", "--delta-per-wm", "2"],
+                           lambda: _expect_stability(2.0)),
     "stability-stable": (["stability", "--delta-per-wm", "0.965"],
                          lambda: _expect_stability(0.965)),
     "stability-unstable": (

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringcav as rc
-from oracles import trapezoid_momentum_variance
+from oracles import mpmath_momentum_variance, trapezoid_momentum_variance
+from ringcav.spectra import (_binet, _breakpoints, _raw_terms,
+                             _thermal_weight)
 
 DELTA_965 = 5741920.308892601
 
@@ -201,3 +203,116 @@ def test_squeeze_phase_detunes_the_correlation(baseline):
     s0 = rc.steady_state_at_detuning(p0, d0, DELTA_965)
     v0 = rc.momentum_variance(p0, d0, s0)
     assert v_pi > v0
+
+
+def _adaptive_variance(p, d, s, cutoff=50.0):
+    # the adaptive route, assembled as criterion 9 does, at tolerances
+    # tight enough to serve as the reference
+    wm = p.mech_freq
+    thermal = _thermal_weight(p)
+
+    def density(w):
+        a, b, c = _raw_terms(w, p, d, s, thermal)
+        return w * w * a + w * (w - 2 * wm) * b + w * (w + 2 * wm) * c
+
+    res = rc.integrate_adaptive(density, _breakpoints(p, d, s, cutoff),
+                                rel_tol=1e-12, abs_tol=1e-15, max_depth=60)
+    return res.value.real / (2.0 * math.pi)
+
+
+def _margin_edge_power(delta):
+    # the largest power still stable at this detuning, by bisection
+    lo, hi = 3.8e-3, 20e-3
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        p = rc.baseline_params(laser_power=mid)
+        d = rc.derive_params(p)
+        s = rc.steady_state_at_detuning(p, d, delta)
+        if rc.stability_verdict(p, d, s).stable:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _route_cases():
+    wm = rc.baseline_params().mech_freq
+    rng = np.random.default_rng(20231)
+    cases = []
+    while len(cases) < 250:
+        temp = 0.0 if rng.uniform() < 0.1 else rng.uniform(0.1e-6, 200e-6)
+        p = rc.baseline_params(squeeze_r=rng.uniform(0.0, 2.0),
+                               laser_power=10.0 ** rng.uniform(-3.2, -1.7),
+                               bath_temp=temp)
+        d = rc.derive_params(p)
+        s = rc.steady_state_at_detuning(p, d, rng.uniform(0.3, 1.7) * wm)
+        if rc.stability_verdict(p, d, s).stable:
+            cases.append((p, s.detuning, 50.0))
+    edges = [dict(bath_temp=t) for t in (1e-9, 200e-6, 1.0, 300.0)]
+    edges += [dict(mech_quality=q) for q in (1.0, 1e9)]
+    edges += [dict(squeeze_phase=1.3), dict(squeeze_r=3.0),
+              dict(geometry=rc.Geometry.FOUR_MIRROR_TOTAL)]
+    cases += [(rc.baseline_params(**e), 0.965 * wm, 50.0) for e in edges]
+    cases += [(rc.baseline_params(bath_temp=t), 0.965 * wm, cut)
+              for cut in (2.1, 2.5, 1000.0) for t in (0.0, 200e-6, 300.0)]
+    cases += [(rc.baseline_params(), x * wm, 50.0)
+              for x in (2.0, 30.0, 51.0, 1e3, 1e5)]
+    # stability margin ~1e-16 omega_m; eigenvalue gap 2e-8 omega_m
+    cases.append((rc.baseline_params(laser_power=_margin_edge_power(
+        0.5 * wm)), 0.5 * wm, 50.0))
+    cases.append((rc.baseline_params(laser_power=0.0), 1e-8 * wm, 50.0))
+    return cases
+
+
+def test_residue_route_agrees_with_adaptive_route():
+    worst = 0.0
+    for p, delta, cutoff in _route_cases():
+        d = rc.derive_params(p)
+        s = rc.steady_state_at_detuning(p, d, delta)
+        ours = rc.momentum_variance(p, d, s, rc.QuadratureConfig(cutoff))
+        ref = _adaptive_variance(p, d, s, cutoff)
+        rel = abs(ours - ref) / abs(ref)
+        worst = max(worst, rel)
+        assert rel <= 1e-9, (p, delta / p.mech_freq, cutoff, rel)
+    print(f"worst residue/adaptive deviation {worst:.1e}")
+
+
+@pytest.mark.parametrize("temp", [41.4e-6, 0.0, 200e-6])
+def test_variance_matches_30_digit_oracle(temp):
+    p = rc.baseline_params(bath_temp=temp)
+    d = rc.derive_params(p)
+    s = rc.steady_state_at_detuning(p, d, DELTA_965)
+    ref = mpmath_momentum_variance(
+        p.wavelength, p.cavity_length, p.mirror_mass, p.cavity_decay,
+        p.mech_freq, p.mech_quality, p.fold_angle, temp, p.laser_power,
+        p.squeeze_r, p.squeeze_phase, DELTA_965)
+    assert rc.momentum_variance(p, d, s) == pytest.approx(ref, rel=1e-12,
+                                                          abs=0.0)
+
+
+@pytest.mark.parametrize("power, delta_per_wm", [(3.8e-3, 0.0),
+                                                 (0.0, 1e-10)])
+def test_double_pole_falls_back_to_adaptive_route(power, delta_per_wm):
+    p = rc.baseline_params(laser_power=power)
+    d = rc.derive_params(p)
+    s = rc.steady_state_at_detuning(p, d, delta_per_wm * p.mech_freq)
+    wm = p.mech_freq
+    thermal = _thermal_weight(p)
+
+    def density(w):
+        a, b, c = _raw_terms(w, p, d, s, thermal)
+        return w * w * a + w * (w - 2 * wm) * b + w * (w + 2 * wm) * c
+
+    res = rc.integrate_adaptive(density, _breakpoints(p, d, s, 50.0),
+                                rel_tol=1e-9, abs_tol=1e-12)
+    assert rc.momentum_variance(p, d, s) == res.value.real / (2 * math.pi)
+
+
+def test_binet_matches_mpmath_digamma():
+    mpmath = pytest.importorskip("mpmath")
+    for z in (1e-9 + 2e-6j, 0.03 - 0.2j, 0.7 + 5.0j, 3.0, 11.9 + 0.5j,
+              12.5 - 40.0j, 2e3 + 7e3j):
+        with mpmath.workdps(30):
+            zm = mpmath.mpc(z)
+            want = complex(mpmath.log(zm) - 1 / (2 * zm) - mpmath.digamma(zm))
+        assert _binet(complex(z)) == pytest.approx(want, rel=1e-13, abs=0.0)

@@ -91,6 +91,21 @@ def test_non_finite_detuning_rejected(baseline, bad):
         rc.find_steady_branches(p, d, bad)
 
 
+def test_unresolvable_detuning_rejected(baseline):
+    # beyond 1e6 kappa the cubic's complex roots near +/- i kappa would
+    # pass as real branches, and kappa is soon lost against delta
+    p, d = baseline
+    limit = 1e6 * p.cavity_decay
+    for bad in (limit, -limit, 1e300, -1e20 * p.mech_freq):
+        with pytest.raises(rc.InvalidParameter):
+            rc.steady_state_at_detuning(p, d, bad)
+        with pytest.raises(rc.InvalidParameter):
+            rc.find_steady_branches(p, d, bad)
+    below = 0.999 * limit
+    assert rc.steady_state_at_detuning(p, d, below).detuning == below
+    assert len(rc.find_steady_branches(p, d, below)) == 1
+
+
 def test_fold_branches_are_flagged_tangent(baseline):
     # scan for the fold: the first bare detuning where the count jumps
     p, d = baseline

@@ -55,9 +55,13 @@ def test_unstable_rows_are_flagged_not_fatal():
                         points=3, fixed=p, quadrature=QUICK)
     rows = rc.run_sweep(spec)
     assert all(not r.stable for r in rows)
+    d = rc.derive_params(p)
     for r in rows:
         assert r.var_q_plus is None and r.var_p_minus is None
         assert r.product is None and r.sum is None
+        v = rc.stability_verdict(
+            p, d, rc.steady_state_at_detuning(p, d, r.axis_value))
+        assert r.branch_note == f"unstable, margin {v.margin!r} rad/s"
         assert "unstable" in r.branch_note
 
 
