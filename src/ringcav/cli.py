@@ -16,11 +16,13 @@ error.  All other quantities are SI (m, kg, K, W, rad).
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .errors import (ConfigError, InternalInconsistency, InvalidParameter,
                      NoStablePoint, NumericalFailure, ParseError,
@@ -38,18 +40,6 @@ __all__ = ["RunConfig", "parse_config", "serialize_config", "main"]
 CSV_HEADER = "axis_value,var_q_plus,var_p_minus,product,sum,stable"
 
 _SECTION_RE = re.compile(r"\[([A-Za-z_][A-Za-z0-9_]*)\]")
-
-_TOP_KEYS = ("output_path", "output_format")
-_PARAM_KEYS = (
-    "wavelength", "cavity_length", "mirror_mass",
-    "kappa_rad_s", "kappa_hz", "mech_freq_rad_s", "mech_freq_hz",
-    "mech_quality", "fold_angle", "bath_temp", "laser_power",
-    "squeeze_r", "squeeze_phase", "geometry",
-)
-_QUAD_KEYS = ("cutoff", "rel_tol", "abs_tol", "max_depth")
-_SWEEP_KEYS = ("axis", "start", "stop", "points", "delta")
-_SECTIONS = {"params": _PARAM_KEYS, "quadrature": _QUAD_KEYS,
-             "sweep": _SWEEP_KEYS}
 
 
 @dataclass(frozen=True)
@@ -69,6 +59,50 @@ class RunConfig:
     output_path: str
     output_format: str
     provenance: tuple[str, ...] = field(default=(), compare=False)
+
+
+_DEFAULTS = RunConfig(params=baseline_params(),
+                      quadrature=QuadratureConfig(), sweep=None,
+                      output_path="-", output_format="csv")
+
+# Rate fields and the stem of their two key spellings, <stem>_rad_s in
+# rad/s and <stem>_hz in Hz.
+_RATES = {"cavity_decay": "kappa", "mech_freq": "mech_freq"}
+
+# Each config section, named after its RunConfig field ('' is the top
+# level): its dataclass, the object whose values fill missing keys
+# (None: a key whose field has no default is required), and the prefix
+# of the field an error names; [params] errors name the bare field, as
+# ``validate`` does.
+_SECTIONS = {
+    "": (RunConfig, _DEFAULTS, ""),
+    "params": (PhysicalParams, _DEFAULTS.params, ""),
+    "quadrature": (QuadratureConfig, _DEFAULTS.quadrature, "quadrature."),
+    "sweep": (SweepSpec, None, "sweep."),
+}
+
+
+def _schema(cls) -> tuple:
+    """(field, type, keys, required) for each scalar field of cls: a
+    float, int, str or Enum, or one of these or None."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        kind = hints[f.name]
+        if type(None) in typing.get_args(kind):  # X | None
+            kind = typing.get_args(kind)[0]
+        if kind in (float, int, str) or (isinstance(kind, type)
+                                         and issubclass(kind, enum.Enum)):
+            stem = _RATES.get(f.name)
+            keys = (f.name,) if stem is None else (f"{stem}_rad_s",
+                                                   f"{stem}_hz")
+            out.append((f.name, kind, keys, f.default is MISSING))
+    return tuple(out)
+
+
+_SCHEMA = {name: _schema(cls) for name, (cls, _, _) in _SECTIONS.items()}
+_KEYS = {name: frozenset(k for _, _, keys, _ in schema for k in keys)
+         for name, schema in _SCHEMA.items()}
 
 
 @dataclass
@@ -106,8 +140,7 @@ def _scan(text: str) -> dict[str, dict[str, _RawItem]]:
             raise ParseError(lineno, 1, "empty key")
         if not value:
             raise ParseError(lineno, line.find("=") + 2, "empty value")
-        allowed = _SECTIONS.get(section, _TOP_KEYS) if section else _TOP_KEYS
-        if key not in allowed:
+        if key not in _KEYS[section]:
             raise UnknownKey(key, f"[{section}]" if section else "top level")
         if key in out[section]:
             raise ParseError(lineno, 1, f"duplicate key {key!r}")
@@ -115,36 +148,53 @@ def _scan(text: str) -> dict[str, dict[str, _RawItem]]:
     return out
 
 
-def _as_float(item: _RawItem, key: str) -> float:
+def _plain(value):
+    """A field value as written in config text: an Enum by its value."""
+    return value.value if isinstance(value, enum.Enum) else value
+
+
+def _convert(kind, item: _RawItem, key: str, where: str):
+    """item's text as kind; ``where`` names the field in a ValidationError."""
     try:
-        return float(item.value)
+        value = kind(item.value)
     except ValueError:
+        if issubclass(kind, enum.Enum):
+            choices = ", ".join(m.value for m in kind)
+            raise ValidationError(where, f"must be one of {choices}")
+        noun = "an integer" if kind is int else "a number"
         raise ParseError(item.line, item.col,
-                         f"{key}: expected a number, got {item.value!r}")
+                         f"{key}: expected {noun}, got {item.value!r}")
+    return 2.0 * math.pi * value if key.endswith("_hz") else value
 
 
-def _as_int(item: _RawItem, key: str) -> int:
-    try:
-        return int(item.value)
-    except ValueError:
-        raise ParseError(item.line, item.col,
-                         f"{key}: expected an integer, got {item.value!r}")
-
-
-def _rate(raw: dict[str, _RawItem], name: str, default: float,
-          prov: list[str]) -> float:
-    """Resolve a rate given as either <name>_rad_s or <name>_hz."""
-    rad = raw.pop(f"{name}_rad_s", None)
-    hz = raw.pop(f"{name}_hz", None)
-    if rad is not None and hz is not None:
-        raise ValidationError(
-            name, f"given as both {name}_rad_s and {name}_hz; pick one")
-    if rad is not None:
-        return _as_float(rad, f"{name}_rad_s")
-    if hz is not None:
-        return 2.0 * math.pi * _as_float(hz, f"{name}_hz")
-    prov.append(f"params.{name}_rad_s defaulted to {default!r}")
-    return default
+def _fill(raw: dict[str, dict[str, _RawItem]], name: str,
+          prov: list[str]) -> dict:
+    """The field values of one section.  A missing key takes the
+    section's default, recorded in prov, or its field's own default."""
+    _, default, prefix = _SECTIONS[name]
+    items = raw.get(name, {})
+    values = {}
+    given = []
+    for fname, kind, keys, required in _SCHEMA[name]:
+        key = None
+        for k in keys:
+            if k in items:
+                if key is not None:
+                    raise ValidationError(
+                        _RATES[fname], f"given as both {key} and {k}; "
+                                       "pick one")
+                key = k
+        if key is not None:
+            given.append((fname, kind, key))
+        elif default is not None:
+            values[fname] = getattr(default, fname)
+            prov.append(f"{name}{'.' if name else ''}{keys[0]} defaulted "
+                        f"to {_plain(values[fname])!r}")
+        elif required:
+            raise ValidationError(prefix + fname, "required")
+    for fname, kind, key in given:
+        values[fname] = _convert(kind, items[key], key, prefix + fname)
+    return values
 
 
 def parse_config(text: str) -> RunConfig:
@@ -161,150 +211,43 @@ def parse_config(text: str) -> RunConfig:
     """
     raw = _scan(text)
     prov: list[str] = []
-    base = baseline_params()
+    top = _fill(raw, "", prov)
+    if top["output_format"] not in ("csv", "json"):
+        raise ValidationError("output_format", "must be csv or json")
 
-    top = raw.get("", {})
-    if "output_path" in top:
-        output_path = top["output_path"].value
-    else:
-        output_path = "-"
-        prov.append("output_path defaulted to '-'")
-    if "output_format" in top:
-        output_format = top["output_format"].value
-        if output_format not in ("csv", "json"):
-            raise ValidationError("output_format", "must be csv or json")
-    else:
-        output_format = "csv"
-        prov.append("output_format defaulted to 'csv'")
-
-    pr = dict(raw.get("params", {}))
-    kappa = _rate(pr, "kappa", base.cavity_decay, prov)
-    mech_freq = _rate(pr, "mech_freq", base.mech_freq, prov)
-
-    def pick(key: str, default: float) -> float:
-        if key in pr:
-            return _as_float(pr.pop(key), key)
-        prov.append(f"params.{key} defaulted to {default!r}")
-        return default
-
-    fields = {
-        "wavelength": pick("wavelength", base.wavelength),
-        "cavity_length": pick("cavity_length", base.cavity_length),
-        "mirror_mass": pick("mirror_mass", base.mirror_mass),
-        "mech_quality": pick("mech_quality", base.mech_quality),
-        "fold_angle": pick("fold_angle", base.fold_angle),
-        "bath_temp": pick("bath_temp", base.bath_temp),
-        "laser_power": pick("laser_power", base.laser_power),
-        "squeeze_r": pick("squeeze_r", base.squeeze_r),
-        "squeeze_phase": pick("squeeze_phase", base.squeeze_phase),
-    }
-    if "geometry" in pr:
-        token = pr.pop("geometry").value
-        try:
-            geometry = Geometry(token)
-        except ValueError:
-            raise ValidationError("geometry", "must be 3ring or 4ring")
-    else:
-        geometry = base.geometry
-        prov.append(f"params.geometry defaulted to {base.geometry.value!r}")
-    params = PhysicalParams(cavity_decay=kappa, mech_freq=mech_freq,
-                            geometry=geometry, **fields)
+    params = PhysicalParams(**_fill(raw, "params", prov))
     bad = validate(params)
     if bad:
         raise ValidationError(bad[0].field, bad[0].bound)
-
-    qr = dict(raw.get("quadrature", {}))
-    qdef = QuadratureConfig()
-
-    def qpick(key: str, default, conv) -> float:
-        if key in qr:
-            return conv(qr.pop(key), key)
-        prov.append(f"quadrature.{key} defaulted to {default!r}")
-        return default
-
     try:
-        quadrature = QuadratureConfig(
-            cutoff=qpick("cutoff", qdef.cutoff, _as_float),
-            rel_tol=qpick("rel_tol", qdef.rel_tol, _as_float),
-            abs_tol=qpick("abs_tol", qdef.abs_tol, _as_float),
-            max_depth=qpick("max_depth", qdef.max_depth, _as_int),
-        )
+        quadrature = QuadratureConfig(**_fill(raw, "quadrature", prov))
     except InvalidParameter as err:
         raise ValidationError(f"quadrature.{err.field}", err.bound)
-
     sweep_spec = None
     if "sweep" in raw:
-        sr = dict(raw["sweep"])
-        for needed in ("axis", "start", "stop", "points"):
-            if needed not in sr:
-                raise ValidationError(f"sweep.{needed}", "required")
-        token = sr.pop("axis").value
         try:
-            axis = SweepAxis(token)
-        except ValueError:
-            choices = ", ".join(m.value for m in SweepAxis)
-            raise ValidationError("sweep.axis", f"must be one of {choices}")
-        delta = None
-        if "delta" in sr:
-            delta = _as_float(sr.pop("delta"), "delta")
-        try:
-            sweep_spec = SweepSpec(
-                axis=axis,
-                start=_as_float(sr.pop("start"), "start"),
-                stop=_as_float(sr.pop("stop"), "stop"),
-                points=_as_int(sr.pop("points"), "points"),
-                fixed=params,
-                quadrature=quadrature,
-                delta=delta,
-            )
+            sweep_spec = SweepSpec(fixed=params, quadrature=quadrature,
+                                   **_fill(raw, "sweep", prov))
         except InvalidParameter as err:
             raise ValidationError(f"sweep.{err.field}", err.bound)
 
     return RunConfig(params=params, quadrature=quadrature, sweep=sweep_spec,
-                     output_path=output_path, output_format=output_format,
-                     provenance=tuple(prov))
+                     provenance=tuple(prov), **top)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Render cfg as config text; parse_config inverts this exactly."""
-    p = cfg.params
-    q = cfg.quadrature
-    lines = [
-        f"output_path = {cfg.output_path}",
-        f"output_format = {cfg.output_format}",
-        "",
-        "[params]",
-        f"wavelength = {p.wavelength!r}",
-        f"cavity_length = {p.cavity_length!r}",
-        f"mirror_mass = {p.mirror_mass!r}",
-        f"kappa_rad_s = {p.cavity_decay!r}",
-        f"mech_freq_rad_s = {p.mech_freq!r}",
-        f"mech_quality = {p.mech_quality!r}",
-        f"fold_angle = {p.fold_angle!r}",
-        f"bath_temp = {p.bath_temp!r}",
-        f"laser_power = {p.laser_power!r}",
-        f"squeeze_r = {p.squeeze_r!r}",
-        f"squeeze_phase = {p.squeeze_phase!r}",
-        f"geometry = {p.geometry.value}",
-        "",
-        "[quadrature]",
-        f"cutoff = {q.cutoff!r}",
-        f"rel_tol = {q.rel_tol!r}",
-        f"abs_tol = {q.abs_tol!r}",
-        f"max_depth = {q.max_depth!r}",
-    ]
-    if cfg.sweep is not None:
-        s = cfg.sweep
-        lines += [
-            "",
-            "[sweep]",
-            f"axis = {s.axis.value}",
-            f"start = {s.start!r}",
-            f"stop = {s.stop!r}",
-            f"points = {s.points!r}",
-        ]
-        if s.delta is not None:
-            lines.append(f"delta = {s.delta!r}")
+    lines = []
+    for name, schema in _SCHEMA.items():
+        obj = getattr(cfg, name) if name else cfg
+        if obj is None:
+            continue
+        if name:
+            lines += ["", f"[{name}]"]
+        for fname, _, keys, _ in schema:
+            value = getattr(obj, fname)
+            if value is not None:
+                lines.append(f"{keys[0]} = {_plain(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -430,11 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(ns: argparse.Namespace) -> RunConfig:
     if ns.config is None:
-        cfg = RunConfig(params=baseline_params(),
-                        quadrature=QuadratureConfig(), sweep=None,
-                        output_path="-", output_format="csv",
-                        provenance=("no config file; package defaults "
-                                    "in effect",))
+        cfg = replace(_DEFAULTS, provenance=("no config file; package "
+                                             "defaults in effect",))
     else:
         with open(ns.config, "r", encoding="utf-8") as fh:
             cfg = parse_config(fh.read())

@@ -169,7 +169,8 @@ def derive_params(p: PhysicalParams) -> DerivedParams:
     Raises
     ------
     InvalidParameter
-        If p fails validation; the first violation is raised.
+        If p fails validation, the first violation; or if an input is
+        so large that a derived quantity is not finite.
     """
     violations = validate(p)
     if violations:
@@ -182,15 +183,18 @@ def derive_params(p: PhysicalParams) -> DerivedParams:
         HBAR / (p.mirror_mass * p.mech_freq))
     drive_eps = math.sqrt(
         2.0 * p.cavity_decay * p.laser_power / (HBAR * omega_laser))
-    sh = math.sinh(p.squeeze_r)
-    ch = math.cosh(p.squeeze_r)
+    try:
+        sh = math.sinh(p.squeeze_r)
+        ch = math.cosh(p.squeeze_r)
+    except OverflowError:
+        sh = ch = math.inf
     n_squeeze = sh * sh
     m_squeeze = sh * ch * cmath.exp(1j * p.squeeze_phase)
     if p.bath_temp > 0.0:
         thermal_ratio = HBAR * p.mech_freq / (KB * p.bath_temp)
     else:
         thermal_ratio = math.inf
-    return DerivedParams(
+    out = DerivedParams(
         omega_laser=omega_laser,
         gamma_m=gamma_m,
         chi=chi,
@@ -200,6 +204,12 @@ def derive_params(p: PhysicalParams) -> DerivedParams:
         m_squeeze=m_squeeze,
         thermal_ratio=thermal_ratio,
     )
+    for name, value in vars(out).items():
+        # thermal_ratio is +inf at T = 0 by definition
+        if not cmath.isfinite(value) and name != "thermal_ratio":
+            raise InvalidParameter(name, value,
+                                   "finite: an input parameter is too large")
+    return out
 
 
 def baseline_params(**overrides) -> PhysicalParams:

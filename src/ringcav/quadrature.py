@@ -91,7 +91,8 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
     Raises
     ------
     NumericalFailure
-        If the tolerance is not reached within max_depth generations.
+        If the tolerance is not reached within max_depth generations, or
+        the integral or its error estimate is not finite.
     """
     pts = np.asarray(breakpoints, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
@@ -107,6 +108,11 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
     for depth in range(max_depth + 1):
         total = vals.sum()
         err = float(errs.sum())
+        # a NaN or inf would make every panel look unconverged
+        if not (np.isfinite(total) and np.isfinite(err)):
+            raise NumericalFailure(
+                f"integral is not finite (value {complex(total)!r}, "
+                f"error {err!r})")
         tol = max(abs_tol, rel_tol * abs(total))
         if err <= tol:
             return QuadResult(value=complex(total), error=err,

@@ -328,8 +328,10 @@ def _bose_tail(p: PhysicalParams, d: DerivedParams, s: SteadyState,
     beta = HBAR / (KB * p.bath_temp)
 
     def density(w: np.ndarray) -> np.ndarray:
-        bath = _numerators(w, p, d, s)[1]
-        with np.errstate(over="ignore"):
+        # at huge temperatures the mesh reaches frequencies where this
+        # overflows; integrate_adaptive rejects the non-finite result
+        with np.errstate(over="ignore", invalid="ignore"):
+            bath = _numerators(w, p, d, s)[1]
             return (w ** 3 * bath / np.abs(d_of_omega(w, p, d, s)) ** 2
                     / np.expm1(beta * w))
 
@@ -395,7 +397,7 @@ def _residue_integral(p: PhysicalParams, d: DerivedParams, s: SteadyState,
         if abs(r_j) < lim:
             sup = min(sup, lim / (lim * lim - abs(r_j) ** 2))
         reach += hr_j * sup
-    bound = 8.0 * scale * reach * kt * -math.log1p(-math.exp(-lim / kt))
+    bound = 8.0 * scale * reach * kt * -math.log(-math.expm1(-lim / kt))
     floor = _TAIL_NEGLIGIBLE * abs(total)
     if bound > floor > 0.0:
         upper = lim + kt * math.log(bound / floor)

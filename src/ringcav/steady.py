@@ -114,14 +114,21 @@ def find_steady_branches(p: PhysicalParams, d: DerivedParams,
     iteration and returns the corresponding steady states sorted by
     effective detuning.  Between one and three branches exist; branches
     at a fold of the response curve carry ``tangent=True``.  A bare
-    detuning outside the range steady_state_at_detuning accepts raises
-    InvalidParameter.
+    detuning outside the range steady_state_at_detuning accepts, or a
+    drive so strong that S overflows, raises InvalidParameter.
     """
     if not abs(bare_detuning) < p.cavity_decay / _REAL_ROOT_TOL:
         raise _detuning_error("bare_detuning", bare_detuning, p.cavity_decay)
     kappa = p.cavity_decay
     d0 = float(bare_detuning)
-    shift = 2.0 * (d.coupling_g * d.chi * d.drive_eps) ** 2 / p.mech_freq
+    try:
+        shift = 2.0 * (d.coupling_g * d.chi * d.drive_eps) ** 2 / p.mech_freq
+    except OverflowError:
+        shift = math.inf
+    if not math.isfinite(shift):
+        raise InvalidParameter("laser_power", p.laser_power,
+                               "small enough that the detuning shift "
+                               "2 g^2 chi^2 eps^2 / omega_m is finite")
 
     coeffs = [1.0, -d0, kappa * kappa, shift - d0 * kappa * kappa]
     roots = np.roots(coeffs)

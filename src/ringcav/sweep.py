@@ -107,16 +107,10 @@ _AXIS_FIELD = {
 }
 
 
-def _sweep_row(spec: SweepSpec, value: float) -> SweepRow:
-    if spec.axis is SweepAxis.DETUNING:
-        p = spec.fixed
-        delta = value
-    else:
-        p = replace(spec.fixed, **{_AXIS_FIELD[spec.axis]: value})
-        delta = spec.delta
+def _sweep_row(p: PhysicalParams, d: DerivedParams, delta: float,
+               value: float, quad: QuadratureConfig) -> SweepRow:
     try:
-        res = entanglement_result(p, derive_params(p), delta,
-                                  spec.quadrature)
+        res = entanglement_result(p, d, delta, quad)
     except UnstableOperatingPoint as err:
         return SweepRow(axis_value=value, var_q_plus=None, var_p_minus=None,
                         product=None, sum=None, stable=False,
@@ -139,7 +133,16 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """
     grid = [float(v) for v in
             np.linspace(spec.start, spec.stop, spec.points)]
-    return [_sweep_row(spec, v) for v in grid]
+    quad = spec.quadrature
+    if spec.axis is SweepAxis.DETUNING:
+        # the parameters are the same on every row
+        d = derive_params(spec.fixed)
+        return [_sweep_row(spec.fixed, d, v, v, quad) for v in grid]
+    rows = []
+    for v in grid:
+        p = replace(spec.fixed, **{_AXIS_FIELD[spec.axis]: v})
+        rows.append(_sweep_row(p, derive_params(p), spec.delta, v, quad))
+    return rows
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ringcav as rc
+from ringcav import cli
 from ringcav.cli import (CSV_HEADER, main, parse_config, serialize_config)
 
 BASELINE_CFG = (
@@ -132,6 +134,86 @@ def test_round_trip_identity_without_sweep():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+# The accepted keys of each config section; '' is the top level.
+ACCEPTED_KEYS = {
+    "": {"output_path", "output_format"},
+    "params": {"wavelength", "cavity_length", "mirror_mass", "kappa_rad_s",
+               "kappa_hz", "mech_freq_rad_s", "mech_freq_hz",
+               "mech_quality", "fold_angle", "bath_temp", "laser_power",
+               "squeeze_r", "squeeze_phase", "geometry"},
+    "quadrature": {"cutoff", "rel_tol", "abs_tol", "max_depth"},
+    "sweep": {"axis", "start", "stop", "points", "delta"},
+}
+
+
+def test_accepted_keys_are_pinned():
+    assert {name: set(keys) for name, keys in cli._KEYS.items()} \
+        == ACCEPTED_KEYS
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def _run_configs(draw):
+    """A valid RunConfig, and config text for it that spells both rates
+    in Hz or in rad/s."""
+    hz = draw(st.booleans())
+    rates = {}
+    for key in ("kappa", "mech_freq"):
+        # 2 pi times a Hz value must stay finite
+        value = draw(st.floats(min_value=0.0, exclude_min=True,
+                               max_value=1e300) if hz else _positive)
+        rates[key] = 2.0 * math.pi * value if hz else value
+        rates[key + "_text"] = (f"{key}_hz = {value!r}" if hz
+                                else f"{key}_rad_s = {value!r}")
+    params = rc.PhysicalParams(
+        wavelength=draw(_positive), cavity_length=draw(_positive),
+        mirror_mass=draw(_positive), cavity_decay=rates["kappa"],
+        mech_freq=rates["mech_freq"], mech_quality=draw(_positive),
+        fold_angle=draw(st.floats(min_value=0.0, max_value=math.pi)),
+        bath_temp=draw(_nonnegative), laser_power=draw(_nonnegative),
+        squeeze_r=draw(_nonnegative), squeeze_phase=draw(_finite),
+        geometry=draw(st.sampled_from(rc.Geometry)))
+    quadrature = rc.QuadratureConfig(
+        cutoff=draw(st.floats(min_value=2.0, exclude_min=True,
+                              allow_infinity=False)),
+        rel_tol=draw(_positive), abs_tol=draw(_positive),
+        max_depth=draw(st.integers(min_value=1, max_value=2 ** 63)))
+    sweep = None
+    axis = draw(st.none() | st.sampled_from(rc.SweepAxis))
+    if axis is not None:
+        start, stop = draw(st.lists(_finite, min_size=2, max_size=2,
+                                    unique=True).map(sorted))
+        sweep = rc.SweepSpec(
+            axis=axis, start=start, stop=stop,
+            points=draw(st.integers(min_value=2, max_value=10 ** 9)),
+            fixed=params, quadrature=quadrature,
+            delta=None if axis is rc.SweepAxis.DETUNING else draw(_finite))
+    path = draw(st.text(st.characters(blacklist_categories=(
+        "Cc", "Cs", "Zl", "Zp")), min_size=1).map(str.strip).filter(bool))
+    cfg = rc.RunConfig(params=params, quadrature=quadrature, sweep=sweep,
+                       output_path=path,
+                       output_format=draw(st.sampled_from(["csv", "json"])))
+    text = serialize_config(cfg)
+    for key in ("kappa", "mech_freq"):
+        text = re.sub(rf"^{key}_rad_s = .*$", rates[key + "_text"], text,
+                      flags=re.M)
+    return cfg, text
+
+
+@settings(deadline=None, max_examples=200)
+@given(_run_configs())
+def test_serialized_config_parses_back(case):
+    cfg, text = case
+    assert parse_config(serialize_config(cfg)) == cfg
+    parsed = parse_config(text)
+    assert parsed == cfg
+    assert parsed.provenance == ()
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("# heading\n\n; alt comment\n" + BASELINE_CFG)
     assert cfg.params == rc.baseline_params()
@@ -249,6 +331,21 @@ def test_unresolvable_detuning_is_usage_error(argv, capsys):
     assert code == 1
     assert "error:" in err and "< 1e6 kappa" in err
     assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["point", "--delta-per-wm", "0.965", "--r", "1000"], 1),
+    (["point", "--delta-per-wm", "0.965", "--r", "400"], 1),
+    (["branches", "--delta-per-wm", "0.5", "--power-mw", "1e300"], 1),
+    (["branches", "--delta-per-wm", "0.5", "--power-mw", "1e284"], 1),
+    (["point", "--delta-per-wm", "0.965", "--temp-uk", "1e300"], 2),
+], ids=["r-1000", "r-400", "power-1e300", "power-1e284", "temp-1e300"])
+def test_overflowing_input_is_an_error(argv, code, capsys):
+    code_, out, err = run(argv, capsys)
+    assert code_ == code
+    assert err.splitlines()[-1].startswith("error:")
+    assert "Traceback" not in err and "Warning" not in err
     assert out == ""
 
 

@@ -75,6 +75,19 @@ def test_validate_flags_bad_field(field, value):
         rc.derive_params(p)
 
 
+@pytest.mark.parametrize("overrides,field", [
+    ({"squeeze_r": 1000.0}, "n_squeeze"),  # math.sinh overflows
+    ({"squeeze_r": 400.0}, "n_squeeze"),   # sinh r squared overflows
+    ({"laser_power": 1e297}, "drive_eps"),
+])
+def test_overflowing_derived_quantity_rejected(overrides, field):
+    p = rc.baseline_params(**overrides)
+    assert rc.validate(p) == []
+    with pytest.raises(rc.InvalidParameter) as exc:
+        rc.derive_params(p)
+    assert exc.value.field == field
+
+
 def test_validate_passes_edge_values():
     # zero power, zero temperature and straight fold are all legitimate
     p = rc.baseline_params(laser_power=0.0, bath_temp=0.0, squeeze_r=0.0,

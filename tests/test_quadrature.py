@@ -57,6 +57,21 @@ def test_unseeded_narrow_spike_hits_depth_limit():
         integrate_adaptive(f, [-50.0, 50.0], max_depth=5)
 
 
+def test_non_finite_integrand_fails_fast():
+    # a NaN on one panel once sent every finite panel into bisection,
+    # generation after generation, until memory ran out
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        assert len(calls) <= 5, "integrator kept refining a NaN total"
+        return np.where((x > 0.3) & (x < 0.4), np.nan, x)
+
+    with pytest.raises(rc.NumericalFailure, match="not finite"):
+        integrate_adaptive(f, np.linspace(0.0, 1.0, 11))
+    assert len(calls) == 1
+
+
 def test_breakpoint_validation():
     with pytest.raises(rc.NumericalFailure):
         integrate_adaptive(np.sin, [1.0])

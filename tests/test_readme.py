@@ -4,6 +4,7 @@ import pathlib
 import re
 
 import ringcav as rc
+from ringcav.cli import _SCHEMA
 
 README = (pathlib.Path(__file__).resolve().parents[1]
           / "README.md").read_text(encoding="utf-8")
@@ -42,3 +43,21 @@ def test_ini_example_parses_verbatim():
     assert cfg.sweep.axis is rc.SweepAxis.DETUNING
     assert cfg.sweep.points == 200
     assert cfg.sweep.start == 0.5 * cfg.params.mech_freq
+
+
+def test_ini_example_names_every_key():
+    # each key appears once as "key =", in a comment if the example
+    # leaves it unset; a rate in exactly one of its two spellings
+    written = {}
+    section = ""
+    for line in _block("ini").splitlines():
+        header = re.fullmatch(r"\[(\w+)\]", line)
+        if header:
+            section = header.group(1)
+        key = re.match(r"#? ?(\w+) =", line)
+        if key:
+            written.setdefault(section, []).append(key.group(1))
+    for section, schema in _SCHEMA.items():
+        for _, _, keys, _ in schema:
+            found = [k for k in written.get(section, []) if k in keys]
+            assert len(found) == 1, (section, keys, found)

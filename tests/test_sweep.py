@@ -65,6 +65,25 @@ def test_unstable_rows_are_flagged_not_fatal():
         assert "unstable" in r.branch_note
 
 
+@pytest.mark.parametrize("axis,derivations", [
+    (rc.SweepAxis.DETUNING, 1),
+    (rc.SweepAxis.SQUEEZE_R, 3),
+])
+def test_derivations_per_sweep(axis, derivations, monkeypatch):
+    # a detuning sweep keeps every parameter fixed: derive them once
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return rc.derive_params(p)
+
+    monkeypatch.setattr(sweep_mod, "derive_params", counted)
+    delta = None if axis is rc.SweepAxis.DETUNING else 5.7e6
+    rows = rc.run_sweep(_spec(axis=axis, delta=delta))
+    assert len(rows) == 3 and all(r.stable for r in rows)
+    assert len(calls) == derivations
+
+
 def test_degenerate_two_point_sweep(baseline):
     p, _ = baseline
     wm = p.mech_freq
