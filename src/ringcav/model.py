@@ -170,13 +170,27 @@ def derive_params(p: PhysicalParams) -> DerivedParams:
     ------
     InvalidParameter
         If p fails validation, the first violation; or if an input is
-        so large that a derived quantity is not finite.
+        so large that a derived quantity is not finite, or so far out
+        that a denominator underflows to zero.
     """
     violations = validate(p)
     if violations:
         raise violations[0]
 
     omega_laser = 2.0 * math.pi * C_LIGHT / p.wavelength
+    kt = KB * p.bath_temp
+    thermal_ratio = HBAR * p.mech_freq / kt if kt else math.inf
+    # a denominator that underflows to 0 (or kB T / hbar that overflows)
+    # would divide by zero here or in the spectra
+    for name, bad in (("wavelength", HBAR * omega_laser == 0.0),
+                      ("mirror_mass", p.mirror_mass * p.mech_freq == 0.0),
+                      ("bath_temp", p.bath_temp > 0.0
+                       and not 0.0 < kt / HBAR < math.inf),
+                      ("mech_freq", thermal_ratio == 0.0)):
+        if bad:
+            raise InvalidParameter(name, getattr(p, name),
+                                   "the double range: a rate derived from "
+                                   "it underflows or overflows")
     gamma_m = p.mech_freq / p.mech_quality
     chi = math.cos(0.5 * p.fold_angle) ** 2
     coupling_g = (omega_laser / p.cavity_length) * math.sqrt(
@@ -190,10 +204,6 @@ def derive_params(p: PhysicalParams) -> DerivedParams:
         sh = ch = math.inf
     n_squeeze = sh * sh
     m_squeeze = sh * ch * cmath.exp(1j * p.squeeze_phase)
-    if p.bath_temp > 0.0:
-        thermal_ratio = HBAR * p.mech_freq / (KB * p.bath_temp)
-    else:
-        thermal_ratio = math.inf
     out = DerivedParams(
         omega_laser=omega_laser,
         gamma_m=gamma_m,

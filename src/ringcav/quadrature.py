@@ -139,4 +139,4 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
 
     raise NumericalFailure(
         f"integral did not converge within {max_depth} refinement "
-        f"generations (error {err!r}, tolerance {tol!r})")
+        f"generations (error {err!r}, tolerance {float(tol)!r})")

@@ -170,7 +170,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
                            window: tuple[float, float] = (0.5, 1.5),
-                           quad: QuadratureConfig | None = None
+                           quad: QuadratureConfig = QuadratureConfig()
                            ) -> MinimizeResult:
     """Minimise the coupled-momentum variance over a detuning window.
 
@@ -180,7 +180,7 @@ def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
         (low, high) bounds of the effective detuning in units of the
         mechanical frequency.
     quad:
-        Integration controls; defaults apply when omitted.
+        The integration window; the default applies when omitted.
 
     A coarse grid locates the basin, golden-section refines it to
     1e-4 * omega_m, and the best point seen anywhere is returned.
@@ -190,14 +190,14 @@ def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
     NoStablePoint
         If no point of the window is stable.
     """
-    if quad is None:
-        quad = QuadratureConfig()
     lo, hi = window
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise InvalidParameter("window", window, "finite with low < high")
     wm = p.mech_freq
     a = lo * wm
     b = hi * wm
+    # the grid divides the span b - a, which must not overflow
+    if not (math.isfinite(b - a) and a < b):
+        raise InvalidParameter("window", window,
+                               "finite in rad/s with low < high")
 
     best_delta = math.nan
     best_value = math.inf

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -68,7 +71,6 @@ def test_empty_config_is_all_defaults_with_provenance():
 def test_empty_quadrature_section_gets_defaults():
     cfg = parse_config("[quadrature]\n")
     assert cfg.quadrature.cutoff == 50.0
-    assert cfg.quadrature.rel_tol == 1e-9
 
 
 def test_rate_spellings_are_equivalent():
@@ -129,6 +131,15 @@ def test_sweep_section_round_trip():
     assert again == cfg
 
 
+@pytest.mark.parametrize("key", ["rel_tol", "abs_tol", "max_depth"])
+def test_retired_quadrature_keys_rejected(key):
+    # the adaptive integrals run at the integrator's fixed accuracy
+    with pytest.raises(rc.UnknownKey):
+        parse_config(f"[quadrature]\n{key} = 1\n")
+    with pytest.raises(TypeError):
+        rc.QuadratureConfig(**{key: 1})
+
+
 def test_round_trip_identity_without_sweep():
     cfg = parse_config(BASELINE_CFG)
     assert parse_config(serialize_config(cfg)) == cfg
@@ -141,7 +152,7 @@ ACCEPTED_KEYS = {
                "kappa_hz", "mech_freq_rad_s", "mech_freq_hz",
                "mech_quality", "fold_angle", "bath_temp", "laser_power",
                "squeeze_r", "squeeze_phase", "geometry"},
-    "quadrature": {"cutoff", "rel_tol", "abs_tol", "max_depth"},
+    "quadrature": {"cutoff"},
     "sweep": {"axis", "start", "stop", "points", "delta"},
 }
 
@@ -179,9 +190,7 @@ def _run_configs(draw):
         geometry=draw(st.sampled_from(rc.Geometry)))
     quadrature = rc.QuadratureConfig(
         cutoff=draw(st.floats(min_value=2.0, exclude_min=True,
-                              allow_infinity=False)),
-        rel_tol=draw(_positive), abs_tol=draw(_positive),
-        max_depth=draw(st.integers(min_value=1, max_value=2 ** 63)))
+                              max_value=1e5)))
     sweep = None
     axis = draw(st.none() | st.sampled_from(rc.SweepAxis))
     if axis is not None:
@@ -334,19 +343,61 @@ def test_unresolvable_detuning_is_usage_error(argv, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("argv,code", [
-    (["point", "--delta-per-wm", "0.965", "--r", "1000"], 1),
-    (["point", "--delta-per-wm", "0.965", "--r", "400"], 1),
-    (["branches", "--delta-per-wm", "0.5", "--power-mw", "1e300"], 1),
-    (["branches", "--delta-per-wm", "0.5", "--power-mw", "1e284"], 1),
-    (["point", "--delta-per-wm", "0.965", "--temp-uk", "1e300"], 2),
-], ids=["r-1000", "r-400", "power-1e300", "power-1e284", "temp-1e300"])
-def test_overflowing_input_is_an_error(argv, code, capsys):
+@pytest.mark.parametrize("argv,config,code,says", [
+    (["point", "--delta-per-wm", "0.965", "--r", "1000"], None, 1,
+     "n_squeeze"),
+    (["point", "--delta-per-wm", "0.965", "--r", "400"], None, 1,
+     "n_squeeze"),
+    (["branches", "--delta-per-wm", "0.5", "--power-mw", "1e300"], None, 1,
+     "drive_eps"),
+    (["branches", "--delta-per-wm", "0.5", "--power-mw", "1e284"], None, 1,
+     "laser_power"),
+    (["point", "--delta-per-wm", "0.965", "--temp-uk", "1e300"], None, 2,
+     "not finite"),
+    (["point", "--delta-per-wm", "0.965", "--temp-uk", "1e-300"], None, 1,
+     "bath_temp"),
+    (["point", "--delta-per-wm", "0.965", "--temp-uk", "1e304"], None, 1,
+     "bath_temp"),
+    (["branches", "--delta-per-wm", "1"], "[params]\nwavelength = 1e308\n",
+     1, "wavelength"),
+    # the zero-detuning fallback overflows; numpy must not warn
+    (["point", "--delta-per-wm", "0", "--temp-uk", "1e300"], None, 2,
+     "not finite"),
+    (["point", "--delta-per-wm", "0", "--power-mw", "1e284"], None, 2,
+     "not finite"),
+    (["minimize", "--window", "5e-324", "3", "--power-mw", "2",
+      "--temp-uk", "1e300"], None, 2, "not finite"),
+    (["point", "--delta-per-wm", "5e-324", "--temp-uk", "0"],
+     "[params]\nmech_quality = 1e308\n", 2, "not finite"),
+    (["point", "--delta-per-wm", "0"], "[quadrature]\ncutoff = 1e300\n", 1,
+     "cutoff"),
+    (["point", "--delta-per-wm", "0.965"], "[quadrature]\ncutoff = 1e300\n",
+     1, "cutoff"),
+], ids=["r-1000", "r-400", "power-1e300", "power-1e284", "temp-1e300",
+        "temp-1e-300", "temp-1e304", "wavelength-1e308", "zero-temp-1e300",
+        "zero-power-1e284", "minimize-temp-1e300", "zero-quality-1e308",
+        "zero-cutoff-1e300",
+        "cutoff-1e300"])
+def test_overflowing_input_is_an_error(argv, config, code, says, tmp_path,
+                                       capsys):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
     code_, out, err = run(argv, capsys)
     assert code_ == code
     assert err.splitlines()[-1].startswith("error:")
+    assert says in err.splitlines()[-1]
     assert "Traceback" not in err and "Warning" not in err
     assert out == ""
+
+
+def test_bath_colder_than_expm1_range(capsys):
+    # hbar omega_m / kB T is about 710 at 64 nK, where expm1 overflows
+    code, out, err = run(["point", "--delta-per-wm", "0.965",
+                          "--temp-uk", "0.05", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["var_q_plus"] == 0.5
 
 
 def test_python_dash_m_runs_the_cli():
@@ -391,7 +442,6 @@ def test_sweep_runs_from_config(tmp_path, capsys):
     wm = rc.baseline_params().mech_freq
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(BASELINE_CFG
-                   + "[quadrature]\nrel_tol = 1e-07\n"
                    + f"[sweep]\naxis = detuning\nstart = {0.9 * wm!r}\n"
                      f"stop = {1.1 * wm!r}\npoints = 4\n")
     code, out, err = run(["sweep", "--config", str(cfg)], capsys)
@@ -475,6 +525,67 @@ def test_provenance_echoed_to_stderr(capsys):
     code, out, err = run(["point", "--delta-per-wm", "0.965"], capsys)
     assert code == 0
     assert "config:" in err
+
+
+# Flag and config values at and beyond the edges of the double range, and
+# the words the enumerated keys accept.
+_EDGE_VALUES = ("nan", "inf", "-inf", "0", "-0", "5e-324", "1e-300", "1e-9",
+                "0.5", "0.965", "1.5", "3", "1e6", "1e300", "1e308")
+_WORDS = ("-", "csv", "json", "3ring", "4ring") + tuple(
+    a.value for a in rc.SweepAxis)
+
+
+@st.composite
+def _any_run(draw):
+    """argv for any command with flag values from _EDGE_VALUES, and
+    config text, or None, whose keys take the same values."""
+    value = st.sampled_from(_EDGE_VALUES)
+    command = draw(st.sampled_from(
+        ["point", "branches", "stability", "sweep", "minimize"]
+        + sorted(cli._PRESETS)))
+    argv = [command]
+    if command in ("point", "branches", "stability"):
+        argv.append(f"--delta-per-wm={draw(value)}")
+    elif command == "minimize" and draw(st.booleans()):
+        argv += ["--window", draw(value), draw(value)]
+    elif command in cli._PRESETS and draw(st.booleans()):
+        argv.append(f"--points={draw(st.integers(-1, 20))}")
+    for flag in ("--r", "--power-mw", "--temp-uk"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(value)}")
+    argv += draw(st.sampled_from([[], ["--format", "json"],
+                                  ["--geometry", "4ring"]]))
+    if not draw(st.booleans()):
+        return argv, None
+    lines = []
+    for section, keys in cli._KEYS.items():
+        chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True))
+        if section and (chosen or draw(st.booleans())):
+            lines.append(f"[{section}]")
+        lines += [f"{k} = {draw(value | st.sampled_from(_WORDS))}"
+                  for k in chosen]
+    return argv, "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=200)
+@given(_any_run())
+def test_any_argv_and_config_exit_cleanly(case):
+    # every failure leaves as a RingCavError with its exit code; the
+    # pytest settings turn a numpy RuntimeWarning into an exception
+    argv, config = case
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a drawn output_path writes here
+        try:
+            if config is not None:
+                Path("run.cfg").write_text(config)
+                argv = argv + ["--config", "run.cfg"]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
 
 
 # ------------------------------------------------------ exact output bytes

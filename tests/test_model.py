@@ -79,6 +79,11 @@ def test_validate_flags_bad_field(field, value):
     ({"squeeze_r": 1000.0}, "n_squeeze"),  # math.sinh overflows
     ({"squeeze_r": 400.0}, "n_squeeze"),   # sinh r squared overflows
     ({"laser_power": 1e297}, "drive_eps"),
+    ({"bath_temp": 1e-306}, "bath_temp"),    # kB T underflows
+    ({"bath_temp": 1e298}, "bath_temp"),     # kB T / hbar overflows
+    ({"wavelength": 1e308}, "wavelength"),   # hbar omega_laser underflows
+    ({"mirror_mass": 5e-324, "mech_freq": 1e-9}, "mirror_mass"),
+    ({"mech_freq": 1e-300}, "mech_freq"),    # hbar omega_m / kB T is 0
 ])
 def test_overflowing_derived_quantity_rejected(overrides, field):
     p = rc.baseline_params(**overrides)

@@ -55,6 +55,12 @@ def test_unseeded_narrow_spike_hits_depth_limit():
 
     with pytest.raises(rc.NumericalFailure):
         integrate_adaptive(f, [-50.0, 50.0], max_depth=5)
+    # on a background the tolerance is relative, a numpy scalar; the
+    # message shows it as a plain float
+    with pytest.raises(rc.NumericalFailure) as exc:
+        integrate_adaptive(lambda x: f(x) + 1e-3, [-50.0, 50.0], max_depth=5)
+    assert "tolerance 1.0" in str(exc.value)
+    assert "np." not in str(exc.value)
 
 
 def test_non_finite_integrand_fails_fast():

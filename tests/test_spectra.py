@@ -28,15 +28,13 @@ def _ref_state(baseline):
 
 
 def test_quadrature_config_defaults_and_bounds():
-    q = rc.QuadratureConfig()
-    assert (q.cutoff, q.rel_tol, q.abs_tol, q.max_depth) == (
-        50.0, 1e-9, 1e-12, 40)
-    for bad in (dict(cutoff=2.0), dict(cutoff=-3.0), dict(rel_tol=0.0),
-                dict(abs_tol=0.0), dict(max_depth=0),
-                dict(max_depth=2.5)):
+    assert rc.QuadratureConfig().cutoff == 50.0
+    for bad in (2.0, -3.0, math.nextafter(1e5, math.inf), 1e300, math.inf,
+                math.nan):
         with pytest.raises(rc.InvalidParameter):
-            rc.QuadratureConfig(**bad)
+            rc.QuadratureConfig(cutoff=bad)
     assert rc.QuadratureConfig(cutoff=2.5).cutoff == 2.5
+    assert rc.QuadratureConfig(cutoff=1e5).cutoff == 1e5
 
 
 def test_response_denominator_frozen_value(baseline):
@@ -164,6 +162,18 @@ def test_q_plus_variance_values(baseline):
     assert rc.q_plus_variance(p, d) == pytest.approx(Q_PLUS_REF, rel=1e-12)
     nbar = 1.0 / math.expm1(d.thermal_ratio)
     assert rc.q_plus_variance(p, d) == pytest.approx(0.5 + nbar, rel=1e-14)
+
+
+def test_q_plus_variance_at_any_cold_bath():
+    # the thermal formula wherever expm1 stays finite, where it rounds
+    # to 1/2 from a ratio of 37.5 on; exactly 1/2 beyond, below about
+    # 64 nK at the baseline mechanical frequency
+    for temp in np.geomspace(1e-12, 1e-5, 300):
+        p = rc.baseline_params(bath_temp=float(temp))
+        d = rc.derive_params(p)
+        want = (0.5 + 1.0 / math.expm1(d.thermal_ratio)
+                if d.thermal_ratio < 709.0 else 0.5)
+        assert rc.q_plus_variance(p, d) == want, temp
 
 
 def test_cutoff_insensitivity_spot_check(baseline):

@@ -6,12 +6,10 @@ import pytest
 import ringcav as rc
 from ringcav import sweep as sweep_mod
 
-QUICK = rc.QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10)
-
 
 def _spec(**kw):
     base = dict(axis=rc.SweepAxis.DETUNING, start=0.9, stop=1.1, points=3,
-                fixed=rc.baseline_params(), quadrature=QUICK)
+                fixed=rc.baseline_params())
     base.update(kw)
     wm = base["fixed"].mech_freq
     if base["axis"] is rc.SweepAxis.DETUNING:
@@ -52,7 +50,7 @@ def test_unstable_rows_are_flagged_not_fatal():
     p = rc.baseline_params(laser_power=20e-3)
     spec = rc.SweepSpec(axis=rc.SweepAxis.DETUNING,
                         start=0.45 * p.mech_freq, stop=0.55 * p.mech_freq,
-                        points=3, fixed=p, quadrature=QUICK)
+                        points=3, fixed=p)
     rows = rc.run_sweep(spec)
     assert all(not r.stable for r in rows)
     d = rc.derive_params(p)
@@ -89,7 +87,7 @@ def test_degenerate_two_point_sweep(baseline):
     wm = p.mech_freq
     spec = rc.SweepSpec(axis=rc.SweepAxis.DETUNING, start=0.965 * wm,
                         stop=0.965 * wm * (1.0 + 1e-9), points=2,
-                        fixed=p, quadrature=QUICK)
+                        fixed=p)
     rows = rc.run_sweep(spec)
     assert len(rows) == 2
     assert rows[0].var_p_minus == pytest.approx(rows[1].var_p_minus,
@@ -99,7 +97,7 @@ def test_degenerate_two_point_sweep(baseline):
 def test_squeeze_axis_keeps_thermal_column_fixed(baseline):
     p, _ = baseline
     spec = rc.SweepSpec(axis=rc.SweepAxis.SQUEEZE_R, start=0.0, stop=1.0,
-                        points=3, fixed=p, quadrature=QUICK,
+                        points=3, fixed=p,
                         delta=0.965 * p.mech_freq)
     rows = rc.run_sweep(spec)
     assert rows[0].var_q_plus == rows[1].var_q_plus == rows[2].var_q_plus
@@ -109,12 +107,23 @@ def test_squeeze_axis_keeps_thermal_column_fixed(baseline):
 def test_temperature_axis_moves_both_columns(baseline):
     p, _ = baseline
     spec = rc.SweepSpec(axis=rc.SweepAxis.BATH_TEMP, start=0.0,
-                        stop=100e-6, points=3, fixed=p, quadrature=QUICK,
+                        stop=100e-6, points=3, fixed=p,
                         delta=0.965 * p.mech_freq)
     rows = rc.run_sweep(spec)
     assert rows[0].var_q_plus == 0.5
     assert rows[0].var_q_plus < rows[1].var_q_plus < rows[2].var_q_plus
     assert rows[0].var_p_minus < rows[2].var_p_minus
+
+
+def test_sub_microkelvin_temperature_axis(baseline):
+    # below about 64 nK hbar omega_m / kB T exceeds 709.78, where the
+    # thermal occupation's expm1 used to overflow on the second row
+    p, _ = baseline
+    rows = rc.run_sweep(rc.SweepSpec(
+        axis=rc.SweepAxis.BATH_TEMP, start=0.0, stop=1e-6, points=101,
+        fixed=p, delta=0.965 * p.mech_freq))
+    assert len(rows) == 101 and all(r.stable for r in rows)
+    assert rows[1].var_q_plus == 0.5
 
 
 def test_minimize_baseline(baseline):
@@ -153,3 +162,6 @@ def test_minimize_window_validation(baseline):
     p, d = baseline
     with pytest.raises(rc.InvalidParameter):
         rc.minimize_over_detuning(p, d, (1.5, 0.5))
+    # finite in units of omega_m, but the span overflows in rad/s
+    with pytest.raises(rc.InvalidParameter):
+        rc.minimize_over_detuning(p, d, (-0.0, 1e308))
