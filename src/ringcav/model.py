@@ -219,6 +219,21 @@ def derive_params(p: PhysicalParams) -> DerivedParams:
         if not cmath.isfinite(value) and name != "thermal_ratio":
             raise InvalidParameter(name, value,
                                    "finite: an input parameter is too large")
+    # the domain band, measured (README, "Input domain"): rates that the
+    # eigenvalues resolve, with finite products, and finite criteria
+    wm = p.mech_freq
+    for name, value, label, ratio, lo, hi in (
+            ("mech_freq", wm, "omega_m in rad/s", wm, 1e-20, 1e20),
+            ("cavity_decay", p.cavity_decay, "kappa / omega_m",
+             p.cavity_decay / wm, 1e-6, 1e6),
+            ("mech_quality", p.mech_quality, "1 / Q", 1.0 / p.mech_quality,
+             1e-12, 1e4),
+            ("coupling_g", coupling_g, "g / omega_m", coupling_g / wm, 0, 1e6),
+            ("bath_temp", p.bath_temp, "kB T / hbar omega_m",
+             1.0 / thermal_ratio, 0, 1e150)):
+        if not lo <= ratio <= hi:
+            raise InvalidParameter(name, value, f"the domain band {lo:g} <= "
+                                   f"{label} <= {hi:g}")
     return out
 
 

@@ -16,10 +16,9 @@ the frequency integral of a spectral density made of three pieces:
 Every piece is a rational function of frequency except for the bath
 weight's Bose factor, and the poles are i times the drift-matrix
 eigenvalues (and their mirror images and 2 omega_m shifts), so the
-variance integral is summed exactly from residues; the Bose part goes
-through Binet's second formula for the digamma function.  The adaptive
-integral of ``quadrature`` serves the cases the residues cannot: a
-(near-)double pole, and the Bose tail beyond the cutoff.
+variance is summed exactly from residues, by a contour integral where
+poles nearly coincide.  The Bose part goes through Binet's formula less
+a closed-form tail, or the Bernoulli series of the Bose occupation.
 
 The variance of the orthogonal mechanical quadrature (the one decoupled
 from the light) stays thermal.  A product of the two variances below 1,
@@ -38,34 +37,24 @@ import numpy as np
 from .constants import HBAR, KB
 from .errors import InvalidParameter, NumericalFailure, UnstableOperatingPoint
 from .model import DerivedParams, PhysicalParams
-from .quadrature import integrate_adaptive
+# importable from here for callers that look it up in this namespace
+from .quadrature import integrate_adaptive  # noqa: F401
 from .stability import drift_matrix, eigenvalues, stability_verdict
 from .steady import SteadyState, steady_state_at_detuning
 
-__all__ = [
-    "QuadratureConfig",
-    "IntegrandTerms",
-    "EntanglementResult",
-    "d_of_omega",
-    "integrand_terms",
-    "momentum_variance",
-    "q_plus_variance",
-    "entanglement_result",
-]
+__all__ = ["QuadratureConfig", "IntegrandTerms", "EntanglementResult",
+           "d_of_omega", "integrand_terms", "momentum_variance",
+           "q_plus_variance", "entanglement_result"]
 
 # Acceptable imaginary leakage of the (mathematically real) variance
 # integral, relative to its real part.
 _IMAG_RESIDUAL = 1e-8
 
-# Eigenvalues closer than this (relative to omega_m) make a near-double
-# pole whose residues cancel each other; the variance then comes from
-# the adaptive integral.
+# Eigenvalues closer than this (relative to omega_m) form a cluster whose
+# residues cancel; it is summed by the trapezoid rule at the 64 nodes of
+# _RING, error 2^-64 (Trefethen & Weideman, SIAM Review 56, 385, 2014).
 _POLE_GAP = 1e-6
-
-# The Bose tail beyond the cutoff is integrated when its closed-form
-# bound exceeds this fraction of the variance, i.e. when it can move
-# the double-precision result.
-_TAIL_NEGLIGIBLE = 1e-16
+_RING = np.exp(2j * np.pi * np.arange(64) / 64)
 
 # Offsets, in line widths, of the mesh points placed across a resonance.
 _LADDER = np.array([0.0, 2.0, -2.0, 6.0, -6.0, 18.0, -18.0, 54.0, -54.0])
@@ -76,8 +65,12 @@ _DIGAMMA_SERIES = (-3617.0 / 8160.0, 1.0 / 12.0, -691.0 / 32760.0,
                    1.0 / 132.0, -1.0 / 240.0, 1.0 / 252.0, -1.0 / 120.0,
                    1.0 / 12.0)
 
-# The six pairs of the four eigenvalues.
-_PAIRS = np.triu_indices(4, 1)
+# B_2m / (2m)! for m = 1 ... 30, from sum_k B_k / (k! (j + 1 - k)!) = 0:
+# the coefficients of x^(2m - 1) in the Bose occupation 1 / (e^x - 1).
+_B = [1.0]
+for _j in range(1, 61):
+    _B.append(-sum(b / math.factorial(_j + 1 - k) for k, b in enumerate(_B)))
+_BERNOULLI = np.array(_B[2::2])[:, None]
 _EYE8 = np.eye(8)
 
 
@@ -87,8 +80,8 @@ class QuadratureConfig:
 
     ``cutoff`` is its half-width in units of the mechanical frequency:
     the integrand is cut off at +/- cutoff * omega_m.  It must exceed 2
-    so the shifted correlation pieces are covered, and stay at most 1e5:
-    wider, the adaptive route at a double pole leaves an imaginary part.
+    so the shifted correlation pieces are covered, and stay at most 1e5,
+    the widest window the tests check against the adaptive reference.
     """
 
     cutoff: float = 50.0
@@ -254,23 +247,6 @@ def _breakpoints(p: PhysicalParams, d: DerivedParams, s: SteadyState,
     return mesh
 
 
-def _adaptive_integral(p: PhysicalParams, d: DerivedParams, s: SteadyState,
-                       ev: np.ndarray, cutoff: float) -> complex:
-    """The density integrated over the window by the adaptive rule."""
-    wm = p.mech_freq
-    thermal = _thermal_weight(p)
-
-    def density(w: np.ndarray) -> np.ndarray:
-        # overflows at huge T or power; integrate_adaptive rejects that
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            a, b, c = _raw_terms(w, p, d, s, thermal)
-            return (w * w * a + w * (w - 2.0 * wm) * b
-                    + w * (w + 2.0 * wm) * c)
-
-    mesh = _breakpoints(p, d, s, cutoff, ev)
-    return integrate_adaptive(density, mesh).value
-
-
 def _binet(z: complex) -> complex:
     """ln z - 1/(2z) - digamma(z) for Re z > 0.
 
@@ -294,89 +270,121 @@ def _binet(z: complex) -> complex:
     return out
 
 
-def _bose_tail(p: PhysicalParams, d: DerivedParams, s: SteadyState,
-               ev: np.ndarray, lo: float, hi: float) -> float:
-    """Integral over [lo, hi] of w H(w) n(w) by the adaptive rule.
+def _exp_e1(z: complex) -> complex:
+    """e^z E1(z) off the negative real axis: its power series near 0 and
+    beside that axis, else 1 / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...)))."""
+    if abs(z) < 2.0 or (abs(z) < 40.0 and abs(cmath.phase(z)) > 2.36):
+        term = total = -z
+        for n in range(2, 200):
+            term *= -z / n
+            total += term / n
+            if abs(term) <= 1e-17 * abs(total):
+                break
+        return cmath.exp(z) * (-np.euler_gamma - cmath.log(z) - total)
+    f = c = z + 1.0
+    d = 0j
+    for n in range(1, 10_000):  # Lentz's method
+        d = 1.0 / (z + (2 * n + 1) - n * n * d)
+        c = z + (2 * n + 1) - n * n / c
+        f *= (delta := c * d)
+        if abs(delta - 1.0) <= 1e-16:
+            break
+    return 1.0 / f
 
-    H(w) = w^2 bath(w) / |d(w)|^2 is the bath piece of the density
-    without its weight, n the Bose occupation.  The mesh doubles from lo
-    and crosses any resonance that lies beyond the cutoff.
-    """
-    beta = HBAR / (KB * p.bath_temp)
 
-    def density(w: np.ndarray) -> np.ndarray:
-        # at huge temperatures the mesh reaches frequencies where this
-        # overflows; integrate_adaptive rejects the non-finite result
-        with np.errstate(over="ignore", invalid="ignore"):
-            bath = _numerators(w, p, d, s)[1]
-            return (w ** 3 * bath / np.abs(d_of_omega(w, p, d, s)) ** 2
-                    / np.expm1(beta * w))
+def _bose_kernel(q: np.ndarray, kt: float, lim: float) -> np.ndarray:
+    """B(q) = int_0^L n(w) 2 w / (w^2 - q^2) dw, Im q < 0, beta = 1 / kt.
 
-    doubling = lo * 2.0 ** np.arange(1, int(math.log2(hi / lo)) + 1)
-    width = np.maximum(2.0 * np.abs(ev.real), 1e-9 * p.mech_freq)
-    ladder = (np.abs(ev.imag)[:, None] + _LADDER * width[:, None]).ravel()
-    inner = np.concatenate([doubling, ladder])
-    mesh = np.sort(np.concatenate([[lo, hi],
-                                   inner[(inner > lo) & (inner < hi)]]))
-    return integrate_adaptive(density, mesh).value.real
+    From beta L = pi on, Binet's integral less the tail, where n = sum_k
+    exp(-k beta w) gives exp(-k beta L) G(k beta (L -+ q)) summed over -+,
+    G = _exp_e1, negligible from k beta L = 39 on.  Below, the Bernoulli
+    series of n, termwise against f_m = int_0^1 u^2m / (u^2 - rho^2) du."""
+    bl = lim / kt
+    if bl >= math.pi:
+        # B(-conj q) = conj B(q): a mirror pair needs one evaluation
+        keys = np.where(q.real < 0.0, -q.conj(), q).tolist()
+        known = {x: _binet(1j * x / (2.0 * math.pi * kt)) - sum(
+            math.exp(-k * bl) * (_exp_e1(k * (lim - x) / kt)
+                                 + _exp_e1(k * (lim + x) / kt))
+            for k in range(1, math.ceil(39.0 / bl))) for x in set(keys)}
+        out = np.array([known[x] for x in keys])
+        return np.where(q.real < 0.0, out.conj(), out)
+    v = lim / q  # 1 / rho
+    m = np.arange(1, 31)[:, None]
+    f = [-v * np.arctanh(v)]
+    # upward f_m = 1 / (2m - 1) + rho^2 f_(m-1) is stable for |rho| < 2;
+    # beyond, the series f_m = -sum_j rho^(-2j - 2) / (2m + 2j + 1)
+    for k in range(1, 31):
+        f.append(1.0 / (2 * k - 1) + f[-1] / v ** 2)
+    f = np.array(f)
+    far = np.abs(v) < 0.625
+    j = np.arange(42)[:, None, None]
+    f[1:, far] = -(v[far] ** (2 * j + 2) / (2 * m + 2 * j + 1)).sum(0)
+    # -log(1 - 1 / rho^2) / 2, by two atanh as in the vacuum kernel
+    return (2.0 / bl * f[0] - np.arctanh(v / (v - 2.0))
+            - np.arctanh(v / (v + 2.0))
+            + (2.0 * _BERNOULLI * bl ** (2 * m - 1) * f[1:]).sum(0))
+
+
+def _nodes(grid: np.ndarray, ev: np.ndarray, wm: float):
+    """Points and weights of the three pieces' residue sums.
+
+    ``grid`` holds each piece's eight poles, the four r_j first.  A simple
+    pole q weighs 1 / Q'(q); a cluster (and, apart, its image across the
+    real axis) gives way to circle nodes z, weight (z - c) / (64 Q(z))."""
+    close = np.abs(ev[:, None] - ev) < _POLE_GAP * wm
+    spread = grid[:, :, None] - grid[:, None, :] + _EYE8
+    if np.count_nonzero(close) == 4:
+        return grid, 1.0 / spread.prod(axis=2)
+    close = np.linalg.matrix_power(close, 3)
+    single = np.tile(close.sum(axis=1) == 1, 2)
+    points = [grid[:, single]]
+    weights = [1.0 / spread[:, single].prod(axis=2)]
+    for row in {tuple(row) for row in close if row.sum() > 1}:
+        for cols in (np.r_[row, [False] * 4], np.r_[[False] * 4, row]):
+            centre = grid[:, cols].mean(axis=1, keepdims=True)
+            apart = np.abs(grid[:, ~cols] - centre).min(axis=1)[:, None]
+            z = centre + 0.5 * np.minimum(np.abs(centre.imag), apart) * _RING
+            points.append(z)
+            weights.append((z - centre) / (64.0 * (
+                z[:, :, None] - grid[:, None, :]).prod(axis=2)))
+    return np.concatenate(points, axis=1), np.concatenate(weights, axis=1)
 
 
 def _residue_integral(p: PhysicalParams, d: DerivedParams, s: SteadyState,
                       ev: np.ndarray, cutoff: float) -> complex:
     """The density integrated over the window, summed from its poles.
 
-    Each piece is a polynomial over prod_k (w - q_k) with simple poles
-    q_k: the zeros r_j = i lambda_j of d(w), and those of d(-w) (for a)
-    or of d(2 omega_m - w) and d(-2 omega_m - w) (for b and c).  Partial
-    fractions integrate it exactly over [-L, L]:
-    int dw / (w - q) = -2 atanh(L / q).  The vacuum half 2 w theta(w) of
-    the bath weight is rational on [0, L], where
-    int dw / (w - q) = log(1 - L / q).  Its Bose half 2 |w| n(|w|) is
-    summed over [0, inf) by Binet's formula, less the tail beyond L.
-    """
+    Each piece is a polynomial over prod_k (w - q_k) with poles q_k: the
+    zeros r_j = i lambda_j of d(w), and those of d(-w) (for a) or of
+    d(2 omega_m - w) and d(-2 omega_m - w) (for b and c).  Partial
+    fractions integrate it exactly: int_-L^L dw / (w - q) = -2 atanh(L / q).
+    The bath weight's vacuum half 2 w theta(w) gives log(1 - L / q) on
+    [0, L], its Bose half _bose_kernel; each is summed over _nodes."""
     wm = p.mech_freq
     lim = cutoff * wm
     r = 1j * ev
-    poles = np.concatenate([r, -r, r, 2.0 * wm - r, r, -2.0 * wm - r])
-    grid = poles.reshape(3, 8)
-    qa, qb, qc = grid
-    # 1 / Q'(q_k) for the monic denominator Q of each piece
-    spread = 1.0 / (grid[:, :, None] - grid[:, None, :] + _EYE8).prod(axis=2)
-    squeezed, bath, corr_b, corr_c = _numerators(grid, p, d, s)
-    base = qa * qa * spread[0]
+    grid = np.concatenate([r, -r, r, 2.0 * wm - r, r, -2.0 * wm - r])
+    points, weights = _nodes(grid.reshape(3, 8), ev, wm)
+    qa, qb, qc = points
+    squeezed, bath, corr_b, corr_c = _numerators(points, p, d, s)
+    base = qa * qa * weights[0]
     residues = np.concatenate([
         base * squeezed[0],
-        qb * (qb - 2.0 * wm) * corr_b[1] * spread[1],
-        qc * (qc + 2.0 * wm) * corr_c[2] * spread[2]])
-    total = residues @ (-2.0 * np.arctanh(lim / poles))
+        qb * (qb - 2.0 * wm) * corr_b[1] * weights[1],
+        qc * (qc + 2.0 * wm) * corr_c[2] * weights[2]])
+    total = residues @ (-2.0 * np.arctanh(lim / points.ravel()))
 
-    # residues of H(w) = w^2 bath(w) / (d(w) d(-w)); H is even, so
-    # those at -r_j are minus those at r_j
-    h = base * bath[0]
+    # weights of H(w) = w^2 bath(w) / (d(w) d(-w)); H is even, so its
+    # Bose half is a sum over the points below the real axis
+    hq = qa * (base * bath[0])
     scale = 2.0 * d.gamma_m / wm
     v = lim / qa
-    total += 4.0 * scale * ((qa * h) @ np.arctanh(v / (v - 2.0)))
-    if p.bath_temp <= 0.0:
-        return complex(total)
-
-    # int_0^inf w H(w) n(w) dw = sum_j h_j r_j binet(zeta_j)
-    kt = KB * p.bath_temp / HBAR
-    hr = h[:4] * r
-    zeta = (ev / (-2.0 * math.pi * kt)).tolist()
-    total += 4.0 * scale * (hr @ np.array([_binet(z) for z in zeta]))
-    # on [L, inf), |w H(w)| <= sum_j 2 |h_j r_j| sup w / |w^2 - r_j^2|,
-    # and the Bose occupation integrates in closed form
-    reach = 0.0
-    for hr_j, r_j in zip(np.abs(hr).tolist(), r.tolist()):
-        sup = 1.0 / abs(r_j.imag)
-        if abs(r_j) < lim:
-            sup = min(sup, lim / (lim * lim - abs(r_j) ** 2))
-        reach += hr_j * sup
-    bound = 8.0 * scale * reach * kt * -math.log(-math.expm1(-lim / kt))
-    floor = _TAIL_NEGLIGIBLE * abs(total)
-    if bound > floor > 0.0:
-        upper = lim + kt * math.log(bound / floor)
-        total -= 4.0 * scale * _bose_tail(p, d, s, ev, lim, upper)
+    total += 4.0 * scale * (hq @ np.arctanh(v / (v - 2.0)))
+    if p.bath_temp > 0.0:
+        below = qa.imag < 0.0
+        total += 4.0 * scale * (hq[below] @ _bose_kernel(
+            qa[below], KB * p.bath_temp / HBAR, lim))
     return complex(total)
 
 
@@ -386,9 +394,7 @@ def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
 
     The spectral density over [-cutoff, cutoff] * omega_m, summed
     exactly from the poles that the drift-matrix eigenvalues give; the
-    same eigenvalues decide stability first.  When two eigenvalues
-    (nearly) coincide the residues cancel, and the batched adaptive
-    rule integrates the density instead.
+    same eigenvalues decide stability first.
 
     Raises
     ------
@@ -396,8 +402,8 @@ def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
         If the drift matrix has an eigenvalue with non-negative real
         part; the stationary variance does not exist there.
     NumericalFailure
-        If an adaptive integral does not converge, or the variance
-        leaks a non-negligible imaginary part or comes out non-positive.
+        If the variance overflows, leaks a non-negligible imaginary
+        part or comes out non-positive.
     """
     ev = eigenvalues(drift_matrix(p, d, s))
     verdict = stability_verdict(p, d, s, ev)
@@ -406,12 +412,11 @@ def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
             f"no stationary state at detuning {s.detuning!r} rad/s "
             f"(stability margin {verdict.margin!r} rad/s)", verdict.margin)
 
-    gap = np.min(np.abs(ev[:, None] - ev)[_PAIRS])
-    if gap < _POLE_GAP * p.mech_freq:
-        value = _adaptive_integral(p, d, s, ev, quad.cutoff)
-    else:
-        value = _residue_integral(p, d, s, ev, quad.cutoff)
-    value /= 2.0 * math.pi
+    # overflow at huge inputs is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _residue_integral(p, d, s, ev, quad.cutoff) / (2.0 * math.pi)
+    if not cmath.isfinite(value):
+        raise NumericalFailure(f"variance integral is not finite: {value!r}")
     if abs(value.imag) > _IMAG_RESIDUAL * abs(value.real):
         raise NumericalFailure(
             f"variance integral left imaginary residue {value!r}")
@@ -462,6 +467,8 @@ def entanglement_result(p: PhysicalParams, d: DerivedParams, delta: float,
     vq = q_plus_variance(p, d)
     prod = vq * vp
     tot = vq + vp
+    if not (math.isfinite(prod) and math.isfinite(tot)):
+        raise NumericalFailure(f"criteria are not finite: product {prod!r}")
     return EntanglementResult(
         delta=float(delta),
         var_q_plus=vq,

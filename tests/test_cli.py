@@ -352,32 +352,46 @@ def test_unresolvable_detuning_is_usage_error(argv, capsys):
      "drive_eps"),
     (["branches", "--delta-per-wm", "0.5", "--power-mw", "1e284"], None, 1,
      "laser_power"),
-    (["point", "--delta-per-wm", "0.965", "--temp-uk", "1e300"], None, 2,
-     "not finite"),
+    # a bath this hot overflows the criteria: the domain band rejects it
+    (["point", "--delta-per-wm", "0.965", "--temp-uk", "1e300"], None, 1,
+     "bath_temp"),
     (["point", "--delta-per-wm", "0.965", "--temp-uk", "1e-300"], None, 1,
      "bath_temp"),
     (["point", "--delta-per-wm", "0.965", "--temp-uk", "1e304"], None, 1,
      "bath_temp"),
     (["branches", "--delta-per-wm", "1"], "[params]\nwavelength = 1e308\n",
      1, "wavelength"),
-    # the zero-detuning fallback overflows; numpy must not warn
-    (["point", "--delta-per-wm", "0", "--temp-uk", "1e300"], None, 2,
-     "not finite"),
+    # zero detuning (a double pole) at huge inputs; numpy must not warn
+    (["point", "--delta-per-wm", "0", "--temp-uk", "1e300"], None, 1,
+     "bath_temp"),
     (["point", "--delta-per-wm", "0", "--power-mw", "1e284"], None, 2,
      "not finite"),
     (["minimize", "--window", "5e-324", "3", "--power-mw", "2",
-      "--temp-uk", "1e300"], None, 2, "not finite"),
+      "--temp-uk", "1e300"], None, 1, "bath_temp"),
+    # a damping rate below what the eigenvalues resolve
     (["point", "--delta-per-wm", "5e-324", "--temp-uk", "0"],
-     "[params]\nmech_quality = 1e308\n", 2, "not finite"),
+     "[params]\nmech_quality = 1e308\n", 1, "mech_quality"),
     (["point", "--delta-per-wm", "0"], "[quadrature]\ncutoff = 1e300\n", 1,
      "cutoff"),
     (["point", "--delta-per-wm", "0.965"], "[quadrature]\ncutoff = 1e300\n",
      1, "cutoff"),
+    # rates outside the domain band: g about 1e158, |amp|^2 and kappa^2
+    # would overflow
+    (["point", "--delta-per-wm", "0.965"],
+     "[params]\nmirror_mass = 5e-324\n", 1, "coupling_g"),
+    (["minimize", "--window", "0", "0.965"],
+     "[params]\nkappa_rad_s = 1e-300\n", 1, "cavity_decay"),
+    (["branches", "--delta-per-wm", "1.5", "--power-mw", "0"],
+     "[params]\nkappa_hz = 1e300\n", 1, "cavity_decay"),
+    # sinh^2 r is finite, the residue sum is not
+    (["point", "--delta-per-wm", "0.965", "--r", "315"], None, 2,
+     "variance integral is not finite"),
 ], ids=["r-1000", "r-400", "power-1e300", "power-1e284", "temp-1e300",
         "temp-1e-300", "temp-1e304", "wavelength-1e308", "zero-temp-1e300",
         "zero-power-1e284", "minimize-temp-1e300", "zero-quality-1e308",
         "zero-cutoff-1e300",
-        "cutoff-1e300"])
+        "cutoff-1e300", "mass-5e-324", "kappa-1e-300", "kappa-hz-1e300",
+        "r-315"])
 def test_overflowing_input_is_an_error(argv, config, code, says, tmp_path,
                                        capsys):
     if config is not None:
@@ -390,6 +404,23 @@ def test_overflowing_input_is_an_error(argv, config, code, says, tmp_path,
     assert says in err.splitlines()[-1]
     assert "Traceback" not in err and "Warning" not in err
     assert out == ""
+
+
+def test_high_quality_at_zero_detuning(tmp_path, capsys):
+    # the optical poles coincide and the mechanical line is 1e-9 omega_m
+    # wide; radiation-pressure heating makes the variance affine in Q
+    values = {}
+    for quality in (6700.0, 1e6, 1e9):
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text(f"[params]\nmech_quality = {quality!r}\n")
+        code, out, err = run(["point", "--delta-per-wm", "0", "--temp-uk",
+                              "0", "--format", "json", "--config", str(cfg)],
+                             capsys)
+        assert code == 0, err
+        values[quality] = json.loads(out)["var_p_minus"]
+    low = (values[1e6] - values[6700.0]) / (1e6 - 6700.0)
+    high = (values[1e9] - values[1e6]) / (1e9 - 1e6)
+    assert high == pytest.approx(low, rel=1e-6, abs=0.0)
 
 
 def test_bath_colder_than_expm1_range(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ringcav as rc
+from ringcav.constants import HBAR, KB
 
 # High-precision evaluations of the defining formulas at the baseline
 # parameter set, frozen as literals (30-digit arithmetic, rounded).
@@ -91,6 +92,30 @@ def test_overflowing_derived_quantity_rejected(overrides, field):
     with pytest.raises(rc.InvalidParameter) as exc:
         rc.derive_params(p)
     assert exc.value.field == field
+
+
+WM = rc.baseline_params().mech_freq
+T_M = HBAR * WM / KB
+
+
+@pytest.mark.parametrize("field,inside,outside", [
+    ("cavity_decay", {"cavity_decay": 1.1e-6 * WM},
+     {"cavity_decay": 0.9e-6 * WM}),
+    ("cavity_decay", {"cavity_decay": 0.9e6 * WM},
+     {"cavity_decay": 1.1e6 * WM}),
+    ("mech_quality", {"mech_quality": 0.9e12}, {"mech_quality": 1.1e12}),
+    ("mech_quality", {"mech_quality": 1.1e-4}, {"mech_quality": 0.9e-4}),
+    ("mech_freq", {"mech_freq": 0.9e20, "cavity_decay": 0.9e20},
+     {"mech_freq": 1.1e20, "cavity_decay": 1.1e20}),
+    ("coupling_g", {"mirror_mass": 1e-32}, {"mirror_mass": 1e-33}),
+    ("bath_temp", {"bath_temp": 0.9e150 * T_M}, {"bath_temp": 1.1e150 * T_M}),
+])
+def test_domain_band(field, inside, outside):
+    rc.derive_params(rc.baseline_params(**inside))
+    with pytest.raises(rc.InvalidParameter) as exc:
+        rc.derive_params(rc.baseline_params(**outside))
+    assert exc.value.field == field
+    assert "domain band" in str(exc.value)
 
 
 def test_validate_passes_edge_values():
