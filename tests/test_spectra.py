@@ -291,6 +291,26 @@ def test_residue_route_agrees_with_adaptive_route():
     print(f"worst residue/adaptive deviation {worst:.1e}")
 
 
+@pytest.mark.parametrize("power, delta_per_wm", [(3.8e-3, 0.0),
+                                                 (0.0, 1e-10)])
+def test_double_pole_falls_back_to_adaptive_route(power, delta_per_wm,
+                                                  monkeypatch):
+    # the name predates the contour sum: a double pole no longer falls back
+    # to the adaptive integrator, yet must give what that integrator gives
+    p = rc.baseline_params(laser_power=power)
+    d = rc.derive_params(p)
+    s = rc.steady_state_at_detuning(p, d, delta_per_wm * p.mech_freq)
+    ref = _adaptive_variance(p, d, s)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate_adaptive called")
+
+    monkeypatch.setattr(rc.spectra, "integrate_adaptive", refuse)
+    monkeypatch.setattr(rc.quadrature, "integrate_adaptive", refuse)
+    assert rc.momentum_variance(p, d, s) == pytest.approx(ref, rel=1e-12,
+                                                          abs=0.0)
+
+
 @pytest.mark.parametrize("temp", [41.4e-6, 0.0, 200e-6])
 def test_variance_matches_30_digit_oracle(temp):
     p = rc.baseline_params(bath_temp=temp)
