@@ -42,9 +42,16 @@ from .quadrature import integrate_adaptive  # noqa: F401
 from .stability import drift_matrix, eigenvalues, stability_verdict
 from .steady import SteadyState, steady_state_at_detuning
 
-__all__ = ["QuadratureConfig", "IntegrandTerms", "EntanglementResult",
-           "d_of_omega", "integrand_terms", "momentum_variance",
-           "q_plus_variance", "entanglement_result"]
+__all__ = [
+    "QuadratureConfig",
+    "IntegrandTerms",
+    "EntanglementResult",
+    "d_of_omega",
+    "integrand_terms",
+    "momentum_variance",
+    "q_plus_variance",
+    "entanglement_result",
+]
 
 # Acceptable imaginary leakage of the (mathematically real) variance
 # integral, relative to its real part.
@@ -271,9 +278,20 @@ def _binet(z: complex) -> complex:
 
 
 def _exp_e1(z: complex) -> complex:
-    """e^z E1(z) off the negative real axis: its power series near 0 and
-    beside that axis, else 1 / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...)))."""
-    if abs(z) < 2.0 or (abs(z) < 40.0 and abs(cmath.phase(z)) > 2.36):
+    """e^z E1(z) off the negative real axis: from |z| = 40 on its
+    asymptotic series sum_n (-1)^n n! / z^(n+1), whose terms shrink while
+    n < |z| (what is left, and beside that axis the jump i pi e^z, is of
+    order e^-|z|); its power series near 0 and beside that axis; else
+    1 / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...)))."""
+    if abs(z) >= 40.0:
+        term = total = 1.0 / z
+        for n in range(1, 40):
+            term *= -n / z
+            total += term
+            if abs(term) <= 1e-17 * abs(total):
+                break
+        return total
+    if abs(z) < 2.0 or abs(cmath.phase(z)) > 2.36:
         term = total = -z
         for n in range(2, 200):
             term *= -z / n
@@ -288,8 +306,8 @@ def _exp_e1(z: complex) -> complex:
         c = z + (2 * n + 1) - n * n / c
         f *= (delta := c * d)
         if abs(delta - 1.0) <= 1e-16:
-            break
-    return 1.0 / f
+            return 1.0 / f
+    raise NumericalFailure(f"e^z E1(z) did not converge at z = {z!r}")
 
 
 def _bose_kernel(q: np.ndarray, kt: float, lim: float) -> np.ndarray:
@@ -331,24 +349,30 @@ def _nodes(grid: np.ndarray, ev: np.ndarray, wm: float):
 
     ``grid`` holds each piece's eight poles, the four r_j first.  A simple
     pole q weighs 1 / Q'(q); a cluster (and, apart, its image across the
-    real axis) gives way to circle nodes z, weight (z - c) / (64 Q(z))."""
+    real axis) gives way to circle nodes z, weight (z - c) / (64 Q(z)).
+    The radius is half the smaller of the centre's distances to the real
+    axis and to the nearest other pole; a cluster spread over more than
+    half the radius stays simple poles, whose residues cancel mildly."""
     close = np.abs(ev[:, None] - ev) < _POLE_GAP * wm
-    spread = grid[:, :, None] - grid[:, None, :] + _EYE8
-    if np.count_nonzero(close) == 4:
-        return grid, 1.0 / spread.prod(axis=2)
-    close = np.linalg.matrix_power(close, 3)
-    single = np.tile(close.sum(axis=1) == 1, 2)
-    points = [grid[:, single]]
-    weights = [1.0 / spread[:, single].prod(axis=2)]
-    for row in {tuple(row) for row in close if row.sum() > 1}:
-        for cols in (np.r_[row, [False] * 4], np.r_[[False] * 4, row]):
-            centre = grid[:, cols].mean(axis=1, keepdims=True)
-            apart = np.abs(grid[:, ~cols] - centre).min(axis=1)[:, None]
-            z = centre + 0.5 * np.minimum(np.abs(centre.imag), apart) * _RING
-            points.append(z)
-            weights.append((z - centre) / (64.0 * (
-                z[:, :, None] - grid[:, None, :]).prod(axis=2)))
-    return np.concatenate(points, axis=1), np.concatenate(weights, axis=1)
+    simple = 1.0 / (grid[:, :, None] - grid[:, None, :] + _EYE8).prod(axis=2)
+    if np.count_nonzero(close) == 4:  # no cluster: skip the search
+        return grid, simple
+    single = np.ones(8, dtype=bool)
+    points, weights = [], []
+    for row in {tuple(r) for r in np.linalg.matrix_power(close, 3)
+                if r.sum() > 1}:
+        row = np.array(row)
+        c = ev[row].mean()
+        radius = 0.5 * np.abs(ev[~row] - c).min(initial=abs(c.real))
+        if np.abs(ev[row] - c).max() < 0.5 * radius:
+            single &= ~np.tile(row, 2)
+            for cols in (np.r_[row, [False] * 4], np.r_[[False] * 4, row]):
+                z = grid[:, cols].mean(axis=1, keepdims=True) + radius * _RING
+                points.append(z)
+                weights.append(radius * _RING / (64.0 * (
+                    z[:, :, None] - grid[:, None, :]).prod(axis=2)))
+    return (np.concatenate([grid[:, single]] + points, axis=1),
+            np.concatenate([simple[:, single]] + weights, axis=1))
 
 
 def _residue_integral(p: PhysicalParams, d: DerivedParams, s: SteadyState,
@@ -412,8 +436,9 @@ def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
             f"no stationary state at detuning {s.detuning!r} rad/s "
             f"(stability margin {verdict.margin!r} rad/s)", verdict.margin)
 
-    # overflow at huge inputs is reported below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow at huge inputs is reported below, not warned about; 1 / Q'
+    # at a clustered pole may divide by zero, and is dropped in _nodes
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         value = _residue_integral(p, d, s, ev, quad.cutoff) / (2.0 * math.pi)
     if not cmath.isfinite(value):
         raise NumericalFailure(f"variance integral is not finite: {value!r}")

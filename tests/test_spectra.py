@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import ringcav as rc
 from oracles import mpmath_momentum_variance, trapezoid_momentum_variance
-from ringcav.spectra import (_binet, _breakpoints, _raw_terms,
+from ringcav.spectra import (_binet, _breakpoints, _exp_e1, _raw_terms,
                              _thermal_weight)
 
 DELTA_965 = 5741920.308892601
@@ -215,7 +215,7 @@ def test_squeeze_phase_detunes_the_correlation(baseline):
     assert v_pi > v0
 
 
-def _adaptive_variance(p, d, s, cutoff=50.0):
+def _adaptive_variance(p, d, s, cutoff=50.0, rel_tol=1e-12):
     # the adaptive route, assembled as criterion 9 does, at tolerances
     # tight enough to serve as the reference
     wm = p.mech_freq
@@ -226,7 +226,7 @@ def _adaptive_variance(p, d, s, cutoff=50.0):
         return w * w * a + w * (w - 2 * wm) * b + w * (w + 2 * wm) * c
 
     res = rc.integrate_adaptive(density, _breakpoints(p, d, s, cutoff),
-                                rel_tol=1e-12, abs_tol=1e-15, max_depth=60)
+                                rel_tol=rel_tol, abs_tol=1e-15, max_depth=60)
     return res.value.real / (2.0 * math.pi)
 
 
@@ -267,6 +267,10 @@ def _route_cases():
               for cut in (2.1, 2.5, 1000.0) for t in (0.0, 200e-6, 300.0)]
     cases += [(rc.baseline_params(), x * wm, 50.0)
               for x in (2.0, 30.0, 51.0, 1e3, 1e5)]
+    # a weakly damped optical pole far beyond a narrow window, with the
+    # Bose tail's E1 terms (beta L = 9.5) and the Bernoulli series (0.48)
+    cases += [(rc.baseline_params(cavity_decay=1e-4 * wm, bath_temp=t),
+               60.0 * wm, 2.1) for t in (10e-6, 200e-6)]
     # stability margin ~1e-16 omega_m; eigenvalue gap 2e-8 omega_m
     cases.append((rc.baseline_params(laser_power=_margin_edge_power(
         0.5 * wm)), 0.5 * wm, 50.0))
@@ -308,6 +312,26 @@ def test_double_pole_falls_back_to_adaptive_route(power, delta_per_wm,
     monkeypatch.setattr(rc.spectra, "integrate_adaptive", refuse)
     monkeypatch.setattr(rc.quadrature, "integrate_adaptive", refuse)
     assert rc.momentum_variance(p, d, s) == pytest.approx(ref, rel=1e-12,
+                                                          abs=0.0)
+
+
+@pytest.mark.parametrize("quality, power, offset, temp", [
+    (1.25e6, 1e-10, 3e-7, 41.4e-6), (1.25e6, 1e-10, 3e-7, 0.0),
+    (1.25e6, 1e-10, 1e-10, 41.4e-6), (2e6, 1e-13, 3e-7, 41.4e-6)])
+def test_loosely_spread_cluster_is_summed_right(quality, power, offset,
+                                                temp):
+    # the optical and a mechanical eigenvalue lie within the cluster gap
+    # but about as far apart as from the real axis (line widths ~1e-6
+    # omega_m), so no circle of the allowed radius encloses both; a sum
+    # over such a circle misses them, up to 17 % off or even negative
+    wm = rc.baseline_params().mech_freq
+    p = rc.baseline_params(cavity_decay=1.0000001e-6 * wm, bath_temp=temp,
+                           mech_quality=quality, laser_power=power)
+    d = rc.derive_params(p)
+    s = rc.steady_state_at_detuning(p, d, (1.0 - offset) * wm)
+    # eigenvalues good to ~1e-16 omega_m move such narrow lines by 1e-10
+    ref = _adaptive_variance(p, d, s, rel_tol=1e-10)
+    assert rc.momentum_variance(p, d, s) == pytest.approx(ref, rel=1e-8,
                                                           abs=0.0)
 
 
@@ -360,3 +384,16 @@ def test_binet_matches_mpmath_digamma():
             zm = mpmath.mpc(z)
             want = complex(mpmath.log(zm) - 1 / (2 * zm) - mpmath.digamma(zm))
         assert _binet(complex(z)) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_exp_e1_matches_mpmath():
+    # every branch: the power series near 0 and beside the negative real
+    # axis, the continued fraction, and the asymptotic series from
+    # |z| = 40 on, next to that axis included
+    mpmath = pytest.importorskip("mpmath")
+    for size in (0.5, 1.9, 2.1, 10.0, 39.9, 40.0, 45.0, 440e3):
+        for angle in (0.0, 1.2, -2.3, 2.4, -3.0, 3.1415926):
+            z = size * complex(math.cos(angle), math.sin(angle))
+            with mpmath.workdps(30):
+                want = complex(mpmath.exp(z) * mpmath.e1(z))
+            assert _exp_e1(z) == pytest.approx(want, rel=1e-12, abs=0.0)
