@@ -21,8 +21,8 @@ from .quadrature import QuadResult, integrate_adaptive
 from .spectra import (EntanglementResult, IntegrandTerms, QuadratureConfig,
                       d_of_omega, entanglement_result, integrand_terms,
                       momentum_variance, q_plus_variance)
-from .stability import (DriftMatrix, StabilityVerdict, drift_matrix,
-                        eigenvalues, routh_hurwitz_stable, stability_verdict)
+from .stability import (StabilityVerdict, drift_matrix, eigenvalues,
+                        routh_hurwitz_stable, stability_verdict)
 from .steady import (SteadyState, find_steady_branches,
                      steady_state_at_detuning)
 from .sweep import (MinimizeResult, SweepAxis, SweepRow, SweepSpec,
@@ -39,7 +39,7 @@ __all__ = [
     "Geometry", "PhysicalParams", "DerivedParams", "validate",
     "derive_params", "baseline_params",
     "SteadyState", "steady_state_at_detuning", "find_steady_branches",
-    "DriftMatrix", "StabilityVerdict", "drift_matrix", "eigenvalues",
+    "StabilityVerdict", "drift_matrix", "eigenvalues",
     "routh_hurwitz_stable", "stability_verdict",
     "QuadResult", "integrate_adaptive",
     "QuadratureConfig", "IntegrandTerms", "EntanglementResult",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import json
 import math
 import re
@@ -306,6 +307,7 @@ def _gnuplot_script(csv_path: str) -> str:
     ]) + "\n"
 
 
+@functools.cache  # built once per process: it holds no parse state
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="PATH",
@@ -507,9 +509,8 @@ def main(argv: list[str] | None = None) -> int:
     numerical failures and physically meaningless requests (unstable
     point, no stable point in a window, internal cross-check mismatch).
     """
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1

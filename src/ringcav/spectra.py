@@ -216,7 +216,7 @@ def integrand_terms(omega: float, p: PhysicalParams, d: DerivedParams,
 
 
 def _breakpoints(p: PhysicalParams, d: DerivedParams, s: SteadyState,
-                 cutoff: float, ev: np.ndarray | None = None) -> np.ndarray:
+                 cutoff: float) -> np.ndarray:
     """Initial integration mesh clustered on the known resonances.
 
     Eigenvalues of the drift matrix locate the poles of the response:
@@ -225,13 +225,11 @@ def _breakpoints(p: PhysicalParams, d: DerivedParams, s: SteadyState,
     around +/- (2 omega_m -/+ Omega).  A geometric ladder of points is
     placed across every such line so the first partition already
     resolves features a thousand times narrower than the window.
-    ``ev`` are the eigenvalues when the caller already has them.
     """
     wm = p.mech_freq
     lim = cutoff * wm
     delta = s.detuning
-    if ev is None:
-        ev = eigenvalues(drift_matrix(p, d, s))
+    ev = eigenvalues(drift_matrix(p, d, s))
 
     markers = np.array([wm, delta, 2.0 * wm - delta, 2.0 * wm + delta])
     lines = ev[ev.imag != 0.0]
@@ -246,9 +244,7 @@ def _breakpoints(p: PhysicalParams, d: DerivedParams, s: SteadyState,
 
     mesh = np.sort(pts[(pts >= -lim) & (pts <= lim)])
     keep = np.concatenate([[True], np.diff(mesh) > 1e-9 * wm])
-    mesh = mesh[keep]
-    if mesh[0] != -lim:
-        mesh = np.concatenate([[-lim], mesh])
+    mesh = mesh[keep]  # -lim stays first; lim may fall to a point below
     if mesh[-1] != lim:
         mesh = np.concatenate([mesh, [lim]])
     return mesh
@@ -278,20 +274,14 @@ def _binet(z: complex) -> complex:
 
 
 def _exp_e1(z: complex) -> complex:
-    """e^z E1(z) off the negative real axis: from |z| = 40 on its
-    asymptotic series sum_n (-1)^n n! / z^(n+1), whose terms shrink while
-    n < |z| (what is left, and beside that axis the jump i pi e^z, is of
-    order e^-|z|); its power series near 0 and beside that axis; else
-    1 / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...)))."""
-    if abs(z) >= 40.0:
-        term = total = 1.0 / z
-        for n in range(1, 40):
-            term *= -n / z
-            total += term
-            if abs(term) <= 1e-17 * abs(total):
-                break
-        return total
-    if abs(z) < 2.0 or abs(cmath.phase(z)) > 2.36:
+    """e^z E1(z) off the negative real axis: by its power series where
+    |z| < 60 and |z| + Re z < 3, as its terms reach e^|z| / |z| against a
+    sum of order e^-Re z / |z| (rounding eps e^(|z| + Re z), at most
+    e^3 = 20 ulp); else 1 / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...))),
+    at most about 70 steps from |z| + Re z = 3 on (it slows towards 0)
+    and a few from |z| = 60 on, beside the negative axis too, where the
+    series would outrun its 200 terms."""
+    if abs(z) < 60.0 and abs(z) + z.real < 3.0:
         term = total = -z
         for n in range(2, 200):
             term *= -z / n

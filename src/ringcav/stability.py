@@ -18,7 +18,6 @@ from .model import DerivedParams, PhysicalParams
 from .steady import SteadyState
 
 __all__ = [
-    "DriftMatrix",
     "StabilityVerdict",
     "drift_matrix",
     "eigenvalues",
@@ -32,43 +31,32 @@ __all__ = [
 _BOUNDARY_BAND = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class DriftMatrix:
-    """Drift matrix of the linearised dynamics.
-
-    ``entries`` is a real 4x4 array in the basis named by ``basis``.
-    The matrix is written for the coordinate that couples to the light;
-    in the four-mirror (total-coordinate) arrangement the four coupling
-    entries change sign, which flips no eigenvalue real part and no
-    spectrum, so the same representative form is used for both
-    geometries.
-    """
-
-    entries: np.ndarray
-    basis: tuple[str, str, str, str] = ("dQ", "dP", "dx", "dy")
-
-
 def drift_matrix(p: PhysicalParams, d: DerivedParams,
-                 s: SteadyState) -> DriftMatrix:
-    """Drift matrix at steady state s."""
+                 s: SteadyState) -> np.ndarray:
+    """Drift matrix at steady state s, a real 4x4 array in (dQ, dP, dx, dy).
+
+    It is written for the coordinate that couples to the light; in the
+    four-mirror (total-coordinate) arrangement the four coupling entries
+    change sign, which flips no eigenvalue real part and no spectrum, so
+    the same representative form is used for both geometries.
+    """
     wm = p.mech_freq
     kappa = p.cavity_decay
     gchi2 = 2.0 * d.coupling_g * d.chi
     u = s.amplitude.real
     v = s.amplitude.imag
-    a = np.array([
+    return np.array([
         [0.0, wm, 0.0, 0.0],
         [-wm, -d.gamma_m, -gchi2 * u, -gchi2 * v],
         [gchi2 * v, 0.0, -kappa, s.detuning],
         [-gchi2 * u, 0.0, -s.detuning, -kappa],
     ])
-    return DriftMatrix(entries=a)
 
 
-def eigenvalues(a: DriftMatrix) -> np.ndarray:
-    """The four eigenvalues, sorted by descending real part."""
+def eigenvalues(a: np.ndarray) -> np.ndarray:
+    """The four eigenvalues of drift matrix a, by descending real part."""
     try:
-        ev = np.linalg.eigvals(a.entries)
+        ev = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as err:
         raise NumericalFailure(f"eigenvalue computation failed: {err}") from err
     order = np.lexsort((ev.imag, ev.real))[::-1]

@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ringcav as rc
 from ringcav import cli
@@ -600,6 +600,13 @@ def _any_run(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(_any_run())
+# the domain-band inputs that random draws rarely reach
+@example((["point", "--delta-per-wm=0.965"],
+          "[params]\nmirror_mass = 5e-324\n"))
+@example((["minimize"], "[params]\nkappa_rad_s = 1e-300\n"))
+@example((["branches", "--delta-per-wm=1.5", "--power-mw=0"],
+          "[params]\nkappa_hz = 1e300\n"))
+@example((["point", "--delta-per-wm=0.965", "--r=315"], None))
 def test_any_argv_and_config_exit_cleanly(case):
     # every failure leaves as a RingCavError with its exit code; the
     # pytest settings turn a numpy RuntimeWarning into an exception
@@ -786,3 +793,21 @@ def test_exact_output_and_gnuplot_files(tmp_path, capsys):
         "     '' using 1:4 with lines title 'product', \\\n"
         "     '' using 1:5 with lines title 'sum'\n"
         "pause -1\n")
+
+
+def test_successive_main_calls_leak_no_state(tmp_path, capsys):
+    # the parser is built once per process; no flag of one call (an output
+    # file, a gnuplot script, a format) may carry over to the next
+    assert cli._build_parser() is cli._build_parser()
+    csv_path = tmp_path / "scan.csv"
+    code, out, err = run(["fig2", "--points", "3", "--output", str(csv_path),
+                          "--gnuplot-script", str(tmp_path / "scan.gp")],
+                         capsys)
+    rows = _fig2_rows(3)
+    assert (code, out, err) == (0, "", DEFAULTS_NOTE + _fig2_summary(rows))
+    assert csv_path.read_text() == _csv_text(_sweep_records(rows))
+    argv, expect = EXACT_CASES["point"]
+    csv_text, json_text, summary = expect()
+    for fmt, want in ((["--format", "json"], json_text), ([], csv_text)):
+        code, out, err = run(argv + fmt, capsys)
+        assert (code, out, err) == (0, want, DEFAULTS_NOTE + summary)

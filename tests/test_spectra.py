@@ -56,7 +56,7 @@ def test_response_denominator_equals_char_poly(baseline):
     # det(A - lambda I) at lambda = -i omega must reproduce d(omega):
     # two independently coded routes to the same response function
     p, d, s = _ref_state(baseline)
-    a = rc.drift_matrix(p, d, s).entries
+    a = rc.drift_matrix(p, d, s)
     for w in (0.0, 0.3 * p.mech_freq, p.mech_freq, 2.7 * p.mech_freq):
         det = np.linalg.det(a.astype(complex)
                             - (-1j * w) * np.eye(4, dtype=complex))
@@ -297,10 +297,10 @@ def test_residue_route_agrees_with_adaptive_route():
 
 @pytest.mark.parametrize("power, delta_per_wm", [(3.8e-3, 0.0),
                                                  (0.0, 1e-10)])
-def test_double_pole_falls_back_to_adaptive_route(power, delta_per_wm,
-                                                  monkeypatch):
-    # the name predates the contour sum: a double pole no longer falls back
-    # to the adaptive integrator, yet must give what that integrator gives
+def test_double_pole_contour_sum_matches_adaptive_reference(
+        power, delta_per_wm, monkeypatch):
+    # a double pole is summed on a circle, without the adaptive
+    # integrator, yet must give what that integrator gives
     p = rc.baseline_params(laser_power=power)
     d = rc.derive_params(p)
     s = rc.steady_state_at_detuning(p, d, delta_per_wm * p.mech_freq)
@@ -387,13 +387,17 @@ def test_binet_matches_mpmath_digamma():
 
 
 def test_exp_e1_matches_mpmath():
-    # every branch: the power series near 0 and beside the negative real
-    # axis, the continued fraction, and the asymptotic series from
-    # |z| = 40 on, next to that axis included
+    # both branches: the power series where |z| < 60 and |z| + Re z < 3,
+    # and the continued fraction elsewhere; sizes and angles on both sides
+    # of that bound, beside the negative real axis and on it
     mpmath = pytest.importorskip("mpmath")
-    for size in (0.5, 1.9, 2.1, 10.0, 39.9, 40.0, 45.0, 440e3):
-        for angle in (0.0, 1.2, -2.3, 2.4, -3.0, 3.1415926):
-            z = size * complex(math.cos(angle), math.sin(angle))
-            with mpmath.workdps(30):
-                want = complex(mpmath.exp(z) * mpmath.e1(z))
-            assert _exp_e1(z) == pytest.approx(want, rel=1e-12, abs=0.0)
+    near = (math.pi - 1e-3, -(math.pi - 1e-3), math.pi - 1e-8)
+    points = [size * complex(math.cos(angle), math.sin(angle))
+              for size in (0.5, 1.9, 2.1, 10.0, 25.0, 39.9, 40.0, 45.0, 59.0,
+                           61.0, 100.0, 440e3)
+              for angle in (0.0, 1.2, -2.3, 2.35, -2.35, 2.37, 2.4, 2.5,
+                            -3.0, 3.1415926) + near]
+    for z in points + [complex(x) for x in (-30.0, -61.0, -1000.0)]:
+        with mpmath.workdps(30):
+            want = complex(mpmath.exp(z) * mpmath.e1(z))
+        assert _exp_e1(z) == pytest.approx(want, rel=2e-14, abs=0.0), z

@@ -29,7 +29,7 @@ def _point(baseline, delta, **overrides):
 
 def test_drift_matrix_entries(baseline):
     p, d, s = _point(baseline, DELTA_965)
-    a = rc.drift_matrix(p, d, s).entries
+    a = rc.drift_matrix(p, d, s)
     assert a.shape == (4, 4)
     assert list(a[0]) == [0.0, p.mech_freq, 0.0, 0.0]
     assert a[1][0] == -p.mech_freq
