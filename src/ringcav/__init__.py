@@ -27,9 +27,22 @@ from .steady import (SteadyState, find_steady_branches,
                      steady_state_at_detuning)
 from .sweep import (MinimizeResult, SweepAxis, SweepRow, SweepSpec,
                     minimize_over_detuning, run_sweep)
-from .cli import RunConfig, main, parse_config, serialize_config
 
 __version__ = "0.1.0"
+
+# the command line loads on first use: ``python -m ringcav.cli`` then
+# runs the module once, as __main__, without a copy imported before it
+_CLI_NAMES = ("RunConfig", "main", "parse_config", "serialize_config")
+
+
+def __getattr__(name):
+    if name == "cli" or name in _CLI_NAMES:
+        import importlib
+        cli = importlib.import_module(".cli", __name__)
+        globals().update((n, getattr(cli, n)) for n in _CLI_NAMES)
+        return cli if name == "cli" else globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "C_LIGHT", "HBAR", "KB",

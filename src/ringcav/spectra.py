@@ -35,11 +35,13 @@ from typing import Callable
 import numpy as np
 
 from .constants import HBAR, KB
-from .errors import InvalidParameter, NumericalFailure, UnstableOperatingPoint
+from .errors import (InvalidParameter, NumericalFailure, RingCavError,
+                     UnstableOperatingPoint)
 from .model import DerivedParams, PhysicalParams
 # importable from here for callers that look it up in this namespace
 from .quadrature import integrate_adaptive  # noqa: F401
-from .stability import drift_matrix, eigenvalues, stability_verdict
+from .stability import (_stack_row, _stack_verdicts, drift_matrix,
+                        eigenvalues)
 from .steady import SteadyState, steady_state_at_detuning
 
 __all__ = [
@@ -62,22 +64,29 @@ _IMAG_RESIDUAL = 1e-8
 # _RING, error 2^-64 (Trefethen & Weideman, SIAM Review 56, 385, 2014).
 _POLE_GAP = 1e-6
 _RING = np.exp(2j * np.pi * np.arange(64) / 64)
+# keeps an eigenvalue from counting as close to itself
+_DIAG4 = np.diag([np.inf] * 4)
 
 # Offsets, in line widths, of the mesh points placed across a resonance.
 _LADDER = np.array([0.0, 2.0, -2.0, 6.0, -6.0, 18.0, -18.0, 54.0, -54.0])
 
-# B_2k / 2k for k = 8 ... 1: the coefficients of the series in 1 / z^2
-# that ln z - 1/(2z) - digamma(z) approaches at large z.
-_DIGAMMA_SERIES = (-3617.0 / 8160.0, 1.0 / 12.0, -691.0 / 32760.0,
-                   1.0 / 132.0, -1.0 / 240.0, 1.0 / 252.0, -1.0 / 120.0,
-                   1.0 / 12.0)
+# B_2k / 2k for k = 1 ... 8: the coefficients of the series in 1 / z^2
+# that ln z - 1/(2z) - digamma(z) approaches at large z, and the powers
+# of z that they divide.
+_DIGAMMA_SERIES = np.array([1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0,
+                            -1.0 / 240.0, 1.0 / 132.0, -691.0 / 32760.0,
+                            1.0 / 12.0, -3617.0 / 8160.0])
+_DIGAMMA_POWERS = -2 * np.arange(1, 9)
+# the digamma recurrence and the Bose tail's E1 terms run over at most
+# 12 steps (|z| from 0 to 12; k beta L < 39 with beta L >= pi)
+_STEPS = np.arange(12)
 
 # B_2m / (2m)! for m = 1 ... 30, from sum_k B_k / (k! (j + 1 - k)!) = 0:
 # the coefficients of x^(2m - 1) in the Bose occupation 1 / (e^x - 1).
 _B = [1.0]
 for _j in range(1, 61):
     _B.append(-sum(b / math.factorial(_j + 1 - k) for k, b in enumerate(_B)))
-_BERNOULLI = np.array(_B[2::2])[:, None]
+_BERNOULLI = np.array(_B[2::2])
 _EYE8 = np.eye(8)
 
 
@@ -250,8 +259,8 @@ def _breakpoints(p: PhysicalParams, d: DerivedParams, s: SteadyState,
     return mesh
 
 
-def _binet(z: complex) -> complex:
-    """ln z - 1/(2z) - digamma(z) for Re z > 0.
+def _binet(z: np.ndarray) -> np.ndarray:
+    """ln z - 1/(2z) - digamma(z) for Re z > 0, elementwise.
 
     By Binet's second formula this is twice the integral over [0, inf)
     of x / ((x^2 + z^2) (exp(2 pi x) - 1)).  The recurrence
@@ -260,93 +269,179 @@ def _binet(z: complex) -> complex:
     is summed to eight terms; it is small at large z, so nothing
     cancels there.
     """
-    size = abs(z)
-    shift = math.ceil(math.sqrt(144.0 - size * size)) if size < 12.0 else 0
+    size = np.abs(z)
+    # below |z| = 4.79, 144 - |z|^2 > 121: every element takes 12 steps
+    full = size.max() < 4.79
+    shift = (12.0 if full
+             else np.ceil(np.sqrt(np.maximum(144.0 - size * size, 0.0))))
     w = z + shift
-    u = 1.0 / (w * w)
-    out = 0j
-    for c in _DIGAMMA_SERIES:
-        out = (out + c) * u
-    if shift:
-        out += (cmath.log(z / w) - 0.5 / z + 0.5 / w
-                + sum(1.0 / (z + k) for k in range(shift)))
+    series = (w[..., None] ** _DIGAMMA_POWERS * _DIGAMMA_SERIES).sum(-1)
+    # ln (z / w) - 1 / (2z) + 1 / (2w) + 1 / (z + k) for k < shift, the
+    # last summed in order from k = 0; no terms at all without a shift
+    steps = 1.0 / (z[..., None] + _STEPS)
+    if not full:
+        steps = np.where(_STEPS < shift[..., None], steps, 0.0)
+    shifted = (np.log(z / w) - 0.5 * shift / (z * w)
+               + steps.cumsum(-1)[..., -1])
+    return series + (shifted if full else np.where(shift > 0.0, shifted, 0.0))
+
+
+def _exp_e1(z: np.ndarray) -> np.ndarray:
+    """e^z E1(z) off the negative real axis, elementwise on a 1-d array.
+
+    By its power series where |z| < 60 and |z| + Re z < 3, as its terms
+    reach e^|z| / |z| against a sum of order e^-Re z / |z| (rounding
+    eps e^(|z| + Re z), at most e^3 = 20 ulp); else 1 / (z + 1 - 1 /
+    (z + 3 - 4 / (z + 5 - ...))), at most about 70 steps from |z| + Re z
+    = 3 on (it slows towards 0) and a few from |z| = 60 on, beside the
+    negative axis too, where the series would outrun its 200 terms.
+    Each element stops at its own convergence.
+    """
+    size = np.abs(z)
+    series = (size < 60.0) & (size + z.real < 3.0)
+    if not series.any():
+        return _e1_fraction(z)
+    out = np.empty_like(z)
+    out[series] = _e1_series(z[series])
+    out[~series] = _e1_fraction(z[~series])
     return out
 
 
-def _exp_e1(z: complex) -> complex:
-    """e^z E1(z) off the negative real axis: by its power series where
-    |z| < 60 and |z| + Re z < 3, as its terms reach e^|z| / |z| against a
-    sum of order e^-Re z / |z| (rounding eps e^(|z| + Re z), at most
-    e^3 = 20 ulp); else 1 / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...))),
-    at most about 70 steps from |z| + Re z = 3 on (it slows towards 0)
-    and a few from |z| = 60 on, beside the negative axis too, where the
-    series would outrun its 200 terms."""
-    if abs(z) < 60.0 and abs(z) + z.real < 3.0:
-        term = total = -z
-        for n in range(2, 200):
-            term *= -z / n
-            total += term / n
-            if abs(term) <= 1e-17 * abs(total):
-                break
-        return cmath.exp(z) * (-np.euler_gamma - cmath.log(z) - total)
+def _e1_series(z: np.ndarray) -> np.ndarray:
+    """e^z (-gamma - ln z - sum_n (-z)^n / (n n!)), each sum stopped at
+    the first term below 1e-17 of it, or at n = 199."""
+    total = np.empty_like(z)
+    at = np.arange(z.size)
+    zs = z
+    term = part = -z
+    for n in range(2, 200):
+        if not at.size:
+            break
+        term = term * (-zs / n)
+        part = part + term / n
+        total[at] = part
+        going = np.abs(term) > 1e-17 * np.abs(part)
+        zs, term, part, at = zs[going], term[going], part[going], at[going]
+    return np.exp(z) * (-np.euler_gamma - np.log(z) - total)
+
+
+def _e1_fraction(z: np.ndarray) -> np.ndarray:
+    """e^z E1(z) by Lentz's method, each element until its step is
+    within 1e-16 of 1; NumericalFailure after 10,000 steps."""
+    out = np.empty_like(z)
+    at = np.arange(z.size)
     f = c = z + 1.0
-    d = 0j
-    for n in range(1, 10_000):  # Lentz's method
-        d = 1.0 / (z + (2 * n + 1) - n * n * d)
-        c = z + (2 * n + 1) - n * n / c
-        f *= (delta := c * d)
-        if abs(delta - 1.0) <= 1e-16:
-            return 1.0 / f
-    raise NumericalFailure(f"e^z E1(z) did not converge at z = {z!r}")
+    d = np.zeros_like(z)
+    n = 0
+    while at.size:
+        n += 1
+        if n == 10_000:
+            raise NumericalFailure(
+                f"e^z E1(z) did not converge at z = {complex(z[0])!r}")
+        zn = z + (2 * n + 1)
+        d = 1.0 / (zn - n * n * d)
+        c = zn - n * n / c
+        f = f * (delta := c * d)
+        done = np.abs(delta - 1.0) <= 1e-16
+        if done.any():
+            out[at[done]] = 1.0 / f[done]
+            going = ~done
+            z, c, d, f, at = z[going], c[going], d[going], f[going], at[going]
+    return out
 
 
-def _bose_kernel(q: np.ndarray, kt: float, lim: float) -> np.ndarray:
-    """B(q) = int_0^L n(w) 2 w / (w^2 - q^2) dw, Im q < 0, beta = 1 / kt.
+def _bose_kernel(q: np.ndarray, lim, kt, bl, zfac, tail) -> np.ndarray:
+    """B(q) = int_0^L n(w) 2 w / (w^2 - q^2) dw, Im q < 0, beta = 1 / kt,
+    for rows of points q (m, k); the other arguments are the rows' _row
+    columns (m, 1), and B = 0 where kt = 0.
 
-    From beta L = pi on, Binet's integral less the tail, where n = sum_k
-    exp(-k beta w) gives exp(-k beta L) G(k beta (L -+ q)) summed over -+,
-    G = _exp_e1, negligible from k beta L = 39 on.  Below, the Bernoulli
-    series of n, termwise against f_m = int_0^1 u^2m / (u^2 - rho^2) du."""
-    bl = lim / kt
-    if bl >= math.pi:
-        # B(-conj q) = conj B(q): a mirror pair needs one evaluation
-        keys = np.where(q.real < 0.0, -q.conj(), q).tolist()
-        known = {x: _binet(1j * x / (2.0 * math.pi * kt)) - sum(
-            math.exp(-k * bl) * (_exp_e1(k * (lim - x) / kt)
-                                 + _exp_e1(k * (lim + x) / kt))
-            for k in range(1, math.ceil(39.0 / bl))) for x in set(keys)}
-        out = np.array([known[x] for x in keys])
-        return np.where(q.real < 0.0, out.conj(), out)
+    From beta L = pi on (where _row sets i / (2 pi kt)), Binet's integral
+    less the tail, where n = sum_k exp(-k beta w) gives exp(-k beta L)
+    G(k beta (L -+ q)) summed over -+, G = _exp_e1, negligible from
+    k beta L = 39 on (_row counts those k).  Below, the Bernoulli series
+    of n, termwise against f_m = int_0^1 u^2m / (u^2 - rho^2) du."""
+    if zfac.all():  # Binet's formula on every row
+        return _binet_less_tail(q, lim, kt, bl, zfac, tail)
+    out = np.zeros_like(q)
+    warm = (zfac[:, 0] != 0.0).nonzero()[0]
+    if warm.size:
+        out[warm] = _binet_less_tail(q[warm], lim[warm], kt[warm], bl[warm],
+                                     zfac[warm], tail[warm])
+    cool = (bl.real[:, 0] < math.pi).nonzero()[0]
+    if cool.size:
+        out[cool] = _bernoulli_kernel(q[cool], bl[cool].real,
+                                      lim[cool].real)
+    return out
+
+
+def _binet_less_tail(q, lim, kt, bl, zfac, tail):
+    """_bose_kernel from beta L = pi on: Binet's integral less the tail."""
+    out = _binet(q * zfac)
+    if not tail.any():
+        return out
+    tail = tail.real
+    # the tail's terms k = 1 ... 12, always summed as 12 with the unused
+    # ones zero, so that a row's value does not depend on the others
+    k = _STEPS + 1.0
+    use = np.broadcast_to(k <= tail[:, :, None], q.shape + k.shape)
+    r, j, i = use.nonzero()
+    kk = k[i]
+    lr = lim.real[r, 0]
+    x = q[r, j]
+    g = _exp_e1((kk * np.concatenate([lr - x, lr + x]).reshape(2, -1)
+                 / kt.real[r, 0]).ravel()).reshape(2, -1)
+    terms = np.zeros(use.shape, dtype=complex)
+    terms[r, j, i] = np.exp(-kk * bl.real[r, 0]) * (g[0] + g[1])
+    return out - terms.sum(-1)
+
+
+def _bernoulli_kernel(q: np.ndarray, bl: np.ndarray,
+                      lim: np.ndarray) -> np.ndarray:
+    """_bose_kernel below beta L = pi, from the Bernoulli series."""
     v = lim / q  # 1 / rho
-    m = np.arange(1, 31)[:, None]
+    v2 = v ** 2
+    m = np.arange(1, 31)
     f = [-v * np.arctanh(v)]
     # upward f_m = 1 / (2m - 1) + rho^2 f_(m-1) is stable for |rho| < 2;
     # beyond, the series f_m = -sum_j rho^(-2j - 2) / (2m + 2j + 1)
-    for k in range(1, 31):
-        f.append(1.0 / (2 * k - 1) + f[-1] / v ** 2)
-    f = np.array(f)
+    for k in m:
+        f.append(1.0 / (2 * k - 1) + f[-1] / v2)
+    f = np.stack(f, axis=-1)
     far = np.abs(v) < 0.625
-    j = np.arange(42)[:, None, None]
-    f[1:, far] = -(v[far] ** (2 * j + 2) / (2 * m + 2 * j + 1)).sum(0)
+    j = np.arange(42)
+    f[far, 1:] = -(v[far][:, None, None] ** (2 * j + 2)
+                   / (2 * m[:, None] + 2 * j + 1)).sum(-1)
     # -log(1 - 1 / rho^2) / 2, by two atanh as in the vacuum kernel
-    return (2.0 / bl * f[0] - np.arctanh(v / (v - 2.0))
+    return (2.0 / bl * f[..., 0] - np.arctanh(v / (v - 2.0))
             - np.arctanh(v / (v + 2.0))
-            + (2.0 * _BERNOULLI * bl ** (2 * m - 1) * f[1:]).sum(0))
+            + (2.0 * _BERNOULLI * bl[..., None] ** (2 * m - 1)
+               * f[..., 1:]).sum(-1))
 
 
-def _nodes(grid: np.ndarray, ev: np.ndarray, wm: float):
-    """Points and weights of the three pieces' residue sums.
+def _simple_weights(grid: np.ndarray, gap: np.ndarray):
+    """1 / Q'(q) at each of the eight poles q of every piece of every
+    row of grid (n, 3, 8), and whether a row has a cluster: two
+    eigenvalues lambda_j closer than its gap (n, 1, 1), seen in
+    r_j - r_k = i (lambda_j - lambda_k)."""
+    diff = grid[..., :, None] - grid[..., None, :]  # the largest array
+    close = (np.abs(diff[:, 0, :4, :4]) + _DIAG4 < gap).any((1, 2))
+    diff += _EYE8
+    return 1.0 / diff.prod(-1), close
 
-    ``grid`` holds each piece's eight poles, the four r_j first.  A simple
-    pole q weighs 1 / Q'(q); a cluster (and, apart, its image across the
-    real axis) gives way to circle nodes z, weight (z - c) / (64 Q(z)).
-    The radius is half the smaller of the centre's distances to the real
-    axis and to the nearest other pole; a cluster spread over more than
-    half the radius stays simple poles, whose residues cancel mildly."""
+
+def _nodes(grid: np.ndarray, simple: np.ndarray, ev: np.ndarray,
+           wm: float):
+    """Points and weights of the three pieces' residue sums at a point
+    whose eigenvalues ev nearly coincide.
+
+    ``grid`` (3, 8) holds each piece's eight poles, the four r_j first,
+    and ``simple`` their weights 1 / Q'(q) as simple poles.  A cluster
+    (and, apart, its image across the real axis) gives way to circle
+    nodes z, weight (z - c) / (64 Q(z)).  The radius is half the smaller
+    of the centre's distances to the real axis and to the nearest other
+    pole; a cluster spread over more than half the radius stays simple
+    poles, whose residues cancel mildly."""
     close = np.abs(ev[:, None] - ev) < _POLE_GAP * wm
-    simple = 1.0 / (grid[:, :, None] - grid[:, None, :] + _EYE8).prod(axis=2)
-    if np.count_nonzero(close) == 4:  # no cluster: skip the search
-        return grid, simple
     single = np.ones(8, dtype=bool)
     points, weights = [], []
     for row in {tuple(r) for r in np.linalg.matrix_power(close, 3)
@@ -365,41 +460,156 @@ def _nodes(grid: np.ndarray, ev: np.ndarray, wm: float):
             np.concatenate([simple[:, single]] + weights, axis=1))
 
 
-def _residue_integral(p: PhysicalParams, d: DerivedParams, s: SteadyState,
-                      ev: np.ndarray, cutoff: float) -> complex:
-    """The density integrated over the window, summed from its poles.
+# The columns of a _row after its 17 of _stack_row: the window L,
+# omega_m, 8 gamma_m / omega_m, the cluster gap, kt = kB T / hbar, beta L,
+# i / (2 pi kt) where Binet's formula applies (else 0), the number of
+# terms of its E1 tail, k4, then for the pieces a, b, c each the
+# numerators' alpha, beta and gamma and the shift s.
+_L, _WM, _SCALE, _GAP, _KT, _BL, _ZFAC, _TAIL, _K4 = range(17, 26)
+_ALPHA, _BETA, _GAMMA, _SHIFT = range(26, 38, 3)
+# the poles of the three pieces from the four r_j: r, -r; r, 2 omega_m - r;
+# r, -2 omega_m - r
+_GRID_R = np.tile(np.arange(4), 6)
+_GRID_SIGN = np.repeat([1.0, -1.0, 1.0, -1.0, 1.0, -1.0], 4)
+_GRID_SHIFT = np.repeat([0.0, 0.0, 0.0, 2.0, 0.0, -2.0], 4)
 
-    Each piece is a polynomial over prod_k (w - q_k) with poles q_k: the
-    zeros r_j = i lambda_j of d(w), and those of d(-w) (for a) or of
-    d(2 omega_m - w) and d(-2 omega_m - w) (for b and c).  Partial
-    fractions integrate it exactly: int_-L^L dw / (w - q) = -2 atanh(L / q).
-    The bath weight's vacuum half 2 w theta(w) gives log(1 - L / q) on
-    [0, L], its Bose half _bose_kernel; each is summed over _nodes."""
+
+def _row(p: PhysicalParams, d: DerivedParams, s: SteadyState,
+         cutoff: float) -> tuple:
+    """One operating point's row of a _variances stack (columns _L ...).
+
+    It holds _numerators expanded around g = w (w - s) for the pieces'
+    shifts s = 0, 2 omega_m, -2 omega_m, as alpha (beta + g) + gamma w:
+    squeezed = A (kd2 + g) + A' w for a, with kd2 = kappa^2 + delta^2,
+    corr = C (c0 + g) for b and c; and bath = (kd2 - g)^2 + k4 g.
+    """
     wm = p.mech_freq
     lim = cutoff * wm
-    r = 1j * ev
-    grid = np.concatenate([r, -r, r, 2.0 * wm - r, r, -2.0 * wm - r])
-    points, weights = _nodes(grid.reshape(3, 8), ev, wm)
-    qa, qb, qc = points
-    squeezed, bath, corr_b, corr_c = _numerators(points, p, d, s)
-    base = qa * qa * weights[0]
-    residues = np.concatenate([
-        base * squeezed[0],
-        qb * (qb - 2.0 * wm) * corr_b[1] * weights[1],
-        qc * (qc + 2.0 * wm) * corr_c[2] * weights[2]])
-    total = residues @ (-2.0 * np.arctanh(lim / points.ravel()))
+    kt = KB * p.bath_temp / HBAR
+    bl = lim / kt if kt > 0.0 else math.inf
+    binet = math.pi <= bl < math.inf
+    kappa = p.cavity_decay
+    delta = s.detuning
+    kd2 = kappa * kappa + delta * delta
+    pref = 8.0 * kappa * d.coupling_g * d.coupling_g * d.chi * d.chi
+    amp = s.amplitude
+    sq = pref * s.photon_number
+    far = complex(kappa, delta + 2.0 * wm)
+    return (*_stack_row(p, d, s),
+            lim, wm, 4.0 * (2.0 * d.gamma_m / wm), _POLE_GAP * wm, kt, bl,
+            1j / (2.0 * math.pi * kt) if binet else 0.0,
+            max(math.ceil(39.0 / bl) - 1, 0) if binet else 0,
+            4.0 * kappa * kappa,
+            sq * (2.0 * d.n_squeeze + 1.0),
+            pref * amp.conjugate() * amp.conjugate() * d.m_squeeze,
+            pref * amp * amp * d.m_squeeze.conjugate(),
+            # kd2, then (kappa -+ i delta) (kappa -+ i (delta + 2 omega_m))
+            kd2, complex(kappa, -delta) * far.conjugate(),
+            complex(kappa, delta) * far,
+            2.0 * sq * delta, 0.0, 0.0,
+            0.0, 2.0 * wm, -2.0 * wm)
 
+
+def _residue_sums(q: np.ndarray, wt: np.ndarray,
+                  rows: np.ndarray) -> np.ndarray:
+    """The density integrated over the window at m operating points,
+    summed from their poles.
+
+    ``q`` and ``wt`` (m, 3, M) are the three pieces' points and weights,
+    ``rows`` (m, ...) the points' _row.  Each piece is a polynomial over
+    prod_k (w - q_k) with poles q_k: the zeros r_j = i lambda_j of d(w),
+    and those of d(-w) (for a) or of d(2 omega_m - w) and d(-2 omega_m - w)
+    (for b and c).  Partial fractions integrate it exactly:
+    int_-L^L dw / (w - q) = -2 atanh(L / q).  The bath weight's vacuum
+    half 2 w theta(w) gives log(1 - L / q) on [0, L], its Bose half
+    _bose_kernel.  A row's terms make one pairwise sum whose length M
+    alone sets, so no row depends on another.
+    """
+    m = len(q)
+    lim, _, scale, _, kt, bl, zfac, tail, k4 = \
+        rows.T[_L:_ALPHA, :, None]  # (m, 1) each
+    alpha, beta, gamma, shift = (rows[:, i:i + 3, None]
+                                 for i in (_ALPHA, _BETA, _GAMMA, _SHIFT))
+    qa = q[:, 0]
+    g = q * (q - shift)
+    ga = g[:, 0]
+    # the numerator times g before the weight: where that overflows, the
+    # variance is reported as not finite
+    residues = g * (alpha * (beta + g) + gamma * q) * wt
+    v = lim[..., None] / q
     # weights of H(w) = w^2 bath(w) / (d(w) d(-w)); H is even, so its
-    # Bose half is a sum over the points below the real axis
-    hq = qa * (base * bath[0])
-    scale = 2.0 * d.gamma_m / wm
-    v = lim / qa
-    total += 4.0 * scale * (hq @ np.arctanh(v / (v - 2.0)))
-    if p.bath_temp > 0.0:
-        below = qa.imag < 0.0
-        total += 4.0 * scale * (hq[below] @ _bose_kernel(
-            qa[below], KB * p.bath_temp / HBAR, lim))
-    return complex(total)
+    # Bose half is a sum over the points below the real axis: the first
+    # four of a plain grid
+    kd2 = beta[:, 0]
+    hq = scale * (qa * (ga * wt[:, 0] * ((kd2 - ga) ** 2 + k4 * ga)))
+    va = v[:, 0]
+    below = slice(None, 4) if qa.shape[1] == 8 else qa[0].imag < 0.0
+    return np.concatenate([
+        (residues * (-2.0 * np.arctanh(v))).reshape(m, -1),
+        hq * np.arctanh(va / (va - 2.0)),
+        hq[:, below] * _bose_kernel(qa[:, below], lim, kt, bl, zfac, tail)],
+        axis=1).sum(1)
+
+
+def _variances(points, cutoff: float) -> list:
+    """Momentum variances at a stack of operating points (p, d, s).
+
+    Each entry is the variance at that point or the RingCavError it
+    raises there.  One eigen-solve for the whole stack decides stability
+    (both tests, cross-checked) and gives the poles; the residue sums run
+    on (n, 3, 8) pole grids, except that a point whose eigenvalues nearly
+    coincide is summed on its own over _nodes' circles.  An entry does
+    not depend on the other points: a point alone gives the same bits.
+    """
+    if not points:
+        return []
+    rows = np.array([_row(p, d, s, cutoff) for p, d, s in points],
+                    dtype=complex)
+    re = rows.real
+    n = len(rows)
+    # overflow at huge inputs is reported below, not warned about; 1 / Q'
+    # at a clustered pole may divide by zero, and is dropped in _nodes
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ev, max_re, live, out = _stack_verdicts(re)
+        all_live = live.all()
+        for i in () if all_live else (~live).nonzero()[0]:
+            if out[i] is None:
+                margin = -float(max_re[i])
+                out[i] = UnstableOperatingPoint(
+                    f"no stationary state at detuning "
+                    f"{points[i][2].detuning!r} rad/s (stability margin "
+                    f"{margin!r} rad/s)", margin)
+        grid = ((1j * ev)[:, _GRID_R] * _GRID_SIGN
+                + re[:, _WM, None] * _GRID_SHIFT).reshape(n, 3, 8)
+        simple, close = _simple_weights(grid, re[:, _GAP, None, None])
+        if all_live and not close.any():
+            totals = _residue_sums(grid, simple, rows)
+        else:
+            totals = np.zeros(n, dtype=complex)
+            plain = (live & ~close).nonzero()[0]
+            if plain.size:
+                totals[plain] = _residue_sums(grid[plain], simple[plain],
+                                              rows[plain])
+            for i in (live & close).nonzero()[0]:
+                q, wt = _nodes(grid[i], simple[i], ev[i], re[i, _WM])
+                totals[i], = _residue_sums(q[None], wt[None],
+                                           rows[i:i + 1])
+    for i, (ok, total) in enumerate(zip(live.tolist(), totals.tolist())):
+        if not ok:
+            continue
+        value = total / (2.0 * math.pi)
+        if not cmath.isfinite(value):
+            out[i] = NumericalFailure(
+                f"variance integral is not finite: {value!r}")
+        elif abs(value.imag) > _IMAG_RESIDUAL * abs(value.real):
+            out[i] = NumericalFailure(
+                f"variance integral left imaginary residue {value!r}")
+        elif not value.real > 0.0:
+            out[i] = NumericalFailure(
+                f"variance integral came out non-positive: {value.real!r}")
+        else:
+            out[i] = value.real
+    return out
 
 
 def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
@@ -408,7 +618,8 @@ def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
 
     The spectral density over [-cutoff, cutoff] * omega_m, summed
     exactly from the poles that the drift-matrix eigenvalues give; the
-    same eigenvalues decide stability first.
+    same eigenvalues decide stability first.  A stack of one for
+    _variances, so a sweep row gives the same bits.
 
     Raises
     ------
@@ -419,26 +630,10 @@ def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
         If the variance overflows, leaks a non-negligible imaginary
         part or comes out non-positive.
     """
-    ev = eigenvalues(drift_matrix(p, d, s))
-    verdict = stability_verdict(p, d, s, ev)
-    if not verdict.stable:
-        raise UnstableOperatingPoint(
-            f"no stationary state at detuning {s.detuning!r} rad/s "
-            f"(stability margin {verdict.margin!r} rad/s)", verdict.margin)
-
-    # overflow at huge inputs is reported below, not warned about; 1 / Q'
-    # at a clustered pole may divide by zero, and is dropped in _nodes
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        value = _residue_integral(p, d, s, ev, quad.cutoff) / (2.0 * math.pi)
-    if not cmath.isfinite(value):
-        raise NumericalFailure(f"variance integral is not finite: {value!r}")
-    if abs(value.imag) > _IMAG_RESIDUAL * abs(value.real):
-        raise NumericalFailure(
-            f"variance integral left imaginary residue {value!r}")
-    if not value.real > 0.0:
-        raise NumericalFailure(
-            f"variance integral came out non-positive: {value.real!r}")
-    return float(value.real)
+    value, = _variances([(p, d, s)], quad.cutoff)
+    if isinstance(value, RingCavError):
+        raise value
+    return value
 
 
 def q_plus_variance(p: PhysicalParams, d: DerivedParams) -> float:
@@ -479,7 +674,11 @@ def entanglement_result(p: PhysicalParams, d: DerivedParams, delta: float,
     """Evaluate both criteria at the given effective detuning (rad/s)."""
     s = steady_state_at_detuning(p, d, delta)
     vp = momentum_variance(p, d, s, quad)
-    vq = q_plus_variance(p, d)
+    return _criteria(delta, q_plus_variance(p, d), vp)
+
+
+def _criteria(delta: float, vq: float, vp: float) -> EntanglementResult:
+    """Both criteria from the two quadrature variances."""
     prod = vq * vp
     tot = vq + vp
     if not (math.isfinite(prod) and math.isfinite(tot)):

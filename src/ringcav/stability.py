@@ -40,27 +40,32 @@ def drift_matrix(p: PhysicalParams, d: DerivedParams,
     change sign, which flips no eigenvalue real part and no spectrum, so
     the same representative form is used for both geometries.
     """
+    return np.array(_drift_entries(p, d, s)).reshape(4, 4)
+
+
+def _drift_entries(p: PhysicalParams, d: DerivedParams,
+                   s: SteadyState) -> tuple:
+    """drift_matrix's 16 entries, row by row, as floats."""
     wm = p.mech_freq
     kappa = p.cavity_decay
     gchi2 = 2.0 * d.coupling_g * d.chi
     u = s.amplitude.real
     v = s.amplitude.imag
-    return np.array([
-        [0.0, wm, 0.0, 0.0],
-        [-wm, -d.gamma_m, -gchi2 * u, -gchi2 * v],
-        [gchi2 * v, 0.0, -kappa, s.detuning],
-        [-gchi2 * u, 0.0, -s.detuning, -kappa],
-    ])
+    return (0.0, wm, 0.0, 0.0,
+            -wm, -d.gamma_m, -gchi2 * u, -gchi2 * v,
+            gchi2 * v, 0.0, -kappa, s.detuning,
+            -gchi2 * u, 0.0, -s.detuning, -kappa)
 
 
 def eigenvalues(a: np.ndarray) -> np.ndarray:
-    """The four eigenvalues of drift matrix a, by descending real part."""
+    """The four eigenvalues of drift matrix a, by descending real part;
+    on a stack of them (n, 4, 4), one solve gives (n, 4)."""
     try:
         ev = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as err:
         raise NumericalFailure(f"eigenvalue computation failed: {err}") from err
-    order = np.lexsort((ev.imag, ev.real))[::-1]
-    return ev[order]
+    # complex numbers sort by real part, then imaginary part
+    return np.sort(ev, axis=-1)[..., ::-1]
 
 
 def routh_hurwitz_stable(p: PhysicalParams, d: DerivedParams,
@@ -124,13 +129,61 @@ def stability_verdict(p: PhysicalParams, d: DerivedParams,
     eig_ok = max_re < 0.0
     rh_ok = routh_hurwitz_stable(p, d, s)
     if rh_ok != eig_ok and abs(max_re) > _BOUNDARY_BAND * p.mech_freq:
-        raise InternalInconsistency(
-            "Routh-Hurwitz and eigenvalue stability tests disagree away "
-            f"from the boundary: rh={rh_ok}, eigen={eig_ok}, "
-            f"max Re(lambda) = {max_re!r}")
+        raise _disagreement(rh_ok, eig_ok, max_re)
     return StabilityVerdict(
         stable=eig_ok,
         routh_hurwitz=rh_ok,
         eigenvalue=eig_ok,
         margin=-max_re,
     )
+
+
+def _disagreement(rh_ok: bool, eig_ok: bool,
+                  max_re: float) -> InternalInconsistency:
+    return InternalInconsistency(
+        "Routh-Hurwitz and eigenvalue stability tests disagree away "
+        f"from the boundary: rh={rh_ok}, eigen={eig_ok}, "
+        f"max Re(lambda) = {max_re!r}")
+
+
+def _stack_row(p: PhysicalParams, d: DerivedParams, s: SteadyState) -> tuple:
+    """One operating point's row for _stack_verdicts: drift_matrix's 16
+    entries and the Routh-Hurwitz verdict, as floats."""
+    return (*_drift_entries(p, d, s), float(routh_hurwitz_stable(p, d, s)))
+
+
+def _stack_verdicts(rows: np.ndarray):
+    """Eigenvalues and both stability verdicts at a stack of points.
+
+    ``rows`` (n, 17) holds a _stack_row per operating point.  One eigvals
+    call solves the stacked drift matrices.  Returns the eigenvalues
+    (n, 4) by descending real part, the largest real parts, whether
+    each point is stable with no error, and per point None or the error
+    that eigenvalues or stability_verdict raises there.
+    """
+    n = len(rows)
+    a = rows[:, :16].reshape(n, 4, 4)
+    errors = [None] * n
+    try:
+        ev = eigenvalues(a)
+    except NumericalFailure:
+        # find the matrices it fails on; the others solve as in the stack
+        ev = np.full((n, 4), np.nan, dtype=complex)
+        for i in range(n):
+            try:
+                ev[i] = eigenvalues(a[i:i + 1])[0]
+            except NumericalFailure as err:
+                errors[i] = err
+    max_re = ev[:, 0].real
+    eig_ok = max_re < 0.0
+    rh_ok = rows[:, 16] > 0.0
+    clash = rh_ok != eig_ok
+    stable = eig_ok
+    if clash.any():
+        stable = eig_ok.copy()
+        for i in (clash & (np.abs(max_re) > _BOUNDARY_BAND * rows[:, 1])
+                  ).nonzero()[0]:
+            errors[i] = errors[i] or _disagreement(
+                bool(rh_ok[i]), bool(eig_ok[i]), float(max_re[i]))
+            stable[i] = False
+    return ev, max_re, stable, errors

@@ -3,7 +3,10 @@
 A sweep walks one axis (detuning, squeezing, laser power or bath
 temperature) across a uniform grid, evaluating both entanglement
 criteria at every point; unstable points are reported as such instead
-of aborting the scan.  Rows come back in grid order.
+of aborting the scan.  Rows come back in grid order.  The rows, and the
+minimiser's grid, are solved as stacks of up to _CHUNK operating points
+(one eigen-solve and one residue sum each); a row equals the
+``entanglement_result`` at its point bit for bit.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (InvalidParameter, NumericalFailure, NoStablePoint,
-                     UnstableOperatingPoint)
+                     RingCavError, UnstableOperatingPoint)
 from .model import DerivedParams, PhysicalParams, derive_params
-from .spectra import (QuadratureConfig, entanglement_result,
-                      momentum_variance)
+from .spectra import (QuadratureConfig, _criteria, _variances,
+                      momentum_variance, q_plus_variance)
 # the verdict stays importable from here for callers that look it up
-# in this namespace; momentum_variance runs it once per point
+# in this namespace
 from .stability import stability_verdict  # noqa: F401
 from .steady import steady_state_at_detuning
 
@@ -107,14 +110,38 @@ _AXIS_FIELD = {
 }
 
 
-def _sweep_row(p: PhysicalParams, d: DerivedParams, delta: float,
-               value: float, quad: QuadratureConfig) -> SweepRow:
-    try:
-        res = entanglement_result(p, d, delta, quad)
-    except UnstableOperatingPoint as err:
+# operating points per stacked solve: bounds the memory of a long sweep
+_CHUNK = 256
+
+
+def _stacked(make, values, cutoff: float):
+    """(point, variance or its error) for the points make(v) gives, in
+    the order of the values, solved in stacks of up to _CHUNK; where
+    make raises, after the points before it, that error."""
+    for start in range(0, len(values), _CHUNK):
+        points, failure = [], None
+        for v in values[start:start + _CHUNK]:
+            try:
+                points.append(make(v))
+            except RingCavError as err:
+                failure = err
+                break
+        yield from zip(points, _variances(points, cutoff))
+        if failure is not None:
+            raise failure
+
+
+def _sweep_row(value: float, p: PhysicalParams, d: DerivedParams,
+               s, vp) -> SweepRow:
+    """The row at one grid value from its variance (or error) vp."""
+    if isinstance(vp, UnstableOperatingPoint):
         return SweepRow(axis_value=value, var_q_plus=None, var_p_minus=None,
                         product=None, sum=None, stable=False,
-                        branch_note=f"unstable, margin {err.margin!r} rad/s")
+                        branch_note=f"unstable, margin {vp.margin!r} rad/s")
+    try:
+        if isinstance(vp, RingCavError):
+            raise vp
+        res = _criteria(s.detuning, q_plus_variance(p, d), vp)
     except NumericalFailure as err:
         raise NumericalFailure(
             f"at axis value {value!r}: {err}") from err
@@ -130,19 +157,27 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     ------
     NumericalFailure
         From any row's integral, with the axis value attached.
+    RingCavError
+        Whatever the first failing row raises, as a row-by-row loop would.
     """
     grid = [float(v) for v in
             np.linspace(spec.start, spec.stop, spec.points)]
-    quad = spec.quadrature
     if spec.axis is SweepAxis.DETUNING:
         # the parameters are the same on every row
         d = derive_params(spec.fixed)
-        return [_sweep_row(spec.fixed, d, v, v, quad) for v in grid]
-    rows = []
-    for v in grid:
-        p = replace(spec.fixed, **{_AXIS_FIELD[spec.axis]: v})
-        rows.append(_sweep_row(p, derive_params(p), spec.delta, v, quad))
-    return rows
+
+        def point(v):
+            return spec.fixed, d, steady_state_at_detuning(spec.fixed, d, v)
+    else:
+        field = _AXIS_FIELD[spec.axis]
+
+        def point(v):
+            p = replace(spec.fixed, **{field: v})
+            d = derive_params(p)
+            return p, d, steady_state_at_detuning(p, d, spec.delta)
+
+    return [_sweep_row(v, *pt, vp) for v, (pt, vp) in
+            zip(grid, _stacked(point, grid, spec.quadrature.cutoff))]
 
 
 @dataclass(frozen=True)
@@ -162,6 +197,20 @@ def _variance_at(p: PhysicalParams, d: DerivedParams, delta: float,
         return momentum_variance(p, d, s, quad)
     except UnstableOperatingPoint:
         return math.inf
+
+
+def _grid_variances(p: PhysicalParams, d: DerivedParams, deltas,
+                    quad: QuadratureConfig) -> list[float]:
+    """_variance_at over the detunings, solved in stacks."""
+    values = []
+    for _, vp in _stacked(lambda x: (p, d, steady_state_at_detuning(p, d, x)),
+                          deltas, quad.cutoff):
+        if isinstance(vp, UnstableOperatingPoint):
+            vp = math.inf
+        elif isinstance(vp, RingCavError):
+            raise vp
+        values.append(vp)
+    return values
 
 
 _GRID_POINTS = 256
@@ -199,8 +248,16 @@ def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
         raise InvalidParameter("window", window,
                                "finite in rad/s with low < high")
 
-    best_delta = math.nan
-    best_value = math.inf
+    # the grid is one stack; golden-section probes go one at a time
+    grid = [float(x) for x in np.linspace(a, b, _GRID_POINTS)]
+    values = _grid_variances(p, d, grid, quad)
+    i = int(np.argmin(values))
+    best_delta = grid[i]
+    best_value = values[i]
+    if not math.isfinite(best_value):
+        raise NoStablePoint(
+            f"no stable operating point for detuning in "
+            f"[{a!r}, {b!r}] rad/s")
 
     def probe(delta: float) -> float:
         nonlocal best_delta, best_value
@@ -210,16 +267,8 @@ def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
             best_delta = delta
         return v
 
-    grid = np.linspace(a, b, _GRID_POINTS)
-    values = [probe(float(x)) for x in grid]
-    if not math.isfinite(best_value):
-        raise NoStablePoint(
-            f"no stable operating point for detuning in "
-            f"[{a!r}, {b!r}] rad/s")
-
-    i = int(np.argmin(values))
-    left = float(grid[max(i - 1, 0)])
-    right = float(grid[min(i + 1, _GRID_POINTS - 1)])
+    left = grid[max(i - 1, 0)]
+    right = grid[min(i + 1, _GRID_POINTS - 1)]
 
     x1 = right - _INVPHI * (right - left)
     x2 = left + _INVPHI * (right - left)

@@ -444,6 +444,21 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.startswith(CSV_HEADER + "\n5741920.30889,")
 
 
+@pytest.mark.parametrize("module", ["ringcav", "ringcav.cli"])
+def test_python_dash_m_warns_nothing(module):
+    # the package no longer imports the command line before runpy runs
+    # it as __main__, which made ``-m ringcav.cli`` warn on every run
+    env = dict(os.environ)
+    src = str(Path(rc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+         "--help"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 def test_os_and_decode_failures_exit_1(tmp_path, capsys):
     undecodable = tmp_path / "latin1.cfg"
     undecodable.write_bytes(b"\xff\xfe")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,7 +144,10 @@ def test_minimize_respects_refinement_tolerance(baseline):
 
 
 def test_minimize_stubbed_constant(baseline, monkeypatch):
+    # the grid is solved as one stack, the golden-section probes singly
     p, d = baseline
+    monkeypatch.setattr(sweep_mod, "_grid_variances",
+                        lambda p, d, deltas, quad: [7.25] * len(deltas))
     monkeypatch.setattr(sweep_mod, "_variance_at",
                         lambda *args: 7.25)
     res = rc.minimize_over_detuning(p, d, (0.5, 1.5))
@@ -165,3 +169,189 @@ def test_minimize_window_validation(baseline):
     # finite in units of omega_m, but the span overflows in rad/s
     with pytest.raises(rc.InvalidParameter):
         rc.minimize_over_detuning(p, d, (-0.0, 1e308))
+
+
+def _point_row(p, delta, quad):
+    """The row a sweep must give at (p, delta): entanglement_result's
+    numbers, or the unstable note from its error."""
+    try:
+        res = rc.entanglement_result(p, rc.derive_params(p), delta, quad)
+    except rc.UnstableOperatingPoint as err:
+        return (None, None, None, None, False,
+                f"unstable, margin {err.margin!r} rad/s")
+    return (res.var_q_plus, res.var_p_minus, res.product, res.sum, True,
+            None)
+
+
+def _row_tuple(r):
+    return (r.var_q_plus, r.var_p_minus, r.product, r.sum, r.stable,
+            r.branch_note)
+
+
+_WM = rc.baseline_params().mech_freq
+
+
+@pytest.mark.parametrize("axis, start, stop, points, fixed, cutoff", [
+    # unstable rows beside stable ones, and delta = 0 (a double pole)
+    (rc.SweepAxis.DETUNING, -0.5 * _WM, 1.5 * _WM, 21,
+     dict(laser_power=20e-3), 50.0),
+    (rc.SweepAxis.SQUEEZE_R, 0.0, 2.0, 9, {}, 50.0),
+    (rc.SweepAxis.LASER_POWER, 0.0, 12e-3, 9, {}, 50.0),
+    # 0 K, Binet alone, and the E1 tail from about 58 uK on
+    (rc.SweepAxis.BATH_TEMP, 0.0, 200e-6, 21, {}, 50.0),
+    # the Bernoulli series from about 30 uK on at this cutoff
+    (rc.SweepAxis.BATH_TEMP, 0.0, 1e-3, 11, {}, 2.1),
+])
+def test_sweep_rows_equal_point_results_bit_for_bit(axis, start, stop,
+                                                    points, fixed, cutoff):
+    p = rc.baseline_params(**fixed)
+    quad = rc.QuadratureConfig(cutoff)
+    detuning = axis is rc.SweepAxis.DETUNING
+    spec = rc.SweepSpec(axis=axis, start=start, stop=stop, points=points,
+                        fixed=p, quadrature=quad,
+                        delta=None if detuning else 0.965 * _WM)
+    rows = rc.run_sweep(spec)
+    assert len(rows) == points
+    if detuning:
+        assert 0.0 in [r.axis_value for r in rows]
+        assert {r.stable for r in rows} == {True, False}
+    for r in rows:
+        if detuning:
+            want = _point_row(p, r.axis_value, quad)
+        else:
+            want = _point_row(replace(p, **{sweep_mod._AXIS_FIELD[axis]:
+                                            r.axis_value}), spec.delta, quad)
+        assert _row_tuple(r) == want, r.axis_value
+
+
+def _minimize_reference(p, d, window):
+    """The minimiser probe by probe: momentum_variance at each point."""
+    wm = p.mech_freq
+    best = [math.nan, math.inf]
+
+    def probe(x):
+        try:
+            v = rc.momentum_variance(p, d,
+                                     rc.steady_state_at_detuning(p, d, x))
+        except rc.UnstableOperatingPoint:
+            v = math.inf
+        if v < best[1]:
+            best[:] = [x, v]
+        return v
+
+    grid = np.linspace(window[0] * wm, window[1] * wm, 256)
+    i = int(np.argmin([probe(float(x)) for x in grid]))
+    left, right = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, 255)])
+    k = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = right - k * (right - left), left + k * (right - left)
+    f1, f2 = probe(x1), probe(x2)
+    while right - left > 1e-4 * wm:
+        if f1 <= f2:
+            right, x2, f2 = x2, x1, f1
+            x1 = right - k * (right - left)
+            f1 = probe(x1)
+        else:
+            left, x1, f1 = x1, x2, f2
+            x2 = left + k * (right - left)
+            f2 = probe(x2)
+    return tuple(best)
+
+
+@pytest.mark.parametrize("window", [(0.5, 1.5), (0.9, 1.05), (0.85, 1.1)])
+def test_minimize_matches_probe_by_probe(baseline, window):
+    p, d = baseline
+    res = rc.minimize_over_detuning(p, d, window)
+    assert (res.delta_star, res.value) == _minimize_reference(p, d, window)
+
+
+def test_failing_row_is_not_masked_by_the_rows_before_it():
+    # r = 315 overflows the residue sum; the rows before it are fine
+    p = rc.baseline_params()
+    spec = rc.SweepSpec(axis=rc.SweepAxis.SQUEEZE_R, start=0.0, stop=315.0,
+                        points=8, fixed=p, delta=0.965 * p.mech_freq)
+    with pytest.raises(rc.NumericalFailure) as err:
+        rc.run_sweep(spec)
+    assert str(err.value).startswith(
+        "at axis value 315.0: variance integral is not finite")
+
+
+def test_domain_band_error_comes_as_from_the_row_loop():
+    # kB T / hbar omega_m passes 1e150 on the third row
+    p = rc.baseline_params()
+    spec = rc.SweepSpec(axis=rc.SweepAxis.BATH_TEMP, start=4e145,
+                        stop=5e145, points=3, fixed=p,
+                        delta=0.965 * p.mech_freq)
+    with pytest.raises(rc.InvalidParameter) as want:
+        for v in np.linspace(spec.start, spec.stop, spec.points):
+            q = replace(p, bath_temp=float(v))
+            rc.entanglement_result(q, rc.derive_params(q), spec.delta)
+    with pytest.raises(rc.InvalidParameter) as got:
+        rc.run_sweep(spec)
+    assert str(got.value) == str(want.value)
+    assert got.value.field == "bath_temp"
+
+
+def test_stability_tests_disagreeing_in_a_stack_is_a_bug(baseline,
+                                                        monkeypatch):
+    # the Routh-Hurwitz test that the scalar verdict and the stacked rows
+    # share, made to call every point unstable
+    p, d = baseline
+    monkeypatch.setattr(rc.stability, "routh_hurwitz_stable",
+                        lambda p, d, s: False)
+    s = rc.steady_state_at_detuning(p, d, 0.965 * p.mech_freq)
+    with pytest.raises(rc.InternalInconsistency) as scalar:
+        rc.stability_verdict(p, d, s)
+    with pytest.raises(rc.InternalInconsistency) as stacked:
+        rc.run_sweep(_spec(points=4))
+    assert "tests disagree" in str(scalar.value)
+    assert "tests disagree" in str(stacked.value)
+    with pytest.raises(rc.InternalInconsistency):
+        rc.momentum_variance(p, d, s)
+
+
+def test_unstable_rows_mid_stack_leave_their_neighbours_be():
+    # at 20 mW: stable at zero detuning, unstable up to about 0.6 omega_m
+    p = rc.baseline_params(laser_power=20e-3)
+    rows = rc.run_sweep(rc.SweepSpec(
+        axis=rc.SweepAxis.DETUNING, start=0.0, stop=1.2 * p.mech_freq,
+        points=21, fixed=p))
+    flags = [r.stable for r in rows]
+    first, last = flags.index(False), len(flags) - flags[::-1].index(False)
+    assert 0 < first and last < len(rows) and any(flags[:first])
+    for r in rows:
+        assert _row_tuple(r) == _point_row(p, r.axis_value,
+                                           rc.QuadratureConfig())
+
+
+def test_eigen_solves_per_sweep_and_minimiser(baseline, monkeypatch):
+    # one stacked eigen-solve per chunk of rows and for the minimiser's
+    # grid, one per golden-section probe: no row-by-row fallback
+    p, d = baseline
+    wm = p.mech_freq
+    solves = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        solves.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    rows = rc.run_sweep(rc.SweepSpec(axis=rc.SweepAxis.DETUNING,
+                                     start=0.3 * wm, stop=1.7 * wm,
+                                     points=200, fixed=p))
+    assert len(rows) == 200
+    assert len(solves) <= math.ceil(200 / sweep_mod._CHUNK)
+
+    solves.clear()
+    probes = []
+    variance_at = sweep_mod._variance_at
+
+    def probe(*args):
+        probes.append(args)
+        return variance_at(*args)
+
+    monkeypatch.setattr(sweep_mod, "_variance_at", probe)
+    rc.minimize_over_detuning(p, d)
+    assert 0 < len(probes) < 40
+    assert len(solves) <= (math.ceil(sweep_mod._GRID_POINTS
+                                     / sweep_mod._CHUNK) + len(probes))
