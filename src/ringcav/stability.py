@@ -40,21 +40,22 @@ def drift_matrix(p: PhysicalParams, d: DerivedParams,
     change sign, which flips no eigenvalue real part and no spectrum, so
     the same representative form is used for both geometries.
     """
-    return np.array(_drift_entries(p, d, s)).reshape(4, 4)
+    return np.array(_drift_entries(
+        p.mech_freq, p.cavity_decay, d.gamma_m, d.coupling_g, d.chi,
+        s.detuning, s.amplitude.real, s.amplitude.imag)).reshape(4, 4)
 
 
-def _drift_entries(p: PhysicalParams, d: DerivedParams,
-                   s: SteadyState) -> tuple:
-    """drift_matrix's 16 entries, row by row, as floats."""
-    wm = p.mech_freq
-    kappa = p.cavity_decay
-    gchi2 = 2.0 * d.coupling_g * d.chi
-    u = s.amplitude.real
-    v = s.amplitude.imag
-    return (0.0, wm, 0.0, 0.0,
-            -wm, -d.gamma_m, -gchi2 * u, -gchi2 * v,
-            gchi2 * v, 0.0, -kappa, s.detuning,
-            -gchi2 * u, 0.0, -s.detuning, -kappa)
+def _drift_entries(wm, kappa, gm, g, chi, delta, u, v) -> tuple:
+    """drift_matrix's 16 entries, row by row, for the field amplitude
+    u + i v, on floats or arrays."""
+    zero = 0.0 * wm  # in the inputs' shape (omega_m > 0)
+    gchi2 = 2.0 * g * chi
+    gu = gchi2 * u
+    gv = gchi2 * v
+    return (zero, wm, zero, zero,
+            -wm, -gm, -gu, -gv,
+            gv, zero, -kappa, delta,
+            -gu, zero, -delta, -kappa)
 
 
 def eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -70,26 +71,29 @@ def eigenvalues(a: np.ndarray) -> np.ndarray:
 
 def routh_hurwitz_stable(p: PhysicalParams, d: DerivedParams,
                          s: SteadyState) -> bool:
-    """Stability from the Routh-Hurwitz conditions on the quartic.
+    """Stability from the Routh-Hurwitz conditions on the quartic."""
+    return bool(_hurwitz(p.mech_freq, p.cavity_decay, d.gamma_m,
+                         d.coupling_g, d.chi, s.detuning, s.photon_number))
+
+
+def _hurwitz(wm, kappa, gm, g, chi, delta, n):
+    """The Routh-Hurwitz verdict at photon number n, on floats or arrays.
 
     For the characteristic polynomial of the drift matrix all but two of
     the Hurwitz conditions hold automatically for positive rates; the two
     below are the ones that can fail.
     """
-    kappa = p.cavity_decay
-    wm = p.mech_freq
-    gm = d.gamma_m
-    delta = s.detuning
-    g2c2n = d.coupling_g ** 2 * d.chi ** 2 * s.photon_number
+    g2c2n = g * g * (chi * chi) * n
     k2d2 = kappa * kappa + delta * delta
+    loss = 2.0 * kappa + gm
 
     rh1 = kappa * gm * (
         k2d2 * k2d2
         + (2.0 * kappa * gm + gm * gm - 2.0 * wm * wm) * k2d2
         + wm * wm * (4.0 * kappa * kappa + wm * wm + 2.0 * kappa * gm)
-    ) + 2.0 * wm * delta * g2c2n * (2.0 * kappa + gm) ** 2
+    ) + 2.0 * wm * delta * g2c2n * (loss * loss)
     rh2 = wm * k2d2 - 4.0 * delta * g2c2n
-    return rh1 > 0.0 and rh2 > 0.0
+    return (rh1 > 0.0) & (rh2 > 0.0)
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,7 @@ def stability_verdict(p: PhysicalParams, d: DerivedParams,
     """
     if ev is None:
         ev = eigenvalues(drift_matrix(p, d, s))
-    max_re = float(np.max(ev.real))
+    max_re = float(ev[0].real)
     eig_ok = max_re < 0.0
     rh_ok = routh_hurwitz_stable(p, d, s)
     if rh_ok != eig_ok and abs(max_re) > _BOUNDARY_BAND * p.mech_freq:
@@ -146,20 +150,23 @@ def _disagreement(rh_ok: bool, eig_ok: bool,
         f"max Re(lambda) = {max_re!r}")
 
 
-def _stack_row(p: PhysicalParams, d: DerivedParams, s: SteadyState) -> tuple:
-    """One operating point's row for _stack_verdicts: drift_matrix's 16
-    entries and the Routh-Hurwitz verdict, as floats."""
-    return (*_drift_entries(p, d, s), float(routh_hurwitz_stable(p, d, s)))
+def _stability_columns(wm, kappa, gm, g, chi, delta, u, v, n) -> tuple:
+    """The columns that _stack_verdicts reads: drift_matrix's 16 entries
+    and the Routh-Hurwitz verdict, at field amplitude u + i v and photon
+    number n, on floats or arrays."""
+    return (*_drift_entries(wm, kappa, gm, g, chi, delta, u, v),
+            _hurwitz(wm, kappa, gm, g, chi, delta, n))
 
 
 def _stack_verdicts(rows: np.ndarray):
     """Eigenvalues and both stability verdicts at a stack of points.
 
-    ``rows`` (n, 17) holds a _stack_row per operating point.  One eigvals
-    call solves the stacked drift matrices.  Returns the eigenvalues
-    (n, 4) by descending real part, the largest real parts, whether
-    each point is stable with no error, and per point None or the error
-    that eigenvalues or stability_verdict raises there.
+    ``rows`` (n, k) holds in its first 17 columns the _stability_columns
+    of each operating point.  One eigvals call solves the stacked drift
+    matrices.  Returns the eigenvalues (n, 4) by descending real part,
+    the largest real parts, whether each point is stable with no error,
+    and per point None or the error that eigenvalues or
+    stability_verdict raises there.
     """
     n = len(rows)
     a = rows[:, :16].reshape(n, 4, 4)
@@ -179,7 +186,7 @@ def _stack_verdicts(rows: np.ndarray):
     rh_ok = rows[:, 16] > 0.0
     clash = rh_ok != eig_ok
     stable = eig_ok
-    if clash.any():
+    if np.count_nonzero(clash):
         stable = eig_ok.copy()
         for i in (clash & (np.abs(max_re) > _BOUNDARY_BAND * rows[:, 1])
                   ).nonzero()[0]:

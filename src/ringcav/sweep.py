@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (InvalidParameter, NumericalFailure, NoStablePoint,
                      RingCavError, UnstableOperatingPoint)
 from .model import DerivedParams, PhysicalParams, derive_params
-from .spectra import (QuadratureConfig, _criteria, _variances,
+from .spectra import (QuadratureConfig, _product_sum, _variances,
                       momentum_variance, q_plus_variance)
 # the verdict stays importable from here for callers that look it up
 # in this namespace
@@ -132,7 +132,7 @@ def _stacked(make, values, cutoff: float):
 
 
 def _sweep_row(value: float, p: PhysicalParams, d: DerivedParams,
-               s, vp) -> SweepRow:
+               vp) -> SweepRow:
     """The row at one grid value from its variance (or error) vp."""
     if isinstance(vp, UnstableOperatingPoint):
         return SweepRow(axis_value=value, var_q_plus=None, var_p_minus=None,
@@ -141,13 +141,13 @@ def _sweep_row(value: float, p: PhysicalParams, d: DerivedParams,
     try:
         if isinstance(vp, RingCavError):
             raise vp
-        res = _criteria(s.detuning, q_plus_variance(p, d), vp)
+        vq = q_plus_variance(p, d)
+        prod, tot = _product_sum(vq, vp)
     except NumericalFailure as err:
         raise NumericalFailure(
             f"at axis value {value!r}: {err}") from err
-    return SweepRow(axis_value=value, var_q_plus=res.var_q_plus,
-                    var_p_minus=res.var_p_minus, product=res.product,
-                    sum=res.sum, stable=True)
+    return SweepRow(axis_value=value, var_q_plus=vq, var_p_minus=vp,
+                    product=prod, sum=tot, stable=True)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -176,7 +176,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             d = derive_params(p)
             return p, d, steady_state_at_detuning(p, d, spec.delta)
 
-    return [_sweep_row(v, *pt, vp) for v, (pt, vp) in
+    return [_sweep_row(v, p, d, vp) for v, ((p, d, _), vp) in
             zip(grid, _stacked(point, grid, spec.quadrature.cutoff))]
 
 

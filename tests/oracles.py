@@ -3,7 +3,9 @@
 Everything here is written straight from the defining formulas with
 plain numpy and a dense trapezoid rule, sharing no code with the
 package under test, so agreement between the two is evidence rather
-than tautology.
+than tautology.  The one exception is ``breakpoints``, the starting mesh
+of the adaptive reference: it takes the package's eigenvalues, but only
+guides the integrator, whose own error control decides the value.
 """
 
 import numpy as np
@@ -57,6 +59,46 @@ def trapezoid_momentum_variance(wavelength, cavity_length, mirror_mass,
           / (dw * dd(-2.0 * wm - w)))
     integrand = w * w * aa + w * (w - 2 * wm) * bb + w * (w + 2 * wm) * cc
     return float(np.trapezoid(integrand, w).real / (2.0 * np.pi))
+
+
+# Offsets, in line widths, of the mesh points placed across a resonance.
+_LADDER = np.array([0.0, 2.0, -2.0, 6.0, -6.0, 18.0, -18.0, 54.0, -54.0])
+
+
+def breakpoints(p, d, s, cutoff):
+    """Initial integration mesh clustered on the known resonances.
+
+    Eigenvalues of the drift matrix locate the poles of the response:
+    each mode at +/- Omega with half-width |Re lambda| shows up in the
+    spectrum at +/- Omega and, through the shifted correlation pieces,
+    around +/- (2 omega_m -/+ Omega).  A geometric ladder of points is
+    placed across every such line so the first partition already
+    resolves features a thousand times narrower than the window.
+    """
+    import ringcav as rc
+
+    wm = p.mech_freq
+    lim = cutoff * wm
+    delta = s.detuning
+    ev = rc.eigenvalues(rc.drift_matrix(p, d, s))
+
+    markers = np.array([wm, delta, 2.0 * wm - delta, 2.0 * wm + delta])
+    lines = ev[ev.imag != 0.0]
+    center = np.abs(lines.imag)
+    width = np.maximum(2.0 * np.abs(lines.real), 1e-9 * wm)
+    bases = np.stack([center, -center,
+                      2.0 * wm - center, 2.0 * wm + center,
+                      -2.0 * wm + center, -2.0 * wm - center], axis=1)
+    ladder = bases[:, :, None] + _LADDER * width[:, None, None]
+    pts = np.concatenate([[0.0, -lim, lim], markers, -markers,
+                          ladder.ravel()])
+
+    mesh = np.sort(pts[(pts >= -lim) & (pts <= lim)])
+    keep = np.concatenate([[True], np.diff(mesh) > 1e-9 * wm])
+    mesh = mesh[keep]  # -lim stays first; lim may fall to a point below
+    if mesh[-1] != lim:
+        mesh = np.concatenate([mesh, [lim]])
+    return mesh
 
 
 def characteristic_polynomial_roots(kappa, wm, gm, delta, g, chi, n):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ringcav as rc
-from oracles import trapezoid_momentum_variance
+from oracles import breakpoints as _breakpoints, trapezoid_momentum_variance
 
 
 def _minimum_for(**overrides):
@@ -180,7 +180,7 @@ def test_criterion_09_property_suite():
             dr.n_squeeze * (dr.n_squeeze + 1.0), rel=1e-10, abs=1e-12)
 
     # imaginary residue of the variance integral stays below 1e-8
-    from ringcav.spectra import _breakpoints, _raw_terms, _thermal_weight
+    from ringcav.spectra import _raw_terms, _thermal_weight
     thermal = _thermal_weight(p)
 
     def density(w):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringcav as rc
-from oracles import mpmath_momentum_variance, trapezoid_momentum_variance
-from ringcav.spectra import (_binet, _breakpoints, _exp_e1, _raw_terms,
-                             _thermal_weight)
+from oracles import (breakpoints as _breakpoints, mpmath_momentum_variance,
+                     trapezoid_momentum_variance)
+from ringcav.constants import HBAR, KB
+from ringcav.spectra import (_BL, _ZFAC, _binet, _exp_e1, _raw_terms,
+                             _row_matrix, _thermal_weight, _variances)
 
 DELTA_965 = 5741920.308892601
 
@@ -386,6 +388,78 @@ def test_binet_matches_mpmath_digamma():
             zm = mpmath.mpc(complex(z))
             want = complex(mpmath.log(zm) - 1 / (2 * zm) - mpmath.digamma(zm))
         assert got == pytest.approx(want, rel=1e-13, abs=0.0), z
+
+
+def test_binet_over_the_right_half_plane():
+    # 800 seeded points with |z| from 1e-6 to 1e4, half of them within
+    # 1e-12 to 0.1 rad of the imaginary axis, against the bounds that
+    # _binet's docstring states
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20240)
+    size = 10.0 ** rng.uniform(-6.0, 4.0, 800)
+    off = np.concatenate([rng.uniform(0.0, 0.5 * math.pi, 400),
+                          10.0 ** rng.uniform(-12.0, -1.0, 400)])
+    z = size * np.exp(1j * rng.choice([-1.0, 1.0], 800)
+                      * (0.5 * math.pi - off))
+    for zz, got in zip(z, _binet(z)):
+        with mpmath.workdps(30):
+            zm = mpmath.mpc(complex(zz))
+            want = complex(mpmath.log(zm) - 1 / (2 * zm) - mpmath.digamma(zm))
+        bound = 2e-14 if abs(zz) < 1.0 else 1e-12 if abs(zz) < 12.0 else 1e-15
+        assert got == pytest.approx(want, rel=bound, abs=0.0), zz
+
+
+def _temps_around(beta_l, cutoff, wm):
+    """The bath temperature where beta L = cutoff omega_m hbar / kB T
+    last reaches beta_l, and the next double above it (beta L below)."""
+    lim = cutoff * wm
+    t = lim * HBAR / (KB * beta_l)
+    while lim / (KB * t / HBAR) < beta_l:
+        t = float(np.nextafter(t, 0.0))
+    while lim / (KB * float(np.nextafter(t, 1.0)) / HBAR) >= beta_l:
+        t = float(np.nextafter(t, 1.0))
+    return [t, float(np.nextafter(t, 1.0))]
+
+
+def test_stack_rows_equal_stacks_of_one():
+    # the column-wise rows of a stack against its points one at a time:
+    # no Bose part (T = 0), Binet's formula alone, beta L at and just
+    # below pi (the Bernoulli series), E1 tails changing from 2 to 1 and
+    # from 1 to 0 terms at k beta L = 39, a squeeze phase, the four-mirror
+    # geometry, a double pole (zero detuning) and unstable points
+    wm = rc.baseline_params().mech_freq
+    edges = {b: _temps_around(b, 50.0, wm) for b in (math.pi, 19.5, 39.0)}
+    variants = [dict(bath_temp=t) for t in [0.0, 41.4e-6]
+                + sum(edges.values(), [])]
+    variants += [dict(squeeze_phase=1.3),
+                 dict(geometry=rc.Geometry.FOUR_MIRROR_TOTAL),
+                 dict(laser_power=20e-3)]
+    points = []
+    for v in variants:
+        p = rc.baseline_params(**v)
+        d = rc.derive_params(p)
+        points += [(p, d, rc.steady_state_at_detuning(p, d, x * wm))
+                   for x in (0.965, 0.3, 0.0)]
+    rows = _row_matrix(points, 50.0)
+    ones = np.concatenate([_row_matrix([pt], 50.0) for pt in points])
+    assert rows.shape == ones.shape
+    assert rows.tobytes() == ones.tobytes()
+    temps = [p.bath_temp for p, _, _ in points]
+    for b, (at, above) in edges.items():
+        at, above = temps.index(at), temps.index(above)
+        assert rows[at, _BL].real >= b > rows[above, _BL].real
+        # Binet's formula from beta L = pi on, the Bernoulli series below
+        assert rows[at, _ZFAC] != 0.0
+        assert (rows[above, _ZFAC] != 0.0) == (b != math.pi)
+
+    got = _variances(points, 50.0)
+    assert any(isinstance(v, rc.UnstableOperatingPoint) for v in got)
+    for pt, v in zip(points, got):
+        want, = _variances([pt], 50.0)
+        if isinstance(want, rc.RingCavError):
+            assert (type(v), str(v)) == (type(want), str(want))
+        else:
+            assert v.hex() == want.hex()
 
 
 def test_exp_e1_matches_mpmath():

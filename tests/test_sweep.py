@@ -294,10 +294,10 @@ def test_domain_band_error_comes_as_from_the_row_loop():
 def test_stability_tests_disagreeing_in_a_stack_is_a_bug(baseline,
                                                         monkeypatch):
     # the Routh-Hurwitz test that the scalar verdict and the stacked rows
-    # share, made to call every point unstable
+    # share, made to call every point unstable (on floats and on arrays)
     p, d = baseline
-    monkeypatch.setattr(rc.stability, "routh_hurwitz_stable",
-                        lambda p, d, s: False)
+    monkeypatch.setattr(rc.stability, "_hurwitz",
+                        lambda wm, *rest: wm < 0.0)
     s = rc.steady_state_at_detuning(p, d, 0.965 * p.mech_freq)
     with pytest.raises(rc.InternalInconsistency) as scalar:
         rc.stability_verdict(p, d, s)
@@ -324,25 +324,35 @@ def test_unstable_rows_mid_stack_leave_their_neighbours_be():
 
 
 def test_eigen_solves_per_sweep_and_minimiser(baseline, monkeypatch):
-    # one stacked eigen-solve per chunk of rows and for the minimiser's
-    # grid, one per golden-section probe: no row-by-row fallback
+    # one stacked eigen-solve and one column-wise row build per chunk of
+    # rows and for the minimiser's grid, one per golden-section probe:
+    # no row-by-row fallback
     p, d = baseline
     wm = p.mech_freq
     solves = []
+    builds = []
     eigvals = np.linalg.eigvals
+    columns = rc.spectra._columns
 
     def counted(a):
         solves.append(np.shape(a))
         return eigvals(a)
 
+    def counted_columns(*args):
+        builds.append(np.shape(args[0]))
+        return columns(*args)
+
     monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(rc.spectra, "_columns", counted_columns)
     rows = rc.run_sweep(rc.SweepSpec(axis=rc.SweepAxis.DETUNING,
                                      start=0.3 * wm, stop=1.7 * wm,
                                      points=200, fixed=p))
     assert len(rows) == 200
     assert len(solves) <= math.ceil(200 / sweep_mod._CHUNK)
+    assert len(builds) == math.ceil(200 / sweep_mod._CHUNK)
 
     solves.clear()
+    builds.clear()
     probes = []
     variance_at = sweep_mod._variance_at
 
@@ -355,3 +365,8 @@ def test_eigen_solves_per_sweep_and_minimiser(baseline, monkeypatch):
     assert 0 < len(probes) < 40
     assert len(solves) <= (math.ceil(sweep_mod._GRID_POINTS
                                      / sweep_mod._CHUNK) + len(probes))
+    assert len(builds) == (math.ceil(sweep_mod._GRID_POINTS
+                                     / sweep_mod._CHUNK) + len(probes))
+    # the probes' builds run on floats, the grid's on arrays
+    assert builds.count(()) == len(probes)
+
