@@ -113,13 +113,8 @@ class StabilityVerdict:
 
 
 def stability_verdict(p: PhysicalParams, d: DerivedParams,
-                      s: SteadyState,
-                      ev: np.ndarray | None = None) -> StabilityVerdict:
+                      s: SteadyState) -> StabilityVerdict:
     """Run both stability tests and cross-check them.
-
-    ``ev`` are the drift-matrix eigenvalues at s, as ``eigenvalues``
-    returns them, when the caller has already computed them (the noise
-    spectra take their poles from the same decomposition).
 
     Raises
     ------
@@ -127,8 +122,7 @@ def stability_verdict(p: PhysicalParams, d: DerivedParams,
         If the two tests disagree while the slowest eigenvalue is not
         within 1e-9 * omega_m of the imaginary axis.
     """
-    if ev is None:
-        ev = eigenvalues(drift_matrix(p, d, s))
+    ev = eigenvalues(drift_matrix(p, d, s))
     max_re = float(ev[0].real)
     eig_ok = max_re < 0.0
     rh_ok = routh_hurwitz_stable(p, d, s)

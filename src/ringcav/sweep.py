@@ -4,7 +4,7 @@ A sweep walks one axis (detuning, squeezing, laser power or bath
 temperature) across a uniform grid, evaluating both entanglement
 criteria at every point; unstable points are reported as such instead
 of aborting the scan.  Rows come back in grid order.  The rows, and the
-minimiser's grid, are solved as stacks of up to _CHUNK operating points
+minimiser's grids, are solved as stacks of up to _CHUNK operating points
 (one eigen-solve and one residue sum each); a row equals the
 ``entanglement_result`` at its point bit for bit.
 """
@@ -21,9 +21,8 @@ from .errors import (InvalidParameter, NumericalFailure, NoStablePoint,
                      RingCavError, UnstableOperatingPoint)
 from .model import DerivedParams, PhysicalParams, derive_params
 from .spectra import (QuadratureConfig, _product_sum, _variances,
-                      momentum_variance, q_plus_variance)
-# the verdict stays importable from here for callers that look it up
-# in this namespace
+                      q_plus_variance)
+# re-exported: callers look the verdict up in this namespace
 from .stability import stability_verdict  # noqa: F401
 from .steady import steady_state_at_detuning
 
@@ -189,19 +188,10 @@ class MinimizeResult:
     value: float
 
 
-def _variance_at(p: PhysicalParams, d: DerivedParams, delta: float,
-                 quad: QuadratureConfig) -> float:
-    """Variance at one detuning; +inf when the point is unstable."""
-    s = steady_state_at_detuning(p, d, delta)
-    try:
-        return momentum_variance(p, d, s, quad)
-    except UnstableOperatingPoint:
-        return math.inf
-
-
 def _grid_variances(p: PhysicalParams, d: DerivedParams, deltas,
                     quad: QuadratureConfig) -> list[float]:
-    """_variance_at over the detunings, solved in stacks."""
+    """The variance at each detuning, +inf where the point is unstable,
+    solved in stacks."""
     values = []
     for _, vp in _stacked(lambda x: (p, d, steady_state_at_detuning(p, d, x)),
                           deltas, quad.cutoff):
@@ -214,7 +204,8 @@ def _grid_variances(p: PhysicalParams, d: DerivedParams, deltas,
 
 
 _GRID_POINTS = 256
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# points per refinement grid: two bring the default bracket below 1e-4 wm
+_REFINE_POINTS = 24
 
 
 def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
@@ -231,8 +222,10 @@ def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
     quad:
         The integration window; the default applies when omitted.
 
-    A coarse grid locates the basin, golden-section refines it to
-    1e-4 * omega_m, and the best point seen anywhere is returned.
+    A coarse grid locates the basin; grids of _REFINE_POINTS over the
+    best point's bracket refine it while that is wider than
+    1e-4 * omega_m and still shrinks.  Each grid is one stack, and the
+    best point seen anywhere is returned.
 
     Raises
     ------
@@ -241,47 +234,27 @@ def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
     """
     lo, hi = window
     wm = p.mech_freq
-    a = lo * wm
-    b = hi * wm
+    a, b = lo * wm, hi * wm
     # the grid divides the span b - a, which must not overflow
     if not (math.isfinite(b - a) and a < b):
         raise InvalidParameter("window", window,
                                "finite in rad/s with low < high")
 
-    # the grid is one stack; golden-section probes go one at a time
-    grid = [float(x) for x in np.linspace(a, b, _GRID_POINTS)]
-    values = _grid_variances(p, d, grid, quad)
-    i = int(np.argmin(values))
-    best_delta = grid[i]
-    best_value = values[i]
-    if not math.isfinite(best_value):
-        raise NoStablePoint(
-            f"no stable operating point for detuning in "
-            f"[{a!r}, {b!r}] rad/s")
-
-    def probe(delta: float) -> float:
-        nonlocal best_delta, best_value
-        v = _variance_at(p, d, delta, quad)
-        if v < best_value:
-            best_value = v
-            best_delta = delta
-        return v
-
-    left = grid[max(i - 1, 0)]
-    right = grid[min(i + 1, _GRID_POINTS - 1)]
-
-    x1 = right - _INVPHI * (right - left)
-    x2 = left + _INVPHI * (right - left)
-    f1 = probe(x1)
-    f2 = probe(x2)
-    while right - left > 1e-4 * wm:
-        if f1 <= f2:
-            right, x2, f2 = x2, x1, f1
-            x1 = right - _INVPHI * (right - left)
-            f1 = probe(x1)
-        else:
-            left, x1, f1 = x1, x2, f2
-            x2 = left + _INVPHI * (right - left)
-            f2 = probe(x2)
-
-    return MinimizeResult(delta_star=best_delta, value=best_value)
+    grid = np.linspace(a, b, _GRID_POINTS)
+    best_delta, best_value, width = math.nan, math.inf, b - a
+    while True:
+        grid = [float(x) for x in grid]
+        values = _grid_variances(p, d, grid, quad)
+        i = int(np.argmin(values))
+        if values[i] < best_value:
+            best_delta, best_value = grid[i], values[i]
+        if not math.isfinite(best_value):
+            raise NoStablePoint("no stable operating point for detuning "
+                                f"in [{a!r}, {b!r}] rad/s")
+        left = grid[max(i - 1, 0)]
+        right = grid[min(i + 1, len(grid) - 1)]
+        # a bracket a few floats wide can stop shrinking above 1e-4 wm
+        if not 1e-4 * wm < right - left < width:
+            return MinimizeResult(delta_star=best_delta, value=best_value)
+        width = right - left
+        grid = np.linspace(left, right, _REFINE_POINTS)

@@ -622,6 +622,9 @@ def _any_run(draw):
 @example((["branches", "--delta-per-wm=1.5", "--power-mw=0"],
           "[params]\nkappa_hz = 1e300\n"))
 @example((["point", "--delta-per-wm=0.965", "--r=315"], None))
+# the float spacing of the detuning exceeds the refinement tolerance
+@example((["minimize", "--window", "999999999990", "999999999999"],
+          "[params]\nkappa_rad_s = 5950176485899.068\n"))
 def test_any_argv_and_config_exit_cleanly(case):
     # every failure leaves as a RingCavError with its exit code; the
     # pytest settings turn a numpy RuntimeWarning into an exception

@@ -144,15 +144,47 @@ def test_minimize_respects_refinement_tolerance(baseline):
 
 
 def test_minimize_stubbed_constant(baseline, monkeypatch):
-    # the grid is solved as one stack, the golden-section probes singly
+    # every grid, the coarse one and the refinements, is one stack
     p, d = baseline
     monkeypatch.setattr(sweep_mod, "_grid_variances",
                         lambda p, d, deltas, quad: [7.25] * len(deltas))
-    monkeypatch.setattr(sweep_mod, "_variance_at",
-                        lambda *args: 7.25)
     res = rc.minimize_over_detuning(p, d, (0.5, 1.5))
     assert res.value == 7.25
     assert 0.5 * p.mech_freq <= res.delta_star <= 1.5 * p.mech_freq
+
+
+def test_minimize_ends_when_the_bracket_stops_shrinking(monkeypatch):
+    # at kappa = 1e6 omega_m and a window near 1e12 omega_m the float
+    # spacing of the detuning (1024 rad/s) exceeds 1e-4 omega_m, so the
+    # bracket never reaches the tolerance. The grids, and the steady
+    # states that any evaluation route solves, are bounded so that a
+    # loop that does not end fails rather than hangs
+    p = rc.baseline_params(cavity_decay=5950176485899.068)
+    d = rc.derive_params(p)
+    window = (999999999990.0, 999999999999.0)
+    grids, points = [], []
+    grid_variances = sweep_mod._grid_variances
+    steady = sweep_mod.steady_state_at_detuning
+
+    def counted_grid(*args):
+        grids.append(args)
+        if len(grids) > 100:
+            raise RuntimeError("the refinement does not end")
+        return grid_variances(*args)
+
+    def counted_point(*args):
+        points.append(args)
+        if len(points) > 100 * sweep_mod._GRID_POINTS:
+            raise RuntimeError("the minimiser does not end")
+        return steady(*args)
+
+    monkeypatch.setattr(sweep_mod, "_grid_variances", counted_grid)
+    monkeypatch.setattr(sweep_mod, "steady_state_at_detuning", counted_point)
+    res = rc.minimize_over_detuning(p, d, window)
+    wm = p.mech_freq
+    assert window[0] * wm <= res.delta_star <= window[1] * wm
+    assert math.isfinite(res.value)
+    assert len(grids) < 10
 
 
 def test_minimize_no_stable_point():
@@ -225,36 +257,36 @@ def test_sweep_rows_equal_point_results_bit_for_bit(axis, start, stop,
 
 
 def _minimize_reference(p, d, window):
-    """The minimiser probe by probe: momentum_variance at each point."""
+    """The minimiser point by point: momentum_variance at every point
+    of the coarse grid and of each refinement grid."""
     wm = p.mech_freq
     best = [math.nan, math.inf]
 
-    def probe(x):
-        try:
-            v = rc.momentum_variance(p, d,
-                                     rc.steady_state_at_detuning(p, d, x))
-        except rc.UnstableOperatingPoint:
-            v = math.inf
-        if v < best[1]:
-            best[:] = [x, v]
-        return v
+    def variances(grid):
+        values = []
+        for x in grid:
+            try:
+                v = rc.momentum_variance(
+                    p, d, rc.steady_state_at_detuning(p, d, x))
+            except rc.UnstableOperatingPoint:
+                v = math.inf
+            if v < best[1]:
+                best[:] = [x, v]
+            values.append(v)
+        return values
 
-    grid = np.linspace(window[0] * wm, window[1] * wm, 256)
-    i = int(np.argmin([probe(float(x)) for x in grid]))
-    left, right = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, 255)])
-    k = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = right - k * (right - left), left + k * (right - left)
-    f1, f2 = probe(x1), probe(x2)
-    while right - left > 1e-4 * wm:
-        if f1 <= f2:
-            right, x2, f2 = x2, x1, f1
-            x1 = right - k * (right - left)
-            f1 = probe(x1)
-        else:
-            left, x1, f1 = x1, x2, f2
-            x2 = left + k * (right - left)
-            f2 = probe(x2)
-    return tuple(best)
+    lo, hi = window[0] * wm, window[1] * wm
+    grid = [float(x) for x in np.linspace(lo, hi, 256)]
+    width = hi - lo
+    while True:
+        values = variances(grid)
+        i = values.index(min(values))
+        left, right = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        if right - left <= 1e-4 * wm or right - left >= width:
+            return tuple(best)
+        width = right - left
+        grid = [float(x) for x in np.linspace(left, right,
+                                              sweep_mod._REFINE_POINTS)]
 
 
 @pytest.mark.parametrize("window", [(0.5, 1.5), (0.9, 1.05), (0.85, 1.1)])
@@ -262,6 +294,29 @@ def test_minimize_matches_probe_by_probe(baseline, window):
     p, d = baseline
     res = rc.minimize_over_detuning(p, d, window)
     assert (res.delta_star, res.value) == _minimize_reference(p, d, window)
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0, 2.0])
+def test_minimize_finds_the_dense_scan_minimum(r):
+    # against a 1e-6 omega_m detuning sweep around the minimum of a
+    # 1e-3 omega_m sweep over the widest window
+    p = rc.baseline_params(squeeze_r=r)
+    d = rc.derive_params(p)
+    wm = p.mech_freq
+
+    def scan(start, stop, points):
+        rows = rc.run_sweep(rc.SweepSpec(axis=rc.SweepAxis.DETUNING,
+                                         start=start, stop=stop,
+                                         points=points, fixed=p))
+        return min((row for row in rows if row.stable),
+                   key=lambda row: row.var_p_minus)
+
+    coarse = scan(0.3 * wm, 1.7 * wm, 1401).axis_value
+    dense = scan(coarse - 2e-3 * wm, coarse + 2e-3 * wm, 4001)
+    for window in [(0.5, 1.5), (0.9, 1.05), (0.85, 1.1), (0.3, 1.7)]:
+        res = rc.minimize_over_detuning(p, d, window)
+        assert abs(res.delta_star - dense.axis_value) <= 5e-5 * wm, window
+        assert res.value == pytest.approx(dense.var_p_minus, rel=1e-7)
 
 
 def test_failing_row_is_not_masked_by_the_rows_before_it():
@@ -325,8 +380,7 @@ def test_unstable_rows_mid_stack_leave_their_neighbours_be():
 
 def test_eigen_solves_per_sweep_and_minimiser(baseline, monkeypatch):
     # one stacked eigen-solve and one column-wise row build per chunk of
-    # rows and for the minimiser's grid, one per golden-section probe:
-    # no row-by-row fallback
+    # rows and per minimiser grid: no row-by-row fallback
     p, d = baseline
     wm = p.mech_freq
     solves = []
@@ -353,20 +407,16 @@ def test_eigen_solves_per_sweep_and_minimiser(baseline, monkeypatch):
 
     solves.clear()
     builds.clear()
-    probes = []
-    variance_at = sweep_mod._variance_at
+    grids = []
+    grid_variances = sweep_mod._grid_variances
 
-    def probe(*args):
-        probes.append(args)
-        return variance_at(*args)
+    def counted_grid(*args):
+        grids.append(len(args[2]))
+        return grid_variances(*args)
 
-    monkeypatch.setattr(sweep_mod, "_variance_at", probe)
+    monkeypatch.setattr(sweep_mod, "_grid_variances", counted_grid)
     rc.minimize_over_detuning(p, d)
-    assert 0 < len(probes) < 40
-    assert len(solves) <= (math.ceil(sweep_mod._GRID_POINTS
-                                     / sweep_mod._CHUNK) + len(probes))
-    assert len(builds) == (math.ceil(sweep_mod._GRID_POINTS
-                                     / sweep_mod._CHUNK) + len(probes))
-    # the probes' builds run on floats, the grid's on arrays
-    assert builds.count(()) == len(probes)
-
+    assert grids == [sweep_mod._GRID_POINTS] + 2 * [sweep_mod._REFINE_POINTS]
+    assert len(solves) == len(builds) == len(grids)
+    # every build runs on a stack's arrays, none on one point's floats
+    assert builds.count(()) == 0
