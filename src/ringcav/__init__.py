@@ -18,9 +18,9 @@ from .errors import (ConfigError, InternalInconsistency, InvalidParameter,
 from .model import (DerivedParams, Geometry, PhysicalParams,
                     baseline_params, derive_params, validate)
 from .quadrature import QuadResult, integrate_adaptive
-from .spectra import (EntanglementResult, IntegrandTerms, QuadratureConfig,
-                      d_of_omega, entanglement_result, integrand_terms,
-                      momentum_variance, q_plus_variance)
+from .spectra import (EntanglementResult, QuadratureConfig, d_of_omega,
+                      entanglement_result, momentum_variance,
+                      q_plus_variance)
 from .stability import (StabilityVerdict, drift_matrix, eigenvalues,
                         routh_hurwitz_stable, stability_verdict)
 from .steady import (SteadyState, find_steady_branches,
@@ -55,9 +55,8 @@ __all__ = [
     "StabilityVerdict", "drift_matrix", "eigenvalues",
     "routh_hurwitz_stable", "stability_verdict",
     "QuadResult", "integrate_adaptive",
-    "QuadratureConfig", "IntegrandTerms", "EntanglementResult",
-    "d_of_omega", "integrand_terms", "momentum_variance",
-    "q_plus_variance", "entanglement_result",
+    "QuadratureConfig", "EntanglementResult", "d_of_omega",
+    "momentum_variance", "q_plus_variance", "entanglement_result",
     "SweepAxis", "SweepSpec", "SweepRow", "MinimizeResult", "run_sweep",
     "minimize_over_detuning",
     "RunConfig", "parse_config", "serialize_config", "main",

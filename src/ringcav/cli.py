@@ -26,8 +26,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .errors import (ConfigError, InternalInconsistency, InvalidParameter,
-                     NoStablePoint, NumericalFailure, ParseError,
-                     UnknownKey, UnstableOperatingPoint, ValidationError)
+                     ParseError, RingCavError, UnknownKey, ValidationError)
 from .model import (Geometry, PhysicalParams, baseline_params,
                     derive_params, validate)
 from .spectra import QuadratureConfig, entanglement_result
@@ -378,7 +377,8 @@ def _load_config(ns: argparse.Namespace) -> RunConfig:
         cfg = replace(_DEFAULTS, provenance=("no config file; package "
                                              "defaults in effect",))
     else:
-        with open(ns.config, "r", encoding="utf-8") as fh:
+        # utf-8-sig: a byte-order mark before the first line is not text
+        with open(ns.config, "r", encoding="utf-8-sig") as fh:
             cfg = parse_config(fh.read())
     for line in cfg.provenance:
         print(f"config: {line}", file=sys.stderr)
@@ -520,8 +520,7 @@ def main(argv: list[str] | None = None) -> int:
             UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (NumericalFailure, UnstableOperatingPoint, NoStablePoint,
-            InternalInconsistency) as err:
+    except RingCavError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -45,10 +44,8 @@ from .steady import SteadyState, steady_state_at_detuning
 
 __all__ = [
     "QuadratureConfig",
-    "IntegrandTerms",
     "EntanglementResult",
     "d_of_omega",
-    "integrand_terms",
     "momentum_variance",
     "q_plus_variance",
     "entanglement_result",
@@ -121,103 +118,6 @@ def d_of_omega(omega, p: PhysicalParams, d: DerivedParams,
            + (wm * wm - w * w - 1j * d.gamma_m * w)
            * ((kappa - 1j * w) ** 2 + delta * delta))
     return out if out.shape else complex(out)
-
-
-def _thermal_weight(p: PhysicalParams) -> Callable[[np.ndarray], np.ndarray]:
-    """omega * (1 + coth(hbar omega / 2 kB T)) as a vectorised function.
-
-    Written as 2 omega / (1 - exp(-hbar omega / kB T)) to stay finite for
-    negative arguments, continued by its limit 2 kB T / hbar at omega = 0.
-    At T = 0 it degenerates to 2 omega for positive omega and 0 otherwise.
-    """
-    if p.bath_temp > 0.0:
-        alpha = HBAR / (2.0 * KB * p.bath_temp)
-
-        def weight(w: np.ndarray) -> np.ndarray:
-            x = np.clip(alpha * w, -700.0, 700.0)
-            with np.errstate(over="ignore"):
-                return np.where(x == 0.0, 2.0 / alpha,
-                                2.0 * w / -np.expm1(-2.0 * x))
-    else:
-        def weight(w: np.ndarray) -> np.ndarray:
-            return np.where(w > 0.0, 2.0 * w, 0.0)
-
-    return weight
-
-
-def _numerators(w, p: PhysicalParams, d: DerivedParams, s: SteadyState):
-    """Numerator polynomials of the three spectral pieces; complex w too.
-
-    a(w) = (squeezed + 2 gamma_m / omega_m * W(w) * bath) / (d(w) d(-w))
-    with W the bath weight, b(w) = corr_b / (d(w) d(2 omega_m - w)) and
-    c(w) = corr_c / (d(w) d(-2 omega_m - w)).
-    """
-    kappa = p.cavity_decay
-    delta = s.detuning
-    nsq = d.n_squeeze
-    pref = 8.0 * kappa * d.coupling_g ** 2 * d.chi ** 2
-    squeezed = pref * s.photon_number * (
-        (nsq + 1.0) * (kappa ** 2 + (delta + w) ** 2)
-        + nsq * (kappa ** 2 + (delta - w) ** 2))
-    bath = ((delta ** 2 + kappa ** 2 - w * w) ** 2
-            + 4.0 * kappa ** 2 * w * w)
-    corr_b = (pref * np.conj(s.amplitude) ** 2 * d.m_squeeze
-              * (kappa - 1j * (delta + w))
-              * (kappa - 1j * (delta + 2.0 * p.mech_freq - w)))
-    corr_c = (pref * s.amplitude ** 2 * np.conj(d.m_squeeze)
-              * (kappa + 1j * (delta - w))
-              * (kappa + 1j * (delta + 2.0 * p.mech_freq + w)))
-    return squeezed, bath, corr_b, corr_c
-
-
-def _raw_terms(w, p: PhysicalParams, d: DerivedParams, s: SteadyState,
-               thermal: Callable[[np.ndarray], np.ndarray]):
-    """The three spectral pieces a(w), b(w), c(w) on an array w."""
-    wm = p.mech_freq
-    squeezed, bath, corr_b, corr_c = _numerators(w, p, d, s)
-    dw = d_of_omega(w, p, d, s)
-    dmw = np.conj(dw)  # d(-w)
-    a = ((squeezed + 2.0 * d.gamma_m / wm * thermal(w) * bath)
-         / (dw * dmw))
-    b = corr_b / (dw * d_of_omega(2.0 * wm - w, p, d, s))
-    c = corr_c / (dw * d_of_omega(-2.0 * wm - w, p, d, s))
-    return a, b, c
-
-
-@dataclass(frozen=True)
-class IntegrandTerms:
-    """The spectral density at one frequency, split into its pieces.
-
-    ``total`` is omega^2 a + omega (omega - 2 omega_m) b
-    + omega (omega + 2 omega_m) c; it is complex pointwise and real only
-    after combining +/- omega, since c(-omega) = conj(b(omega)).
-    """
-
-    omega: float
-    a_term: float
-    b_term: complex
-    c_term: complex
-    total: complex
-
-
-def integrand_terms(omega: float, p: PhysicalParams, d: DerivedParams,
-                    s: SteadyState) -> IntegrandTerms:
-    """Evaluate the three spectral pieces at a single frequency (rad/s)."""
-    w = np.asarray([float(omega)])
-    thermal = _thermal_weight(p)
-    a, b, c = _raw_terms(w, p, d, s, thermal)
-    a_val = complex(a[0])
-    if abs(a_val.imag) > 1e-10 * max(abs(a_val.real), 1e-300):
-        raise NumericalFailure(
-            f"phase-insensitive spectral piece came out complex: {a_val!r}")
-    wm = p.mech_freq
-    b_val = complex(b[0])
-    c_val = complex(c[0])
-    total = (omega ** 2 * a_val.real
-             + omega * (omega - 2.0 * wm) * b_val
-             + omega * (omega + 2.0 * wm) * c_val)
-    return IntegrandTerms(omega=float(omega), a_term=a_val.real,
-                          b_term=b_val, c_term=c_val, total=total)
 
 
 def _binet(z: np.ndarray) -> np.ndarray:
@@ -448,11 +348,14 @@ def _columns(wm, kappa, temp, gm, g, chi, nsq, mre, mim, delta, u, v, n,
     The same arithmetic runs on one point's floats and on a stack's
     arrays, so that a stack gives the bits of its points alone; the
     complex products are written out in real arithmetic to that end.
-    The numerators of _numerators are expanded around g = w (w - s) for
-    the pieces' shifts s = 0, 2 omega_m, -2 omega_m, as alpha (beta + g)
-    + gamma w: squeezed = A (kd2 + g) + A' w for a, with kd2 = kappa^2
-    + delta^2, corr = C (c0 + g) for b and c; and bath = (kd2 - g)^2
-    + k4 g.
+    The pieces' numerators are expanded around g = w (w - s) for their
+    shifts s = 0, 2 omega_m, -2 omega_m, as alpha (beta + g) + gamma w.
+    With pref = 8 kappa (g chi)^2 at the coupling g and kd2 = kappa^2 +
+    delta^2, a's squeezed part pref n ((N + 1) (kappa^2 + (delta + w)^2)
+    + N (kappa^2 + (delta - w)^2)) is A (kd2 + g) + A' w, its bath part
+    (kd2 - w^2)^2 + 4 kappa^2 w^2 is (kd2 - g)^2 + k4 g, and b's pref
+    conj(c_s)^2 M (kappa - i (delta + w)) (kappa - i (delta + 2 omega_m
+    - w)) is C (c0 + g); c mirrors b.
     """
     zero = 0.0 * wm  # in the inputs' shape (omega_m > 0)
     lim = cutoff * wm

@@ -37,7 +37,8 @@ __all__ = [
 
 
 class SweepAxis(enum.Enum):
-    """Which quantity a sweep varies; values name the config spelling."""
+    """Which quantity a sweep varies; values are the config spelling
+    and, but for detuning, the PhysicalParams field the axis sets."""
 
     DETUNING = "detuning"
     SQUEEZE_R = "squeeze_r"
@@ -102,13 +103,6 @@ class SweepRow:
     branch_note: str | None = None
 
 
-_AXIS_FIELD = {
-    SweepAxis.SQUEEZE_R: "squeeze_r",
-    SweepAxis.LASER_POWER: "laser_power",
-    SweepAxis.BATH_TEMP: "bath_temp",
-}
-
-
 # operating points per stacked solve: bounds the memory of a long sweep
 _CHUNK = 256
 
@@ -168,7 +162,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         def point(v):
             return spec.fixed, d, steady_state_at_detuning(spec.fixed, d, v)
     else:
-        field = _AXIS_FIELD[spec.axis]
+        field = spec.axis.value
 
         def point(v):
             p = replace(spec.fixed, **{field: v})

@@ -1,11 +1,12 @@
 """Independent re-derivations used as oracles by the tests.
 
 Everything here is written straight from the defining formulas with
-plain numpy and a dense trapezoid rule, sharing no code with the
-package under test, so agreement between the two is evidence rather
-than tautology.  The one exception is ``breakpoints``, the starting mesh
-of the adaptive reference: it takes the package's eigenvalues, but only
-guides the integrator, whose own error control decides the value.
+plain numpy (a dense trapezoid rule, Kronecker-product solves), sharing
+no code with the package under test, so agreement between the two is
+evidence rather than tautology.  The exceptions are the adaptive
+reference's density and mesh: ``raw_terms`` takes the package's
+``d_of_omega``, and ``breakpoints`` its eigenvalues, which only guide
+the integrator, whose own error control decides the value.
 """
 
 import numpy as np
@@ -99,6 +100,115 @@ def breakpoints(p, d, s, cutoff):
     if mesh[-1] != lim:
         mesh = np.concatenate([mesh, [lim]])
     return mesh
+
+
+def thermal_weight(p):
+    """omega * (1 + coth(hbar omega / 2 kB T)) as a vectorised function.
+
+    Written as 2 omega / (1 - exp(-hbar omega / kB T)) to stay finite for
+    negative arguments, continued by its limit 2 kB T / hbar at omega = 0.
+    At T = 0 it degenerates to 2 omega for positive omega and 0 otherwise.
+    """
+    if p.bath_temp > 0.0:
+        alpha = HBAR / (2.0 * KB * p.bath_temp)
+
+        def weight(w):
+            x = np.clip(alpha * w, -700.0, 700.0)
+            with np.errstate(over="ignore"):
+                return np.where(x == 0.0, 2.0 / alpha,
+                                2.0 * w / -np.expm1(-2.0 * x))
+    else:
+        def weight(w):
+            return np.where(w > 0.0, 2.0 * w, 0.0)
+
+    return weight
+
+
+def numerators(w, p, d, s):
+    """Numerator polynomials of the three spectral pieces; complex w too.
+
+    a(w) = (squeezed + 2 gamma_m / omega_m * W(w) * bath) / (d(w) d(-w))
+    with W the bath weight, b(w) = corr_b / (d(w) d(2 omega_m - w)) and
+    c(w) = corr_c / (d(w) d(-2 omega_m - w)).
+    """
+    kappa = p.cavity_decay
+    delta = s.detuning
+    nsq = d.n_squeeze
+    pref = 8.0 * kappa * d.coupling_g ** 2 * d.chi ** 2
+    squeezed = pref * s.photon_number * (
+        (nsq + 1.0) * (kappa ** 2 + (delta + w) ** 2)
+        + nsq * (kappa ** 2 + (delta - w) ** 2))
+    bath = ((delta ** 2 + kappa ** 2 - w * w) ** 2
+            + 4.0 * kappa ** 2 * w * w)
+    corr_b = (pref * np.conj(s.amplitude) ** 2 * d.m_squeeze
+              * (kappa - 1j * (delta + w))
+              * (kappa - 1j * (delta + 2.0 * p.mech_freq - w)))
+    corr_c = (pref * s.amplitude ** 2 * np.conj(d.m_squeeze)
+              * (kappa + 1j * (delta - w))
+              * (kappa + 1j * (delta + 2.0 * p.mech_freq + w)))
+    return squeezed, bath, corr_b, corr_c
+
+
+def raw_terms(w, p, d, s, thermal):
+    """The three spectral pieces a(w), b(w), c(w) on an array w."""
+    import ringcav as rc
+
+    wm = p.mech_freq
+    squeezed, bath, corr_b, corr_c = numerators(w, p, d, s)
+    dw = rc.d_of_omega(w, p, d, s)
+    dmw = np.conj(dw)  # d(-w)
+    a = ((squeezed + 2.0 * d.gamma_m / wm * thermal(w) * bath)
+         / (dw * dmw))
+    b = corr_b / (dw * rc.d_of_omega(2.0 * wm - w, p, d, s))
+    c = corr_c / (dw * rc.d_of_omega(-2.0 * wm - w, p, d, s))
+    return a, b, c
+
+
+def lyapunov_squeezed_variance(wavelength, cavity_length, mirror_mass,
+                               kappa, wm, quality, fold_angle, power, r,
+                               phase, delta):
+    """The squeezed-light part of the coupled-momentum variance, from
+    the stationary covariance of the linearised dynamics.
+
+    In (Q, P, x, y), with G = 2 g chi and the amplitude c_s = u + i v:
+    dQ = wm P, dP = -wm Q - gm P - G (u x + v y), dx = -kappa x + delta y
+    + G v Q, dy = -kappa y - delta x - G u Q, plus noise on x and y.  V
+    solves A V + V A^T + D_N = 0 with D_N = kappa (2N + 1) on the (x, y)
+    block; W solves (A + i wm) W + W (A + i wm)^T + D_M = 0 with D_M =
+    2 kappa [[M/2, -iM/2], [-iM/2, -M/2]] there (Vitali et al., PRL 98,
+    030405, 2007).  Each is one 16x16 Kronecker solve.  The result is
+    2 V_PP + 4 Re W_PP: the variance without the mirror bath, over the
+    whole frequency axis.
+    """
+    gm = wm / quality
+    wl = 2.0 * np.pi * C_LIGHT / wavelength
+    g = (wl / cavity_length) * np.sqrt(HBAR / (mirror_mass * wm))
+    chi = np.cos(0.5 * fold_angle) ** 2
+    eps = np.sqrt(2.0 * kappa * power / (HBAR * wl))
+    cs = eps / (kappa + 1j * delta)
+    u, v = cs.real, cs.imag
+    nsq = np.sinh(r) ** 2
+    msq = np.sinh(r) * np.cosh(r) * np.exp(1j * phase)
+    gu, gv = 2.0 * g * chi * u, 2.0 * g * chi * v
+    a = np.array([[0.0, wm, 0.0, 0.0],
+                  [-wm, -gm, -gu, -gv],
+                  [gv, 0.0, -kappa, delta],
+                  [-gu, 0.0, -delta, -kappa]])
+    eye = np.eye(4)
+
+    def solve(drift, noise):
+        # drift X + X drift^T = -noise, row-major vectorised
+        kron = np.kron(drift, eye) + np.kron(eye, drift)
+        return np.linalg.solve(kron, -noise.ravel()).reshape(4, 4)
+
+    d_n = np.zeros((4, 4))
+    d_n[2:, 2:] = kappa * (2.0 * nsq + 1.0) * np.eye(2)
+    d_m = np.zeros((4, 4), dtype=complex)
+    d_m[2:, 2:] = 2.0 * kappa * np.array([[msq / 2, -1j * msq / 2],
+                                          [-1j * msq / 2, -msq / 2]])
+    cov = solve(a, d_n)
+    corr = solve(a + 1j * wm * eye, d_m)
+    return float(2.0 * cov[1, 1] + 4.0 * corr[1, 1].real)
 
 
 def characteristic_polynomial_roots(kappa, wm, gm, delta, g, chi, n):

@@ -180,7 +180,8 @@ def test_criterion_09_property_suite():
             dr.n_squeeze * (dr.n_squeeze + 1.0), rel=1e-10, abs=1e-12)
 
     # imaginary residue of the variance integral stays below 1e-8
-    from ringcav.spectra import _raw_terms, _thermal_weight
+    from oracles import (raw_terms as _raw_terms,
+                         thermal_weight as _thermal_weight)
     thermal = _thermal_weight(p)
 
     def density(w):

@@ -475,6 +475,20 @@ def test_os_and_decode_failures_exit_1(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [BASELINE_CFG, "[params]\nsqueeze_r = 0.5\n"])
+def test_byte_order_mark_is_not_config_text(text, tmp_path, capsys):
+    # a UTF-8 byte-order mark before a top-level key or a section header
+    plain = tmp_path / "plain.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / "marked.cfg"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    want, got = (run(["point", "--delta-per-wm", "0.965", "--config",
+                      str(path)], capsys) for path in (plain, marked))
+    assert want[0] == 0
+    assert got == want
+
+
 def test_unstable_config_value_exits_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[params]\nmirror_mass = -1\n")

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringcav as rc
-from oracles import (breakpoints as _breakpoints, mpmath_momentum_variance,
+from oracles import (breakpoints as _breakpoints, lyapunov_squeezed_variance,
+                     mpmath_momentum_variance, raw_terms, thermal_weight,
                      trapezoid_momentum_variance)
 from ringcav.constants import HBAR, KB
-from ringcav.spectra import (_BL, _ZFAC, _binet, _exp_e1, _raw_terms,
-                             _row_matrix, _thermal_weight, _variances)
+from ringcav.spectra import (_BL, _SCALE, _ZFAC, _binet, _exp_e1,
+                             _row_matrix, _variances)
 
 DELTA_965 = 5741920.308892601
 
@@ -65,18 +66,22 @@ def test_response_denominator_equals_char_poly(baseline):
         assert det == pytest.approx(rc.d_of_omega(w, p, d, s), rel=1e-10)
 
 
+def _pieces(omega, p, d, s):
+    # a(w), b(w) and c(w) at one frequency; a is real up to rounding
+    a, b, c = (complex(x[0]) for x in raw_terms(
+        np.array([float(omega)]), p, d, s, thermal_weight(p)))
+    assert abs(a.imag) <= 1e-10 * max(abs(a.real), 1e-300)
+    return a.real, b, c
+
+
 def test_integrand_terms_frozen_values(baseline):
     p, d, s = _ref_state(baseline)
-    t = rc.integrand_terms(p.mech_freq, p, d, s)
-    assert t.a_term == pytest.approx(A_AT_WM, rel=1e-12)
-    assert t.b_term.real == pytest.approx(B_AT_WM.real, rel=1e-12)
-    assert t.b_term.imag == pytest.approx(B_AT_WM.imag, rel=1e-12)
-    assert t.c_term.real == pytest.approx(C_AT_WM.real, rel=1e-11)
-    assert t.c_term.imag == pytest.approx(C_AT_WM.imag, rel=1e-11)
-    wm = p.mech_freq
-    expect_total = (wm ** 2 * t.a_term + wm * (wm - 2 * wm) * t.b_term
-                    + wm * (wm + 2 * wm) * t.c_term)
-    assert t.total == expect_total
+    a, b, c = _pieces(p.mech_freq, p, d, s)
+    assert a == pytest.approx(A_AT_WM, rel=1e-12)
+    assert b.real == pytest.approx(B_AT_WM.real, rel=1e-12)
+    assert b.imag == pytest.approx(B_AT_WM.imag, rel=1e-12)
+    assert c.real == pytest.approx(C_AT_WM.real, rel=1e-11)
+    assert c.imag == pytest.approx(C_AT_WM.imag, rel=1e-11)
 
 
 @settings(deadline=None, max_examples=40)
@@ -88,11 +93,10 @@ def test_correlation_terms_pair_up(frac, phase):
     d = rc.derive_params(p)
     s = rc.steady_state_at_detuning(p, d, DELTA_965)
     w = frac * 1e5 + 17.3  # avoid the exact w = 0 sample
-    fwd = rc.integrand_terms(w, p, d, s)
-    bwd = rc.integrand_terms(-w, p, d, s)
-    assert bwd.c_term == pytest.approx(np.conj(fwd.b_term),
-                                       rel=1e-9, abs=1e-40)
-    assert bwd.a_term == pytest.approx(fwd.a_term, rel=1e-9)
+    a_fwd, b_fwd, _ = _pieces(w, p, d, s)
+    a_bwd, _, c_bwd = _pieces(-w, p, d, s)
+    assert c_bwd == pytest.approx(np.conj(b_fwd), rel=1e-9, abs=1e-40)
+    assert a_bwd == pytest.approx(a_fwd, rel=1e-9)
 
 
 @settings(deadline=None, max_examples=40)
@@ -101,8 +105,8 @@ def test_phase_insensitive_piece_nonnegative(frac):
     p = rc.baseline_params()
     d = rc.derive_params(p)
     s = rc.steady_state_at_detuning(p, d, DELTA_965)
-    t = rc.integrand_terms(frac * p.mech_freq + 3.7, p, d, s)
-    assert t.a_term >= 0.0
+    a, _, _ = _pieces(frac * p.mech_freq + 3.7, p, d, s)
+    assert a >= 0.0
 
 
 def test_variance_reference_value(baseline):
@@ -221,10 +225,10 @@ def _adaptive_variance(p, d, s, cutoff=50.0, rel_tol=1e-12):
     # the adaptive route, assembled as criterion 9 does, at tolerances
     # tight enough to serve as the reference
     wm = p.mech_freq
-    thermal = _thermal_weight(p)
+    thermal = thermal_weight(p)
 
     def density(w):
-        a, b, c = _raw_terms(w, p, d, s, thermal)
+        a, b, c = raw_terms(w, p, d, s, thermal)
         return w * w * a + w * (w - 2 * wm) * b + w * (w + 2 * wm) * c
 
     res = rc.integrate_adaptive(density, _breakpoints(p, d, s, cutoff),
@@ -295,6 +299,34 @@ def test_residue_route_agrees_with_adaptive_route():
         worst = max(worst, rel)
         assert rel <= 1e-9, (p, delta / p.mech_freq, cutoff, rel)
     print(f"worst residue/adaptive deviation {worst:.1e}")
+
+
+def test_squeezed_part_matches_lyapunov_oracle(monkeypatch):
+    # without the mirror bath (its _SCALE column zeroed) the residue sum
+    # over a wide window is the squeezed-light part alone, which the
+    # stationary covariance of the dynamics gives exactly
+    columns = rc.spectra._columns
+
+    def no_bath(*args):
+        cols = list(columns(*args))
+        cols[_SCALE] = 0.0 * cols[_SCALE]
+        return tuple(cols)
+
+    monkeypatch.setattr(rc.spectra, "_columns", no_bath)
+    points = []
+    for p, delta, _ in _route_cases()[:250]:
+        d = rc.derive_params(p)
+        points.append((p, d, rc.steady_state_at_detuning(p, d, delta)))
+    worst = 0.0
+    for (p, d, s), ours in zip(points, _variances(points, 1e5)):
+        ref = lyapunov_squeezed_variance(
+            p.wavelength, p.cavity_length, p.mirror_mass, p.cavity_decay,
+            p.mech_freq, p.mech_quality, p.fold_angle, p.laser_power,
+            p.squeeze_r, p.squeeze_phase, s.detuning)
+        rel = abs(ours - ref) / abs(ref)
+        worst = max(worst, rel)
+        assert rel <= 1e-11, (p, s.detuning / p.mech_freq, rel)
+    print(f"worst residue/Lyapunov deviation {worst:.1e}")
 
 
 @pytest.mark.parametrize("power, delta_per_wm", [(3.8e-3, 0.0),

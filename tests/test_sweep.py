@@ -251,8 +251,8 @@ def test_sweep_rows_equal_point_results_bit_for_bit(axis, start, stop,
         if detuning:
             want = _point_row(p, r.axis_value, quad)
         else:
-            want = _point_row(replace(p, **{sweep_mod._AXIS_FIELD[axis]:
-                                            r.axis_value}), spec.delta, quad)
+            want = _point_row(replace(p, **{axis.value: r.axis_value}),
+                              spec.delta, quad)
         assert _row_tuple(r) == want, r.axis_value
 
 
