@@ -14,11 +14,13 @@ the frequency integral of a spectral density made of three pieces:
   and only their symmetric combination over +/- frequency is real.
 
 Every piece is a rational function of frequency except for the bath
-weight's Bose factor, and the poles are i times the drift-matrix
-eigenvalues (and their mirror images and 2 omega_m shifts), so the
-variance is summed exactly from residues, by a contour integral where
-poles nearly coincide.  The Bose part goes through Binet's formula less
-a closed-form tail, or the Bernoulli series of the Bose occupation.
+weight's Bose factor.  Its poles are the four r_j = i lambda_j (i times
+the drift-matrix eigenvalues) and their mirrors s - r_j, s = 0 or +/- 2
+omega_m, with opposite residues: the variance is summed exactly over
+the r_j with the mirrors folded in, by a contour integral where poles
+nearly coincide; the a piece's odd part integrates to zero.  The Bose
+part goes through Binet's formula less a closed-form tail, or the
+Bernoulli series of the Bose occupation.
 
 The variance of the orthogonal mechanical quadrature (the one decoupled
 from the light) stays thermal.  A product of the two variances below 1,
@@ -60,8 +62,9 @@ _IMAG_RESIDUAL = 1e-8
 # _RING, error 2^-64 (Trefethen & Weideman, SIAM Review 56, 385, 2014).
 _POLE_GAP = 1e-6
 _RING = np.exp(2j * np.pi * np.arange(64) / 64)
-# keeps an eigenvalue from counting as close to itself
+# an eigenvalue is not close to itself, nor a factor of its own P'(r_j)
 _DIAG4 = np.diag([np.inf] * 4)
+_EYE4 = np.eye(4)
 
 # B_2k / 2k for k = 1 ... 8: the coefficients of the series in 1 / z^2
 # that ln z - 1/(2z) - digamma(z) approaches at large z, and the powers
@@ -80,7 +83,6 @@ _B = [1.0]
 for _j in range(1, 61):
     _B.append(-sum(b / math.factorial(_j + 1 - k) for k, b in enumerate(_B)))
 _BERNOULLI = np.array(_B[2::2])
-_EYE8 = np.eye(8)
 
 
 @dataclass(frozen=True)
@@ -283,60 +285,59 @@ def _bernoulli_kernel(q: np.ndarray, bl: np.ndarray,
                * f[..., 1:]).sum(-1))
 
 
-def _simple_weights(grid: np.ndarray, gap: np.ndarray):
-    """1 / Q'(q) at each of the eight poles q of every piece of every
-    row of grid (n, 3, 8), and whether a row has a cluster: two
-    eigenvalues lambda_j closer than its gap (n, 1, 1), seen in
-    r_j - r_k = i (lambda_j - lambda_k)."""
-    diff = grid[..., :, None] - grid[..., None, :]  # the largest array
-    close = (np.abs(diff[:, 0, :4, :4]) + _DIAG4 < gap).any((1, 2))
-    diff += _EYE8
-    return 1.0 / diff.prod(-1), close
+def _simple_weights(r: np.ndarray, shift: np.ndarray, gap: np.ndarray):
+    """1 / Q'(r_j) at the four poles r_j = i lambda_j (n, 4) in every
+    piece, shift s (n, 3, 1), as (n, 3, 4), and whether a row has a
+    cluster: two eigenvalues closer than its gap (n, 1, 1).
+
+    Each piece's Q(w) = P(w) P(s - w), P the quartic with roots r_j, so
+    Q'(r_j) = P'(r_j) P(s - r_j), and the mirror pole s - r_j has the
+    opposite weight."""
+    diff = r[:, :, None] - r[:, None, :]
+    close = (np.abs(diff) + _DIAG4 < gap).any((1, 2))
+    mirror = (shift[..., None] - r[:, None, :, None]
+              - r[:, None, None, :]).prod(-1)  # the largest array
+    return 1.0 / ((diff + _EYE4).prod(-1)[:, None] * mirror), close
 
 
-def _nodes(grid: np.ndarray, simple: np.ndarray, ev: np.ndarray,
-           wm: float):
+def _nodes(r: np.ndarray, simple: np.ndarray, shift: np.ndarray,
+           gap: np.ndarray):
     """Points and weights of the three pieces' residue sums at a point
-    whose eigenvalues ev nearly coincide.
+    whose poles r (4) nearly coincide.
 
-    ``grid`` (3, 8) holds each piece's eight poles, the four r_j first,
-    and ``simple`` their weights 1 / Q'(q) as simple poles.  A cluster
-    (and, apart, its image across the real axis) gives way to circle
-    nodes z, weight (z - c) / (64 Q(z)).  The radius is half the smaller
-    of the centre's distances to the real axis and to the nearest other
-    pole; a cluster spread over more than half the radius stays simple
-    poles, whose residues cancel mildly."""
-    close = np.abs(ev[:, None] - ev) < _POLE_GAP * wm
-    single = np.ones(8, dtype=bool)
+    ``simple`` (3, 4) holds their weights 1 / Q'(r_j) as simple poles,
+    for the pieces' shifts ``shift`` (3, 1).  A cluster gives way to circle
+    nodes z, weight (z - c) / (64 Q(z)); its mirror circle s - z has the
+    opposite weights, which _residue_sums folds in as for a pole.  The
+    radius is half the smaller of the centre's distances to the real axis
+    and to the nearest other pole; a cluster spread over more than half
+    the radius stays simple poles, whose residues cancel mildly."""
+    close = np.abs(r[:, None] - r) < gap
+    single = np.ones(4, dtype=bool)
     points, weights = [], []
-    for row in {tuple(r) for r in np.linalg.matrix_power(close, 3)
-                if r.sum() > 1}:
+    for row in {tuple(k) for k in np.linalg.matrix_power(close, 3)
+                if k.sum() > 1}:
         row = np.array(row)
-        c = ev[row].mean()
-        radius = 0.5 * np.abs(ev[~row] - c).min(initial=abs(c.real))
-        if np.abs(ev[row] - c).max() < 0.5 * radius:
-            single &= ~np.tile(row, 2)
-            for cols in (np.r_[row, [False] * 4], np.r_[[False] * 4, row]):
-                z = grid[:, cols].mean(axis=1, keepdims=True) + radius * _RING
-                points.append(z)
-                weights.append(radius * _RING / (64.0 * (
-                    z[:, :, None] - grid[:, None, :]).prod(axis=2)))
-    return (np.concatenate([grid[:, single]] + points, axis=1),
+        c = r[row].mean()
+        radius = 0.5 * np.abs(r[~row] - c).min(initial=abs(c.imag))
+        if np.abs(r[row] - c).max() < 0.5 * radius:
+            single &= ~row
+            z = c + radius * _RING
+            points.append(z)
+            weights.append(radius * _RING / (64.0 * (z[:, None] - r).prod(1)
+                           * (shift[:, None] - z[:, None] - r).prod(2)))
+    return (np.concatenate([r[single]] + points),
             np.concatenate([simple[:, single]] + weights, axis=1))
 
 
 # The columns of a _row_matrix after the 17 of _stability_columns: the
-# window L, omega_m, 8 gamma_m / omega_m, the cluster gap, kt = kB T /
-# hbar, beta L (L where kt = 0), i / (2 pi kt) where Binet's formula
-# applies (else 0), k4, then for the pieces a, b, c each the numerators'
-# alpha, beta and gamma and the shift s.
-_L, _WM, _SCALE, _GAP, _KT, _BL, _ZFAC, _K4 = range(17, 25)
-_ALPHA, _BETA, _GAMMA, _SHIFT = range(25, 37, 3)
-# the poles of the three pieces from the four r_j: r, -r; r, 2 omega_m - r;
-# r, -2 omega_m - r
-_GRID_R = np.tile(np.arange(4), 6)
-_GRID_SIGN = np.repeat([1.0, -1.0, 1.0, -1.0, 1.0, -1.0], 4)
-_GRID_SHIFT = np.repeat([0.0, 0.0, 0.0, 2.0, 0.0, -2.0], 4)
+# window L, omega_m, 8 gamma_m / omega_m, kt = kB T / hbar, beta L (L
+# where kt = 0), i / (2 pi kt) where Binet's formula applies (else 0),
+# k4, then for the pieces a, b, c each the numerators' alpha and beta.
+_L, _WM, _SCALE, _KT, _BL, _ZFAC, _K4 = range(17, 24)
+_ALPHA, _BETA = range(24, 30, 3)
+# the shifts s / omega_m (3, 1) of the pieces a, b, c: r_j mirrors to s - r_j
+_SHIFT_PER_WM = np.array([[0.0], [2.0], [-2.0]])
 
 
 def _columns(wm, kappa, temp, gm, g, chi, nsq, mre, mim, delta, u, v, n,
@@ -349,15 +350,15 @@ def _columns(wm, kappa, temp, gm, g, chi, nsq, mre, mim, delta, u, v, n,
     arrays, so that a stack gives the bits of its points alone; the
     complex products are written out in real arithmetic to that end.
     The pieces' numerators are expanded around g = w (w - s) for their
-    shifts s = 0, 2 omega_m, -2 omega_m, as alpha (beta + g) + gamma w.
-    With pref = 8 kappa (g chi)^2 at the coupling g and kd2 = kappa^2 +
-    delta^2, a's squeezed part pref n ((N + 1) (kappa^2 + (delta + w)^2)
-    + N (kappa^2 + (delta - w)^2)) is A (kd2 + g) + A' w, its bath part
-    (kd2 - w^2)^2 + 4 kappa^2 w^2 is (kd2 - g)^2 + k4 g, and b's pref
-    conj(c_s)^2 M (kappa - i (delta + w)) (kappa - i (delta + 2 omega_m
-    - w)) is C (c0 + g); c mirrors b.
+    shifts s = 0, 2 omega_m, -2 omega_m, as alpha (beta + g).  With pref
+    = 8 kappa (g chi)^2 at the coupling g and kd2 = kappa^2 + delta^2,
+    a's squeezed part pref n ((N + 1) (kappa^2 + (delta + w)^2) + N
+    (kappa^2 + (delta - w)^2)) is A (kd2 + g) + 2 pref n delta w, whose
+    odd part integrates to zero over the symmetric window and is left
+    out; its bath part (kd2 - w^2)^2 + 4 kappa^2 w^2 is (kd2 - g)^2 + k4
+    g, and b's pref conj(c_s)^2 M (kappa - i (delta + w)) (kappa - i
+    (delta + 2 omega_m - w)) is C (c0 + g); c mirrors b.
     """
-    zero = 0.0 * wm  # in the inputs' shape (omega_m > 0)
     lim = cutoff * wm
     kt = KB * temp / HBAR
     kt1 = kt + (kt == 0.0)  # 1 where kt = 0
@@ -377,18 +378,16 @@ def _columns(wm, kappa, temp, gm, g, chi, nsq, mre, mim, delta, u, v, n,
     c0r = kappa * kappa - delta * e
     c0i = kappa * e + delta * kappa
     return (*_stability_columns(wm, kappa, gm, g, chi, delta, u, v, n),
-            lim, wm, 4.0 * (2.0 * gm / wm), _POLE_GAP * wm, kt, bl,
+            lim, wm, 4.0 * (2.0 * gm / wm), kt, bl,
             1j * (binet * (1.0 / (2.0 * math.pi * kt1))),
             4.0 * kappa * kappa,
             sq * (2.0 * nsq + 1.0), cr + 1j * ci, cr - 1j * ci,
-            kappa * kappa + delta * delta, c0r - 1j * c0i, c0r + 1j * c0i,
-            2.0 * sq * delta, zero, zero,
-            zero, 2.0 * wm, -2.0 * wm)
+            kappa * kappa + delta * delta, c0r - 1j * c0i, c0r + 1j * c0i)
 
 
 def _row_matrix(points, cutoff: float) -> np.ndarray:
     """The _columns of a stack of operating points (p, d, s), one row
-    (37) each: evaluated on one point's floats, or column-wise on the
+    (30) each: evaluated on one point's floats, or column-wise on the
     stack's arrays gathered at once."""
     inputs = [(p.mech_freq, p.cavity_decay, p.bath_temp, d.gamma_m,
                d.coupling_g, d.chi, d.n_squeeze, d.m_squeeze.real,
@@ -399,45 +398,42 @@ def _row_matrix(points, cutoff: float) -> np.ndarray:
     return np.array(cols, dtype=complex).reshape(len(cols), -1).T
 
 
-def _residue_sums(q: np.ndarray, wt: np.ndarray,
+def _residue_sums(q: np.ndarray, wt: np.ndarray, shift: np.ndarray,
                   rows: np.ndarray) -> np.ndarray:
     """The density integrated over the window at m operating points,
     summed from their poles.
 
-    ``q`` and ``wt`` (m, 3, M) are the three pieces' points and weights,
-    ``rows`` (m, ...) the points' rows.  Each piece is a polynomial over
-    prod_k (w - q_k) with poles q_k: the zeros r_j = i lambda_j of d(w),
-    and those of d(-w) (for a) or of d(2 omega_m - w) and d(-2 omega_m - w)
-    (for b and c).  Partial fractions integrate it exactly:
-    int_-L^L dw / (w - q) = -2 atanh(L / q).  The bath weight's vacuum
-    half 2 w theta(w) gives log(1 - L / q) on [0, L], its Bose half
-    _bose_kernel.  A row's terms make one pairwise sum whose length M
-    alone sets, so no row depends on another.
+    ``q`` (m, M) are points below the real axis: the zeros r_j = i
+    lambda_j of d(w), or circle nodes around a cluster of them; ``wt``
+    (m, 3, M) their weights in the three pieces, ``shift`` (m, 3, 1) the
+    pieces' shifts s.  Each piece is a polynomial over Q(w) = P(w) P(s -
+    w), P(w) = prod_j (w - r_j), and partial fractions integrate it
+    exactly: int_-L^L dw / (w - q) = -2 atanh(L / q).  The mirror point
+    s - q has the opposite weight and the same g = w (w - s), so the pair
+    gives 2 R (atanh(L / (s - q)) - atanh(L / q)) for the residue R at q.
+    The bath weight's vacuum half 2 w theta(w) gives log(1 - L / q) on
+    [0, L], its Bose half _bose_kernel, and as H(w) = w^2 bath(w) / (d(w)
+    d(-w)) is even, -q adds the vacuum term at q with v = L / q negated.
+    A row's terms make one pairwise sum whose length M alone sets, so no
+    row depends on another.
     """
     m = len(q)
-    lim, _, scale, _, kt, bl, zfac, k4 = \
-        rows.T[_L:_ALPHA, :, None]  # (m, 1) each
-    alpha, beta, gamma, shift = (rows[:, i:i + 3, None]
-                                 for i in (_ALPHA, _BETA, _GAMMA, _SHIFT))
-    qa = q[:, 0]
-    g = q * (q - shift)
+    lim, _, scale, kt, bl, zfac, k4 = rows.T[_L:_ALPHA, :, None]  # (m, 1)
+    alpha, beta = (rows[:, i:i + 3, None] for i in (_ALPHA, _BETA))
+    g = q[:, None] * (q[:, None] - shift)
     ga = g[:, 0]
     # the numerator times g before the weight: where that overflows, the
     # variance is reported as not finite
-    residues = g * (alpha * (beta + g) + gamma * q) * wt
-    v = lim[..., None] / q
-    # weights of H(w) = w^2 bath(w) / (d(w) d(-w)); H is even, so its
-    # Bose half is a sum over the points below the real axis: the first
-    # four of a plain grid
+    residues = g * (alpha * (beta + g)) * wt
+    # atanh(L / (s - q)), at s = 0 (piece a) -atanh(L / q)
+    t = np.arctanh(lim[..., None] / (shift - q[:, None]))
+    v = lim / q
     kd2 = beta[:, 0]
-    hq = scale * (qa * (ga * wt[:, 0] * ((kd2 - ga) ** 2 + k4 * ga)))
-    va = v[:, 0]
-    below = slice(None, 4) if qa.shape[1] == 8 else qa[0].imag < 0.0
+    hq = scale * (q * (ga * wt[:, 0] * ((kd2 - ga) ** 2 + k4 * ga)))
     return np.concatenate([
-        (residues * (-2.0 * np.arctanh(v))).reshape(m, -1),
-        hq * np.arctanh(va / (va - 2.0)),
-        hq[:, below] * _bose_kernel(qa[:, below], lim, kt, bl, zfac)],
-        axis=1).sum(1)
+        (2.0 * residues * (t + t[:, :1])).reshape(m, -1),
+        hq * (np.arctanh(v / (v - 2.0)) + np.arctanh(v / (v + 2.0))),
+        hq * _bose_kernel(q, lim, kt, bl, zfac)], axis=1).sum(1)
 
 
 def _variances(points, cutoff: float) -> list:
@@ -446,7 +442,7 @@ def _variances(points, cutoff: float) -> list:
     Each entry is the variance at that point or the RingCavError it
     raises there.  One eigen-solve for the whole stack decides stability
     (both tests, cross-checked) and gives the poles; the residue sums run
-    on (n, 3, 8) pole grids, except that a point whose eigenvalues nearly
+    on their (n, 4) poles, except that a point whose eigenvalues nearly
     coincide is summed on its own over _nodes' circles.  An entry does
     not depend on the other points: a point alone gives the same bits.
     """
@@ -460,20 +456,22 @@ def _variances(points, cutoff: float) -> list:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ev, max_re, live, errors = _stack_verdicts(re)
         all_live = np.count_nonzero(live) == n
-        grid = ((1j * ev)[:, _GRID_R] * _GRID_SIGN
-                + re[:, _WM, None] * _GRID_SHIFT).reshape(n, 3, 8)
-        simple, close = _simple_weights(grid, re[:, _GAP, None, None])
+        r = 1j * ev
+        wm = re[:, _WM, None, None]
+        shift = wm * _SHIFT_PER_WM  # (n, 3, 1)
+        gap = _POLE_GAP * wm
+        simple, close = _simple_weights(r, shift, gap)
         if all_live and not np.count_nonzero(close):
-            totals = _residue_sums(grid, simple, rows)
+            totals = _residue_sums(r, simple, shift, rows)
         else:
             totals = np.zeros(n, dtype=complex)
             plain = (live & ~close).nonzero()[0]
             if plain.size:
-                totals[plain] = _residue_sums(grid[plain], simple[plain],
-                                              rows[plain])
+                totals[plain] = _residue_sums(r[plain], simple[plain],
+                                              shift[plain], rows[plain])
             for i in (live & close).nonzero()[0]:
-                q, wt = _nodes(grid[i], simple[i], ev[i], re[i, _WM])
-                totals[i], = _residue_sums(q[None], wt[None],
+                q, wt = _nodes(r[i], simple[i], shift[i], gap[i])
+                totals[i], = _residue_sums(q[None], wt[None], shift[i:i + 1],
                                            rows[i:i + 1])
         # the real and imaginary parts over 2 pi, in one division
         value, leak = (totals.view(float).reshape(n, 2) / (2.0 * math.pi)).T

@@ -132,7 +132,7 @@ def find_steady_branches(p: PhysicalParams, d: DerivedParams,
 
     coeffs = [1.0, -d0, kappa * kappa, shift - d0 * kappa * kappa]
     roots = np.roots(coeffs)
-    scale = max(abs(d0), kappa, abs(shift) ** (1.0 / 3.0), 1.0)
+    scale = max(abs(d0), kappa, abs(shift) ** (1.0 / 3.0))
 
     real = [float(r.real) for r in roots
             if abs(r.imag) <= _REAL_ROOT_TOL * scale]

@@ -9,8 +9,10 @@ from oracles import (breakpoints as _breakpoints, lyapunov_squeezed_variance,
                      mpmath_momentum_variance, raw_terms, thermal_weight,
                      trapezoid_momentum_variance)
 from ringcav.constants import HBAR, KB
-from ringcav.spectra import (_BL, _SCALE, _ZFAC, _binet, _exp_e1,
-                             _row_matrix, _variances)
+from ringcav.spectra import (_BETA, _BL, _POLE_GAP, _SCALE, _SHIFT_PER_WM,
+                             _WM, _ZFAC, _binet, _exp_e1, _row_matrix,
+                             _simple_weights, _variances)
+from ringcav.stability import _stack_verdicts
 
 DELTA_965 = 5741920.308892601
 
@@ -327,6 +329,47 @@ def test_squeezed_part_matches_lyapunov_oracle(monkeypatch):
         worst = max(worst, rel)
         assert rel <= 1e-11, (p, s.detuning / p.mech_freq, rel)
     print(f"worst residue/Lyapunov deviation {worst:.1e}")
+
+
+def test_factored_weights_match_eight_pole_products():
+    # each piece's eight poles written out, r_j and their mirrors s - r_j
+    # for s = 0, 2 omega_m, -2 omega_m, with 1 / Q'(q) as the product
+    # over the other seven: the factored weights at r_j, minus them at
+    # the mirrors
+    points = []
+    for p, delta, _ in _route_cases():
+        d = rc.derive_params(p)
+        points.append((p, d, rc.steady_state_at_detuning(p, d, delta)))
+    rows = _row_matrix(points, 50.0).real
+    n = len(rows)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ev, _, live, _ = _stack_verdicts(rows)
+        r = 1j * ev
+        wm = rows[:, _WM, None, None]
+        simple, close = _simple_weights(r, wm * _SHIFT_PER_WM,
+                                        _POLE_GAP * wm)
+        grid = ((1j * ev)[:, np.tile(np.arange(4), 6)]
+                * np.repeat([1.0, -1.0, 1.0, -1.0, 1.0, -1.0], 4)
+                + rows[:, _WM, None]
+                * np.repeat([0.0, 0.0, 0.0, 2.0, 0.0, -2.0], 4)
+                ).reshape(n, 3, 8)
+        eight = 1.0 / (grid[..., :, None] - grid[..., None, :]
+                       + np.eye(8)).prod(-1)
+    keep = live & ~close
+    assert np.count_nonzero(keep) >= 250
+    got = np.concatenate([simple, -simple], axis=2)[keep]
+    rel = np.abs(got - eight[keep]) / np.abs(eight[keep])
+    print(f"worst factored/eight-pole weight deviation {rel.max():.1e}")
+    assert rel.max() <= 1e-12
+
+
+def test_row_width_matches_the_column_constants():
+    # a column added to or dropped from _columns would shift every index
+    # constant after it; the last, _BETA, starts the final three
+    p = rc.baseline_params()
+    d = rc.derive_params(p)
+    pt = (p, d, rc.steady_state_at_detuning(p, d, 0.965 * p.mech_freq))
+    assert _row_matrix([pt], 50.0).shape == (1, _BETA + 3)
 
 
 @pytest.mark.parametrize("power, delta_per_wm", [(3.8e-3, 0.0),

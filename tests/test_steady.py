@@ -135,3 +135,29 @@ def test_branches_random_self_consistency(bare, logp):
                    * b.photon_number / wm)
         assert implied == pytest.approx(bare * wm,
                                         rel=1e-7, abs=1e-4 * wm)
+
+
+def test_branches_do_not_depend_on_the_frequency_unit():
+    # scaling omega_m and kappa by lam, the mass by lam^-3 and the power
+    # by lam keeps S / kappa^3 and so the branches in units of kappa;
+    # omega_m runs down to 1e-20 rad/s, the bottom of the input domain
+    ref = rc.baseline_params(laser_power=20e-3)
+    bares = (0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5)
+    want = None
+    for lam in (1.0, 1e-6, 1e-12, 1e-13, 1e-20, 1e-20 / ref.mech_freq):
+        p = rc.baseline_params(laser_power=20e-3 * lam,
+                               mech_freq=ref.mech_freq * lam,
+                               cavity_decay=ref.cavity_decay * lam,
+                               mirror_mass=ref.mirror_mass / lam ** 3)
+        d = rc.derive_params(p)
+        got = [[(b.detuning / p.cavity_decay, b.tangent)
+                for b in rc.find_steady_branches(p, d, x * p.mech_freq)]
+               for x in bares]
+        if want is None:
+            want = got
+            assert [len(g) for g in got] == [1, 1, 1, 1, 3, 3, 3]
+        assert [[t for _, t in g] for g in got] == \
+            [[t for _, t in w] for w in want], lam
+        for g, w in zip(got, want):
+            assert [x for x, _ in g] == pytest.approx(
+                [x for x, _ in w], rel=1e-9), lam

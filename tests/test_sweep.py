@@ -276,7 +276,7 @@ def _minimize_reference(p, d, window):
         return values
 
     lo, hi = window[0] * wm, window[1] * wm
-    grid = [float(x) for x in np.linspace(lo, hi, 256)]
+    grid = [float(x) for x in np.linspace(lo, hi, sweep_mod._GRID_POINTS)]
     width = hi - lo
     while True:
         values = variances(grid)
