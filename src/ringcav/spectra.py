@@ -42,7 +42,7 @@ from .model import DerivedParams, PhysicalParams
 # importable from here for callers that look it up in this namespace
 from .quadrature import integrate_adaptive  # noqa: F401
 from .stability import _stability_columns, _stack_verdicts
-from .steady import SteadyState, steady_state_at_detuning
+from .steady import SteadyState, _steady_columns, steady_state_at_detuning
 
 __all__ = [
     "QuadratureConfig",
@@ -385,16 +385,43 @@ def _columns(wm, kappa, temp, gm, g, chi, nsq, mre, mim, delta, u, v, n,
             kappa * kappa + delta * delta, c0r - 1j * c0i, c0r + 1j * c0i)
 
 
-def _row_matrix(points, cutoff: float) -> np.ndarray:
-    """The _columns of a stack of operating points (p, d, s), one row
-    (30) each: evaluated on one point's floats, or column-wise on the
-    stack's arrays gathered at once."""
-    inputs = [(p.mech_freq, p.cavity_decay, p.bath_temp, d.gamma_m,
-               d.coupling_g, d.chi, d.n_squeeze, d.m_squeeze.real,
-               d.m_squeeze.imag, s.detuning, s.amplitude.real,
-               s.amplitude.imag, s.photon_number) for p, d, s in points]
-    cols = _columns(*(map(float, inputs[0]) if len(inputs) == 1
-                      else np.array(inputs, dtype=float).T), cutoff)
+# the index of delta among the inputs of _columns
+_DELTA_INPUT = 9
+
+
+def _parameter_inputs(p: PhysicalParams, d: DerivedParams) -> tuple:
+    """The first nine inputs of _columns, which p and d give."""
+    return (p.mech_freq, p.cavity_decay, p.bath_temp, d.gamma_m,
+            d.coupling_g, d.chi, d.n_squeeze, d.m_squeeze.real,
+            d.m_squeeze.imag)
+
+
+def _point_inputs(points) -> np.ndarray:
+    """_columns' inputs (13, n) at operating points (p, d, s)."""
+    return np.array([(*_parameter_inputs(p, d), s.detuning, s.amplitude.real,
+                      s.amplitude.imag, s.photon_number)
+                     for p, d, s in points], dtype=float).reshape(-1, 13).T
+
+
+def _detuning_inputs(p: PhysicalParams, d: DerivedParams, deltas):
+    """_columns' inputs (13, k) at p, d and the leading k detunings of
+    the array deltas that steady_state_at_detuning accepts, and the
+    error it raises at the next one, or None.  The steady-state inputs
+    come from the detuning array, with no SteadyState per point, in the
+    bits that steady_state_at_detuning gives."""
+    steady, failure = _steady_columns(p, d, deltas)
+    inputs = np.empty((13, len(steady[0])))
+    inputs[:9] = np.array(_parameter_inputs(p, d))[:, None]
+    inputs[9:] = steady
+    return inputs, failure
+
+
+def _row_matrix(inputs: np.ndarray, cutoff: float) -> np.ndarray:
+    """The _columns of a stack, one row (30) per column of its inputs
+    (13, n): evaluated on one point's floats, or column-wise on the
+    stack's arrays."""
+    cols = _columns(*(inputs[:, 0].tolist() if inputs.shape[1] == 1
+                      else inputs), cutoff)
     return np.array(cols, dtype=complex).reshape(len(cols), -1).T
 
 
@@ -436,8 +463,9 @@ def _residue_sums(q: np.ndarray, wt: np.ndarray, shift: np.ndarray,
         hq * _bose_kernel(q, lim, kt, bl, zfac)], axis=1).sum(1)
 
 
-def _variances(points, cutoff: float) -> list:
-    """Momentum variances at a stack of operating points (p, d, s).
+def _variances(inputs: np.ndarray, cutoff: float) -> list:
+    """Momentum variances at a stack of operating points, given by
+    _columns' inputs (13, n).
 
     Each entry is the variance at that point or the RingCavError it
     raises there.  One eigen-solve for the whole stack decides stability
@@ -446,9 +474,9 @@ def _variances(points, cutoff: float) -> list:
     coincide is summed on its own over _nodes' circles.  An entry does
     not depend on the other points: a point alone gives the same bits.
     """
-    if not points:
+    if not inputs.shape[1]:
         return []
-    rows = _row_matrix(points, cutoff)
+    rows = _row_matrix(inputs, cutoff)
     re = rows.real
     n = len(rows)
     # overflow at huge inputs is reported below, not warned about; 1 / Q'
@@ -487,7 +515,7 @@ def _variances(points, cutoff: float) -> list:
             margin = -float(max_re[i])
             out[i] = errors[i] or UnstableOperatingPoint(
                 f"no stationary state at detuning "
-                f"{points[i][2].detuning!r} rad/s (stability margin "
+                f"{float(inputs[_DELTA_INPUT, i])!r} rad/s (stability margin "
                 f"{margin!r} rad/s)", margin)
     return out
 
@@ -521,7 +549,7 @@ def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
         If the variance overflows, leaks a non-negligible imaginary
         part or comes out non-positive.
     """
-    value, = _variances([(p, d, s)], quad.cutoff)
+    value, = _variances(_point_inputs([(p, d, s)]), quad.cutoff)
     if isinstance(value, RingCavError):
         raise value
     return value

@@ -78,6 +78,52 @@ class SteadyState:
     tangent: bool = False
 
 
+def _field(eps, kappa, delta, wide):
+    """The amplitude c_s = u + i v = eps / (kappa + i delta) as (u, v),
+    and the photon number n = u^2 + v^2, for kappa > 0 and finite delta
+    with |delta| > kappa where ``wide`` holds, else |delta| <= kappa.
+
+    The same arithmetic runs on one point's floats and on an array of
+    detunings on one side of kappa, so that a stack gives the bits of
+    each point alone.  It is CPython's complex division of eps + 0i by
+    kappa + i delta (Smith's method) written out in real arithmetic,
+    divided through by delta where wide, else by kappa; the terms of the
+    zero imaginary part of eps stay, as they fix the signs of zeros.
+    """
+    if wide:
+        ratio = kappa / delta
+        denom = delta + kappa * ratio
+        u = (eps * ratio + 0.0) / denom
+        v = (0.0 * ratio - eps) / denom
+    else:
+        ratio = delta / kappa
+        denom = kappa + delta * ratio
+        u = (eps + 0.0 * ratio) / denom
+        v = (0.0 - eps * ratio) / denom
+    return u, v, u * u + v * v
+
+
+def _steady_columns(p: PhysicalParams, d: DerivedParams, deltas):
+    """The steady states at the leading detunings of the array deltas
+    that steady_state_at_detuning accepts, as its columns (delta, u, v,
+    n) with the amplitude u + i v, and the error it raises at the first
+    detuning it rejects, or None."""
+    kappa = p.cavity_decay
+    size = np.abs(deltas)
+    rejected = (~(size < kappa / _REAL_ROOT_TOL)).nonzero()[0]
+    failure = None
+    if rejected.size:
+        k = rejected[0]
+        failure = _detuning_error("delta", float(deltas[k]), kappa)
+        deltas, size = deltas[:k], size[:k]
+    wide = size > kappa
+    columns = np.empty((3, len(deltas)))
+    for side in (False, True):
+        at = wide == side
+        columns[:, at] = _field(d.drive_eps, kappa, deltas[at], side)
+    return (deltas, *columns), failure
+
+
 def steady_state_at_detuning(p: PhysicalParams, d: DerivedParams,
                              delta: float) -> SteadyState:
     """Steady state for a prescribed *effective* detuning delta (rad/s).
@@ -86,14 +132,14 @@ def steady_state_at_detuning(p: PhysicalParams, d: DerivedParams,
     InvalidParameter."""
     if not abs(delta) < p.cavity_decay / _REAL_ROOT_TOL:
         raise _detuning_error("delta", delta, p.cavity_decay)
-    amp = d.drive_eps / complex(p.cavity_decay, delta)
-    n = abs(amp) ** 2
+    u, v, n = _field(d.drive_eps, p.cavity_decay, delta,
+                     abs(delta) > p.cavity_decay)
     disp = 2.0 * d.coupling_g * d.chi * n / p.mech_freq
     if p.geometry is Geometry.THREE_MIRROR_RELATIVE:
         disp = -disp
     return SteadyState(
         detuning=float(delta),
-        amplitude=amp,
+        amplitude=complex(u, v),
         q_minus_s=disp,
         p_minus_s=0.0,
         photon_number=n,

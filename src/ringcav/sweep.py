@@ -6,7 +6,14 @@ criteria at every point; unstable points are reported as such instead
 of aborting the scan.  Rows come back in grid order.  The rows, and the
 minimiser's grids, are solved as stacks of up to _CHUNK operating points
 (one eigen-solve and one residue sum each); a row equals the
-``entanglement_result`` at its point bit for bit.
+``entanglement_result`` at its point bit for bit.  Where the parameters
+are fixed (detuning sweeps and the minimiser), a stack's inputs come
+straight from its detuning array, with no SteadyState per point.
+
+The minimiser works in units of the cavity linewidth kappa: a coarse
+grid of spacing kappa / 8 (3 to 4,096 points; wider windows than 512
+kappa are no longer resolved), then refinement grids until the bracket
+is narrower than min(1e-4 omega_m, 1e-3 kappa).
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ import numpy as np
 from .errors import (InvalidParameter, NumericalFailure, NoStablePoint,
                      RingCavError, UnstableOperatingPoint)
 from .model import DerivedParams, PhysicalParams, derive_params
-from .spectra import (QuadratureConfig, _product_sum, _variances,
-                      q_plus_variance)
+from .spectra import (QuadratureConfig, _detuning_inputs, _point_inputs,
+                      _product_sum, _variances, q_plus_variance)
 # re-exported: callers look the verdict up in this namespace
 from .stability import stability_verdict  # noqa: F401
 from .steady import steady_state_at_detuning
@@ -108,20 +115,25 @@ _CHUNK = 256
 
 
 def _stacked(make, values, cutoff: float):
-    """(point, variance or its error) for the points make(v) gives, in
-    the order of the values, solved in stacks of up to _CHUNK; where
-    make raises, after the points before it, that error."""
+    """((p, d), variance or its error) at each value, in order, solved in
+    stacks of up to _CHUNK.  make(chunk) gives the parameters and
+    _columns' inputs at the chunk's leading values, up to the first it
+    cannot solve, and that value's error or None; the error is raised
+    after the values before it."""
     for start in range(0, len(values), _CHUNK):
-        points, failure = [], None
-        for v in values[start:start + _CHUNK]:
-            try:
-                points.append(make(v))
-            except RingCavError as err:
-                failure = err
-                break
-        yield from zip(points, _variances(points, cutoff))
+        params, inputs, failure = make(values[start:start + _CHUNK])
+        yield from zip(params, _variances(inputs, cutoff))
         if failure is not None:
             raise failure
+
+
+def _at_detunings(p: PhysicalParams, d: DerivedParams):
+    """make for _stacked at p, d and each detuning: the inputs come
+    straight from the detuning array."""
+    def make(deltas):
+        inputs, failure = _detuning_inputs(p, d, np.asarray(deltas, float))
+        return [(p, d)] * inputs.shape[1], inputs, failure
+    return make
 
 
 def _sweep_row(value: float, p: PhysicalParams, d: DerivedParams,
@@ -157,20 +169,26 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             np.linspace(spec.start, spec.stop, spec.points)]
     if spec.axis is SweepAxis.DETUNING:
         # the parameters are the same on every row
-        d = derive_params(spec.fixed)
-
-        def point(v):
-            return spec.fixed, d, steady_state_at_detuning(spec.fixed, d, v)
+        make = _at_detunings(spec.fixed, derive_params(spec.fixed))
     else:
         field = spec.axis.value
 
-        def point(v):
-            p = replace(spec.fixed, **{field: v})
-            d = derive_params(p)
-            return p, d, steady_state_at_detuning(p, d, spec.delta)
+        def make(values):
+            points, failure = [], None
+            for v in values:
+                try:
+                    p = replace(spec.fixed, **{field: v})
+                    d = derive_params(p)
+                    points.append(
+                        (p, d, steady_state_at_detuning(p, d, spec.delta)))
+                except RingCavError as err:
+                    failure = err
+                    break
+            return ([pt[:2] for pt in points], _point_inputs(points),
+                    failure)
 
-    return [_sweep_row(v, p, d, vp) for v, ((p, d, _), vp) in
-            zip(grid, _stacked(point, grid, spec.quadrature.cutoff))]
+    return [_sweep_row(v, p, d, vp) for v, ((p, d), vp) in
+            zip(grid, _stacked(make, grid, spec.quadrature.cutoff))]
 
 
 @dataclass(frozen=True)
@@ -187,8 +205,7 @@ def _grid_variances(p: PhysicalParams, d: DerivedParams, deltas,
     """The variance at each detuning, +inf where the point is unstable,
     solved in stacks."""
     values = []
-    for _, vp in _stacked(lambda x: (p, d, steady_state_at_detuning(p, d, x)),
-                          deltas, quad.cutoff):
+    for _, vp in _stacked(_at_detunings(p, d), deltas, quad.cutoff):
         if isinstance(vp, UnstableOperatingPoint):
             vp = math.inf
         elif isinstance(vp, RingCavError):
@@ -197,9 +214,20 @@ def _grid_variances(p: PhysicalParams, d: DerivedParams, deltas,
     return values
 
 
-_GRID_POINTS = 256
-# points per refinement grid: two bring the default bracket below 1e-4 wm
+# coarse grid points per kappa of window, and at most this many points
+_PER_KAPPA = 8
+_MAX_GRID = 16 * _CHUNK
+# points per refinement grid: three bring the baseline bracket below
+# 1e-4 omega_m
 _REFINE_POINTS = 24
+
+
+def _coarse_points(span: float, kappa: float) -> int:
+    """Points of the minimiser's coarse grid over a detuning window span
+    (rad/s): a spacing of at most kappa / 8, from 3 to _MAX_GRID points."""
+    # the quotient can overflow to inf: cap it before math.ceil
+    per = min(_PER_KAPPA * span / kappa, _MAX_GRID)
+    return max(3, min(math.ceil(per) + 1, _MAX_GRID))
 
 
 def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
@@ -216,39 +244,50 @@ def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
     quad:
         The integration window; the default applies when omitted.
 
-    A coarse grid locates the basin; grids of _REFINE_POINTS over the
-    best point's bracket refine it while that is wider than
-    1e-4 * omega_m and still shrinks.  Each grid is one stack, and the
-    best point seen anywhere is returned.
+    The narrowest feature of the variance scales with the cavity
+    linewidth kappa, so the coarse grid that locates the basin has a
+    spacing of kappa / 8: ceil(8 (high - low) omega_m / kappa) + 1
+    points, at least 3 and at most 4,096.  At the cap, windows wider
+    than 512 kappa (kappa below about 2e-3 omega_m per omega_m of
+    window) get a coarser grid, which no longer resolves kappa.  Grids
+    of _REFINE_POINTS over the best point's bracket refine it while that
+    is wider than min(1e-4 omega_m, 1e-3 kappa) and still shrinks.  The
+    grids are solved in stacks of up to 256 points, and the best point
+    seen anywhere is returned.
 
     Raises
     ------
+    InvalidParameter
+        If the window is not finite in rad/s with low < high, or
+        reaches a detuning with |delta| >= 1e6 kappa.
     NoStablePoint
         If no point of the window is stable.
+    NumericalFailure
+        From a grid point's variance.
     """
     lo, hi = window
-    wm = p.mech_freq
+    wm, kappa = p.mech_freq, p.cavity_decay
     a, b = lo * wm, hi * wm
     # the grid divides the span b - a, which must not overflow
     if not (math.isfinite(b - a) and a < b):
         raise InvalidParameter("window", window,
                                "finite in rad/s with low < high")
 
-    grid = np.linspace(a, b, _GRID_POINTS)
+    tol = min(1e-4 * wm, 1e-3 * kappa)
+    grid = np.linspace(a, b, _coarse_points(b - a, kappa))
     best_delta, best_value, width = math.nan, math.inf, b - a
     while True:
-        grid = [float(x) for x in grid]
         values = _grid_variances(p, d, grid, quad)
         i = int(np.argmin(values))
         if values[i] < best_value:
-            best_delta, best_value = grid[i], values[i]
+            best_delta, best_value = float(grid[i]), values[i]
         if not math.isfinite(best_value):
             raise NoStablePoint("no stable operating point for detuning "
                                 f"in [{a!r}, {b!r}] rad/s")
-        left = grid[max(i - 1, 0)]
-        right = grid[min(i + 1, len(grid) - 1)]
-        # a bracket a few floats wide can stop shrinking above 1e-4 wm
-        if not 1e-4 * wm < right - left < width:
+        left = float(grid[max(i - 1, 0)])
+        right = float(grid[min(i + 1, len(grid) - 1)])
+        # a bracket a few floats wide can stop shrinking above tol
+        if not tol < right - left < width:
             return MinimizeResult(delta_star=best_delta, value=best_value)
         width = right - left
         grid = np.linspace(left, right, _REFINE_POINTS)

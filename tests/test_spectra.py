@@ -10,8 +10,8 @@ from oracles import (breakpoints as _breakpoints, lyapunov_squeezed_variance,
                      trapezoid_momentum_variance)
 from ringcav.constants import HBAR, KB
 from ringcav.spectra import (_BETA, _BL, _POLE_GAP, _SCALE, _SHIFT_PER_WM,
-                             _WM, _ZFAC, _binet, _exp_e1, _row_matrix,
-                             _simple_weights, _variances)
+                             _WM, _ZFAC, _binet, _exp_e1, _point_inputs,
+                             _row_matrix, _simple_weights, _variances)
 from ringcav.stability import _stack_verdicts
 
 DELTA_965 = 5741920.308892601
@@ -320,7 +320,7 @@ def test_squeezed_part_matches_lyapunov_oracle(monkeypatch):
         d = rc.derive_params(p)
         points.append((p, d, rc.steady_state_at_detuning(p, d, delta)))
     worst = 0.0
-    for (p, d, s), ours in zip(points, _variances(points, 1e5)):
+    for (p, d, s), ours in zip(points, _variances(_point_inputs(points), 1e5)):
         ref = lyapunov_squeezed_variance(
             p.wavelength, p.cavity_length, p.mirror_mass, p.cavity_decay,
             p.mech_freq, p.mech_quality, p.fold_angle, p.laser_power,
@@ -340,7 +340,7 @@ def test_factored_weights_match_eight_pole_products():
     for p, delta, _ in _route_cases():
         d = rc.derive_params(p)
         points.append((p, d, rc.steady_state_at_detuning(p, d, delta)))
-    rows = _row_matrix(points, 50.0).real
+    rows = _row_matrix(_point_inputs(points), 50.0).real
     n = len(rows)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ev, _, live, _ = _stack_verdicts(rows)
@@ -369,7 +369,7 @@ def test_row_width_matches_the_column_constants():
     p = rc.baseline_params()
     d = rc.derive_params(p)
     pt = (p, d, rc.steady_state_at_detuning(p, d, 0.965 * p.mech_freq))
-    assert _row_matrix([pt], 50.0).shape == (1, _BETA + 3)
+    assert _row_matrix(_point_inputs([pt]), 50.0).shape == (1, _BETA + 3)
 
 
 @pytest.mark.parametrize("power, delta_per_wm", [(3.8e-3, 0.0),
@@ -515,8 +515,9 @@ def test_stack_rows_equal_stacks_of_one():
         d = rc.derive_params(p)
         points += [(p, d, rc.steady_state_at_detuning(p, d, x * wm))
                    for x in (0.965, 0.3, 0.0)]
-    rows = _row_matrix(points, 50.0)
-    ones = np.concatenate([_row_matrix([pt], 50.0) for pt in points])
+    rows = _row_matrix(_point_inputs(points), 50.0)
+    ones = np.concatenate([_row_matrix(_point_inputs([pt]), 50.0)
+                           for pt in points])
     assert rows.shape == ones.shape
     assert rows.tobytes() == ones.tobytes()
     temps = [p.bath_temp for p, _, _ in points]
@@ -527,10 +528,10 @@ def test_stack_rows_equal_stacks_of_one():
         assert rows[at, _ZFAC] != 0.0
         assert (rows[above, _ZFAC] != 0.0) == (b != math.pi)
 
-    got = _variances(points, 50.0)
+    got = _variances(_point_inputs(points), 50.0)
     assert any(isinstance(v, rc.UnstableOperatingPoint) for v in got)
     for pt, v in zip(points, got):
-        want, = _variances([pt], 50.0)
+        want, = _variances(_point_inputs([pt]), 50.0)
         if isinstance(want, rc.RingCavError):
             assert (type(v), str(v)) == (type(want), str(want))
         else:

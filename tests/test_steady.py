@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringcav as rc
+from ringcav.spectra import _detuning_inputs
 
 # Frozen high-precision values at delta = 0.965 * omega_m, baseline.
 DELTA_965 = 5741920.308892601
@@ -89,6 +90,33 @@ def test_non_finite_detuning_rejected(baseline, bad):
         rc.steady_state_at_detuning(p, d, bad)
     with pytest.raises(rc.InvalidParameter):
         rc.find_steady_branches(p, d, bad)
+
+
+@pytest.mark.parametrize("kappa_per_wm, mw", [(0.227, 3.8), (0.005, 1.0),
+                                              (40.0, 0.0)])
+def test_detuning_array_gives_the_steady_state_bits(kappa_per_wm, mw):
+    # the inputs a detuning stack builds from its detuning array: the
+    # detuning, amplitude and photon number of steady_state_at_detuning,
+    # signs of zeros included, on either side of |delta| = kappa (the two
+    # branches of the division), at zero and negative detunings
+    p = rc.baseline_params(cavity_decay=kappa_per_wm * 5950176.485899068,
+                           laser_power=1e-3 * mw)
+    d = rc.derive_params(p)
+    kappa = p.cavity_decay
+    rng = np.random.default_rng(13)
+    deltas = np.concatenate([
+        kappa * rng.uniform(-1.0, 1.0, 200),
+        kappa * np.exp(rng.uniform(0.0, 9.0, 200)) * rng.choice([-1, 1], 200),
+        [0.0, -0.0, kappa, -kappa, np.nextafter(kappa, 0.0),
+         np.nextafter(kappa, 2.0 * kappa)]])
+    assert np.count_nonzero(np.abs(deltas) < kappa) > 200
+    assert np.count_nonzero(np.abs(deltas) > kappa) > 200
+    got, failure = _detuning_inputs(p, d, deltas)
+    assert failure is None
+    states = [rc.steady_state_at_detuning(p, d, float(x)) for x in deltas]
+    want = np.array([(s.detuning, s.amplitude.real, s.amplitude.imag,
+                      s.photon_number) for s in states]).T
+    assert got[9:].tobytes() == want.tobytes()
 
 
 def test_unresolvable_detuning_rejected(baseline):

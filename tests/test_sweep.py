@@ -156,30 +156,25 @@ def test_minimize_stubbed_constant(baseline, monkeypatch):
 def test_minimize_ends_when_the_bracket_stops_shrinking(monkeypatch):
     # at kappa = 1e6 omega_m and a window near 1e12 omega_m the float
     # spacing of the detuning (1024 rad/s) exceeds 1e-4 omega_m, so the
-    # bracket never reaches the tolerance. The grids, and the steady
-    # states that any evaluation route solves, are bounded so that a
-    # loop that does not end fails rather than hangs
+    # bracket never reaches the tolerance. The grids, and the detunings
+    # that they solve, are bounded so that a loop that does not end
+    # fails rather than hangs
     p = rc.baseline_params(cavity_decay=5950176485899.068)
     d = rc.derive_params(p)
     window = (999999999990.0, 999999999999.0)
     grids, points = [], []
     grid_variances = sweep_mod._grid_variances
-    steady = sweep_mod.steady_state_at_detuning
 
     def counted_grid(*args):
         grids.append(args)
+        points.extend(args[2])
         if len(grids) > 100:
             raise RuntimeError("the refinement does not end")
+        if len(points) > 100 * sweep_mod._MAX_GRID:
+            raise RuntimeError("the minimiser does not end")
         return grid_variances(*args)
 
-    def counted_point(*args):
-        points.append(args)
-        if len(points) > 100 * sweep_mod._GRID_POINTS:
-            raise RuntimeError("the minimiser does not end")
-        return steady(*args)
-
     monkeypatch.setattr(sweep_mod, "_grid_variances", counted_grid)
-    monkeypatch.setattr(sweep_mod, "steady_state_at_detuning", counted_point)
     res = rc.minimize_over_detuning(p, d, window)
     wm = p.mech_freq
     assert window[0] * wm <= res.delta_star <= window[1] * wm
@@ -276,13 +271,15 @@ def _minimize_reference(p, d, window):
         return values
 
     lo, hi = window[0] * wm, window[1] * wm
-    grid = [float(x) for x in np.linspace(lo, hi, sweep_mod._GRID_POINTS)]
+    grid = [float(x) for x in np.linspace(
+        lo, hi, sweep_mod._coarse_points(hi - lo, p.cavity_decay))]
     width = hi - lo
+    tol = min(1e-4 * wm, 1e-3 * p.cavity_decay)
     while True:
         values = variances(grid)
         i = values.index(min(values))
         left, right = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-        if right - left <= 1e-4 * wm or right - left >= width:
+        if right - left <= tol or right - left >= width:
             return tuple(best)
         width = right - left
         grid = [float(x) for x in np.linspace(left, right,
@@ -317,6 +314,79 @@ def test_minimize_finds_the_dense_scan_minimum(r):
         res = rc.minimize_over_detuning(p, d, window)
         assert abs(res.delta_star - dense.axis_value) <= 5e-5 * wm, window
         assert res.value == pytest.approx(dense.var_p_minus, rel=1e-7)
+
+
+def _dense_minimum(p, window):
+    """The least variance over the window: a detuning sweep with a
+    spacing of at most kappa / 64, then sweeps of 65 points over the
+    best point's bracket until it is narrower than 1e-6 kappa."""
+    wm, kappa = p.mech_freq, p.cavity_decay
+    lo, hi = window[0] * wm, window[1] * wm
+    points = math.ceil(64 * (hi - lo) / kappa) + 1
+    best = None
+    while True:
+        rows = rc.run_sweep(rc.SweepSpec(axis=rc.SweepAxis.DETUNING,
+                                         start=lo, stop=hi, points=points,
+                                         fixed=p))
+        values = [r.var_p_minus if r.stable else math.inf for r in rows]
+        i = values.index(min(values))
+        if best is None or values[i] < best:
+            best = values[i]
+        lo = rows[max(i - 1, 0)].axis_value
+        hi = rows[min(i + 1, len(rows) - 1)].axis_value
+        if hi - lo < 1e-6 * kappa:
+            return best
+        points = 65
+
+
+_NARROW = [(k, r, mw, window)
+           for k in (0.005, 0.01, 0.02) for r in (1.0, 2.0)
+           for mw in (0.3, 1.0) for window in [(0.5, 1.5), (0.3, 1.7)]]
+
+
+@pytest.mark.parametrize("kappa_per_wm, r, mw, window", _NARROW)
+def test_minimize_resolves_a_narrow_cavity(kappa_per_wm, r, mw, window):
+    # in the resolved-sideband regime the variance dip is a fraction of
+    # kappa wide (about 0.09 kappa at r = 2), below the spacing of a
+    # fixed coarse grid
+    p = rc.baseline_params(cavity_decay=kappa_per_wm * _WM, squeeze_r=r,
+                           laser_power=1e-3 * mw)
+    res = rc.minimize_over_detuning(p, rc.derive_params(p), window)
+    assert res.value == pytest.approx(_dense_minimum(p, window), rel=1e-5)
+
+
+def test_narrow_cavity_minimize_from_the_command_line(tmp_path, capsys):
+    # kappa = 0.005 omega_m, r = 2, 1 mW: a 256-point grid over
+    # (0.5, 1.5) missed the dip near omega_m and returned 2.39 at the
+    # window's edge
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text("[params]\nkappa_rad_s = 29750.88242949534\n")
+    assert rc.main(["minimize", "--r", "2", "--power-mw", "1",
+                    "--config", str(cfg)]) == 0
+    header, line = capsys.readouterr().out.splitlines()
+    assert header == "delta_star,value"
+    delta_star, value = map(float, line.split(","))
+    assert abs(delta_star / _WM - 1.00006) <= 1e-4
+    assert value <= 0.05754
+
+
+def test_detuning_band_error_comes_as_from_the_row_loop(baseline):
+    # |delta| < 1e6 kappa (about 2.27e5 omega_m at baseline) ends in the
+    # second stack; the rows before it are solved, then the error of the
+    # first detuning outside comes as a row-by-row loop raises it
+    p, d = baseline
+    spec = rc.SweepSpec(axis=rc.SweepAxis.DETUNING, start=2e5 * _WM,
+                        stop=2.3e5 * _WM, points=300, fixed=p)
+    with pytest.raises(rc.InvalidParameter) as want:
+        for v in np.linspace(spec.start, spec.stop, spec.points):
+            rc.entanglement_result(p, d, float(v))
+    with pytest.raises(rc.InvalidParameter) as got:
+        rc.run_sweep(spec)
+    assert str(got.value) == str(want.value)
+    assert got.value.field == "delta"
+    with pytest.raises(rc.InvalidParameter) as got:
+        rc.minimize_over_detuning(p, d, (2e5, 2.3e5))
+    assert got.value.field == "delta"
 
 
 def test_failing_row_is_not_masked_by_the_rows_before_it():
@@ -416,7 +486,8 @@ def test_eigen_solves_per_sweep_and_minimiser(baseline, monkeypatch):
 
     monkeypatch.setattr(sweep_mod, "_grid_variances", counted_grid)
     rc.minimize_over_detuning(p, d)
-    assert grids == [sweep_mod._GRID_POINTS] + 2 * [sweep_mod._REFINE_POINTS]
+    coarse = sweep_mod._coarse_points(1.5 * wm - 0.5 * wm, p.cavity_decay)
+    assert grids == [coarse] + 3 * [sweep_mod._REFINE_POINTS]
     assert len(solves) == len(builds) == len(grids)
     # every build runs on a stack's arrays, none on one point's floats
     assert builds.count(()) == 0
