@@ -409,10 +409,10 @@ def _detuning_inputs(p: PhysicalParams, d: DerivedParams, deltas):
     error it raises at the next one, or None.  The steady-state inputs
     come from the detuning array, with no SteadyState per point, in the
     bits that steady_state_at_detuning gives."""
-    steady, failure = _steady_columns(p, d, deltas)
-    inputs = np.empty((13, len(steady[0])))
-    inputs[:9] = np.array(_parameter_inputs(p, d))[:, None]
-    inputs[9:] = steady
+    delta, u, v, n, failure = _steady_columns(p, d, deltas)
+    inputs = np.empty((13, len(delta)))
+    inputs[:_DELTA_INPUT] = np.array(_parameter_inputs(p, d))[:, None]
+    inputs[_DELTA_INPUT:] = delta, u, v, n
     return inputs, failure
 
 

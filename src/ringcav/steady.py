@@ -29,9 +29,15 @@ _MERGE_REL = 1e-6
 _REAL_ROOT_TOL = 1e-6
 
 
+def _in_band(delta, kappa: float):
+    """Whether |delta| < 1e6 kappa (kappa / _REAL_ROOT_TOL), on a float
+    or elementwise on an array; false where delta is not finite."""
+    return abs(delta) < kappa / _REAL_ROOT_TOL
+
+
 def _detuning_error(name: str, value: float,
                     kappa: float) -> InvalidParameter:
-    """The error for a detuning outside |value| < kappa / _REAL_ROOT_TOL.
+    """The error for a detuning outside _in_band.
 
     Beyond that bound the cubic's complex pair of roots near +/- i kappa
     passes the real-root test as spurious branches; further out kappa
@@ -105,23 +111,22 @@ def _field(eps, kappa, delta, wide):
 
 def _steady_columns(p: PhysicalParams, d: DerivedParams, deltas):
     """The steady states at the leading detunings of the array deltas
-    that steady_state_at_detuning accepts, as its columns (delta, u, v,
-    n) with the amplitude u + i v, and the error it raises at the first
-    detuning it rejects, or None."""
+    that steady_state_at_detuning accepts, as arrays: those detunings,
+    the amplitude's real and imaginary parts and the photon number; and
+    the error it raises at the first detuning it rejects, or None."""
     kappa = p.cavity_decay
-    size = np.abs(deltas)
-    rejected = (~(size < kappa / _REAL_ROOT_TOL)).nonzero()[0]
+    rejected = (~_in_band(deltas, kappa)).nonzero()[0]
     failure = None
     if rejected.size:
         k = rejected[0]
         failure = _detuning_error("delta", float(deltas[k]), kappa)
-        deltas, size = deltas[:k], size[:k]
-    wide = size > kappa
-    columns = np.empty((3, len(deltas)))
+        deltas = deltas[:k]
+    wide = np.abs(deltas) > kappa
+    u, v, n = np.empty((3, len(deltas)))
     for side in (False, True):
         at = wide == side
-        columns[:, at] = _field(d.drive_eps, kappa, deltas[at], side)
-    return (deltas, *columns), failure
+        u[at], v[at], n[at] = _field(d.drive_eps, kappa, deltas[at], side)
+    return deltas, u, v, n, failure
 
 
 def steady_state_at_detuning(p: PhysicalParams, d: DerivedParams,
@@ -130,7 +135,7 @@ def steady_state_at_detuning(p: PhysicalParams, d: DerivedParams,
 
     A non-finite delta, or one with |delta| >= 1e6 kappa, raises
     InvalidParameter."""
-    if not abs(delta) < p.cavity_decay / _REAL_ROOT_TOL:
+    if not _in_band(delta, p.cavity_decay):
         raise _detuning_error("delta", delta, p.cavity_decay)
     u, v, n = _field(d.drive_eps, p.cavity_decay, delta,
                      abs(delta) > p.cavity_decay)
@@ -163,7 +168,7 @@ def find_steady_branches(p: PhysicalParams, d: DerivedParams,
     detuning outside the range steady_state_at_detuning accepts, or a
     drive so strong that S overflows, raises InvalidParameter.
     """
-    if not abs(bare_detuning) < p.cavity_decay / _REAL_ROOT_TOL:
+    if not _in_band(bare_detuning, p.cavity_decay):
         raise _detuning_error("bare_detuning", bare_detuning, p.cavity_decay)
     kappa = p.cavity_decay
     d0 = float(bare_detuning)

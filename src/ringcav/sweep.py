@@ -10,10 +10,11 @@ minimiser's grids, are solved as stacks of up to _CHUNK operating points
 are fixed (detuning sweeps and the minimiser), a stack's inputs come
 straight from its detuning array, with no SteadyState per point.
 
-The minimiser works in units of the cavity linewidth kappa: a coarse
-grid of spacing kappa / 8 (3 to 4,096 points; wider windows than 512
-kappa are no longer resolved), then refinement grids until the bracket
-is narrower than min(1e-4 omega_m, 1e-3 kappa).
+The minimiser works in units of the cavity linewidth kappa and of the
+mechanical frequency omega_m: a coarse grid of spacing
+min(kappa, omega_m) / 8 (4 to 4,096 points; wider windows than 512
+times that scale are no longer resolved), then refinement grids until
+the bracket is narrower than min(1e-4 omega_m, 1e-3 kappa).
 """
 
 from __future__ import annotations
@@ -214,20 +215,23 @@ def _grid_variances(p: PhysicalParams, d: DerivedParams, deltas,
     return values
 
 
-# coarse grid points per kappa of window, and at most this many points
-_PER_KAPPA = 8
+# coarse grid points per min(kappa, omega_m) of window, and at most
+# this many points
+_PER_SCALE = 8
 _MAX_GRID = 16 * _CHUNK
 # points per refinement grid: three bring the baseline bracket below
 # 1e-4 omega_m
 _REFINE_POINTS = 24
 
 
-def _coarse_points(span: float, kappa: float) -> int:
+def _coarse_points(span: float, kappa: float, wm: float) -> int:
     """Points of the minimiser's coarse grid over a detuning window span
-    (rad/s): a spacing of at most kappa / 8, from 3 to _MAX_GRID points."""
+    (rad/s): a spacing of at most min(kappa, wm) / 8, from 4 to
+    _MAX_GRID points.  Four points or more make the best point's bracket
+    narrower than the window, whichever point is best."""
     # the quotient can overflow to inf: cap it before math.ceil
-    per = min(_PER_KAPPA * span / kappa, _MAX_GRID)
-    return max(3, min(math.ceil(per) + 1, _MAX_GRID))
+    per = min(_PER_SCALE * span / min(kappa, wm), _MAX_GRID)
+    return max(4, min(math.ceil(per) + 1, _MAX_GRID))
 
 
 def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
@@ -245,11 +249,12 @@ def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
         The integration window; the default applies when omitted.
 
     The narrowest feature of the variance scales with the cavity
-    linewidth kappa, so the coarse grid that locates the basin has a
-    spacing of kappa / 8: ceil(8 (high - low) omega_m / kappa) + 1
-    points, at least 3 and at most 4,096.  At the cap, windows wider
-    than 512 kappa (kappa below about 2e-3 omega_m per omega_m of
-    window) get a coarser grid, which no longer resolves kappa.  Grids
+    linewidth kappa, or with omega_m where kappa is wider, so the coarse
+    grid that locates the basin has a spacing of s / 8 with
+    s = min(kappa, omega_m): ceil(8 (high - low) omega_m / s) + 1
+    points, at least 4 and at most 4,096.  At the cap, windows wider
+    than 512 s (kappa below about 2e-3 omega_m per omega_m of window)
+    get a coarser grid, which no longer resolves kappa.  Grids
     of _REFINE_POINTS over the best point's bracket refine it while that
     is wider than min(1e-4 omega_m, 1e-3 kappa) and still shrinks.  The
     grids are solved in stacks of up to 256 points, and the best point
@@ -274,7 +279,7 @@ def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
                                "finite in rad/s with low < high")
 
     tol = min(1e-4 * wm, 1e-3 * kappa)
-    grid = np.linspace(a, b, _coarse_points(b - a, kappa))
+    grid = np.linspace(a, b, _coarse_points(b - a, kappa, wm))
     best_delta, best_value, width = math.nan, math.inf, b - a
     while True:
         values = _grid_variances(p, d, grid, quad)

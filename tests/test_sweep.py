@@ -161,25 +161,30 @@ def test_minimize_ends_when_the_bracket_stops_shrinking(monkeypatch):
     # fails rather than hangs
     p = rc.baseline_params(cavity_decay=5950176485899.068)
     d = rc.derive_params(p)
+    wm = p.mech_freq
     window = (999999999990.0, 999999999999.0)
-    grids, points = [], []
+    a, b = window[0] * wm, window[1] * wm
+    coarse = sweep_mod._coarse_points(b - a, p.cavity_decay, wm)
+    grids = []
     grid_variances = sweep_mod._grid_variances
 
     def counted_grid(*args):
-        grids.append(args)
-        points.extend(args[2])
+        grids.append(len(args[2]))
         if len(grids) > 100:
             raise RuntimeError("the refinement does not end")
-        if len(points) > 100 * sweep_mod._MAX_GRID:
-            raise RuntimeError("the minimiser does not end")
+        if grids[-1] != (coarse if len(grids) == 1
+                         else sweep_mod._REFINE_POINTS):
+            raise RuntimeError(f"a grid of {grids[-1]} detunings")
         return grid_variances(*args)
 
     monkeypatch.setattr(sweep_mod, "_grid_variances", counted_grid)
     res = rc.minimize_over_detuning(p, d, window)
-    wm = p.mech_freq
-    assert window[0] * wm <= res.delta_star <= window[1] * wm
+    assert a <= res.delta_star <= b
     assert math.isfinite(res.value)
-    assert len(grids) < 10
+    # the coarse grid's bracket shrinks, and refinement runs until the
+    # float spacing stops it
+    assert coarse > 3
+    assert 2 <= len(grids) < 10
 
 
 def test_minimize_no_stable_point():
@@ -272,7 +277,7 @@ def _minimize_reference(p, d, window):
 
     lo, hi = window[0] * wm, window[1] * wm
     grid = [float(x) for x in np.linspace(
-        lo, hi, sweep_mod._coarse_points(hi - lo, p.cavity_decay))]
+        lo, hi, sweep_mod._coarse_points(hi - lo, p.cavity_decay, wm))]
     width = hi - lo
     tol = min(1e-4 * wm, 1e-3 * p.cavity_decay)
     while True:
@@ -318,11 +323,13 @@ def test_minimize_finds_the_dense_scan_minimum(r):
 
 def _dense_minimum(p, window):
     """The least variance over the window: a detuning sweep with a
-    spacing of at most kappa / 64, then sweeps of 65 points over the
-    best point's bracket until it is narrower than 1e-6 kappa."""
-    wm, kappa = p.mech_freq, p.cavity_decay
+    spacing of at most s / 64, s = min(kappa, omega_m), then sweeps of
+    65 points over the best point's bracket until it is narrower than
+    1e-6 s."""
+    wm = p.mech_freq
+    scale = min(p.cavity_decay, wm)
     lo, hi = window[0] * wm, window[1] * wm
-    points = math.ceil(64 * (hi - lo) / kappa) + 1
+    points = math.ceil(64 * (hi - lo) / scale) + 1
     best = None
     while True:
         rows = rc.run_sweep(rc.SweepSpec(axis=rc.SweepAxis.DETUNING,
@@ -334,13 +341,13 @@ def _dense_minimum(p, window):
             best = values[i]
         lo = rows[max(i - 1, 0)].axis_value
         hi = rows[min(i + 1, len(rows) - 1)].axis_value
-        if hi - lo < 1e-6 * kappa:
+        if hi - lo < 1e-6 * scale:
             return best
         points = 65
 
 
 _NARROW = [(k, r, mw, window)
-           for k in (0.005, 0.01, 0.02) for r in (1.0, 2.0)
+           for k in (0.005, 0.01, 0.02, 1.0, 10.0, 1e3) for r in (1.0, 2.0)
            for mw in (0.3, 1.0) for window in [(0.5, 1.5), (0.3, 1.7)]]
 
 
@@ -348,11 +355,25 @@ _NARROW = [(k, r, mw, window)
 def test_minimize_resolves_a_narrow_cavity(kappa_per_wm, r, mw, window):
     # in the resolved-sideband regime the variance dip is a fraction of
     # kappa wide (about 0.09 kappa at r = 2), below the spacing of a
-    # fixed coarse grid
+    # fixed coarse grid; where kappa >= omega_m the grid must still
+    # resolve omega_m
     p = rc.baseline_params(cavity_decay=kappa_per_wm * _WM, squeeze_r=r,
                            laser_power=1e-3 * mw)
     res = rc.minimize_over_detuning(p, rc.derive_params(p), window)
     assert res.value == pytest.approx(_dense_minimum(p, window), rel=1e-5)
+
+
+@pytest.mark.parametrize("kappa_per_wm", [0.227, 1.0, 4.0, 10.0, 1e6])
+def test_minimize_refines_the_coarse_bracket(kappa_per_wm, monkeypatch):
+    # a variance that falls towards 0.9 omega_m: the coarse grid's best
+    # point must be refined to the tolerance at any kappa, also where
+    # the window is only a few kappa wide
+    p = rc.baseline_params(cavity_decay=kappa_per_wm * _WM)
+    monkeypatch.setattr(sweep_mod, "_grid_variances",
+                        lambda p, d, deltas, quad:
+                        [(x / _WM - 0.9) ** 2 for x in deltas])
+    res = rc.minimize_over_detuning(p, rc.derive_params(p), (0.5, 1.5))
+    assert abs(res.delta_star / _WM - 0.9) <= 1e-4
 
 
 def test_narrow_cavity_minimize_from_the_command_line(tmp_path, capsys):
@@ -486,7 +507,8 @@ def test_eigen_solves_per_sweep_and_minimiser(baseline, monkeypatch):
 
     monkeypatch.setattr(sweep_mod, "_grid_variances", counted_grid)
     rc.minimize_over_detuning(p, d)
-    coarse = sweep_mod._coarse_points(1.5 * wm - 0.5 * wm, p.cavity_decay)
+    coarse = sweep_mod._coarse_points(1.5 * wm - 0.5 * wm, p.cavity_decay,
+                                      wm)
     assert grids == [coarse] + 3 * [sweep_mod._REFINE_POINTS]
     assert len(solves) == len(builds) == len(grids)
     # every build runs on a stack's arrays, none on one point's floats
