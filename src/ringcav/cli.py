@@ -489,14 +489,15 @@ def _results(ns: argparse.Namespace, cfg: RunConfig) -> list:
 
 def _dispatch(ns: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load_config(ns), ns)
+    gnuplot = getattr(ns, "gnuplot_script", None)
+    if gnuplot is not None and (cfg.output_format != "csv"
+                                or cfg.output_path == "-"):
+        raise ValidationError(
+            "gnuplot_script", "needs csv format and an --output file")
     results = _results(ns, cfg)
     text = _render([_record(r) for r in results], cfg.output_format,
                    single=ns.command in ("point", "stability", "minimize"))
-    gnuplot = getattr(ns, "gnuplot_script", None)
     if gnuplot is not None:
-        if cfg.output_format != "csv" or cfg.output_path == "-":
-            raise ValidationError(
-                "gnuplot_script", "needs csv format and an --output file")
         _emit(_gnuplot_script(cfg.output_path), gnuplot)
     _emit(text, cfg.output_path)
     return 0

@@ -42,7 +42,7 @@ from .model import DerivedParams, PhysicalParams
 # importable from here for callers that look it up in this namespace
 from .quadrature import integrate_adaptive  # noqa: F401
 from .stability import _stability_columns, _stack_verdicts
-from .steady import SteadyState, _steady_columns, steady_state_at_detuning
+from .steady import SteadyState, _field, steady_state_at_detuning
 
 __all__ = [
     "QuadratureConfig",
@@ -389,31 +389,32 @@ def _columns(wm, kappa, temp, gm, g, chi, nsq, mre, mim, delta, u, v, n,
 _DELTA_INPUT = 9
 
 
-def _parameter_inputs(p: PhysicalParams, d: DerivedParams) -> tuple:
-    """The first nine inputs of _columns, which p and d give."""
+def _parameters(p: PhysicalParams, d: DerivedParams) -> tuple:
+    """The first nine inputs of _columns, which p and d give, and the
+    drive eps."""
     return (p.mech_freq, p.cavity_decay, p.bath_temp, d.gamma_m,
             d.coupling_g, d.chi, d.n_squeeze, d.m_squeeze.real,
-            d.m_squeeze.imag)
+            d.m_squeeze.imag, d.drive_eps)
+
+
+def _inputs(pds, deltas: np.ndarray) -> np.ndarray:
+    """_columns' inputs (13, n) at the detunings deltas (n), with one
+    pair (p, d) for all or one per detuning: the stacks of every sweep
+    axis and minimiser grid.  The steady state comes from the detuning
+    array, in the bits of steady_state_at_detuning."""
+    par = np.array([_parameters(p, d) for p, d in pds]).reshape(-1, 10).T
+    inputs = np.empty((13, len(deltas)))
+    inputs[:_DELTA_INPUT] = par[:_DELTA_INPUT]
+    inputs[_DELTA_INPUT:] = deltas, *_field(par[-1], par[1], deltas)
+    return inputs
 
 
 def _point_inputs(points) -> np.ndarray:
-    """_columns' inputs (13, n) at operating points (p, d, s)."""
-    return np.array([(*_parameter_inputs(p, d), s.detuning, s.amplitude.real,
-                      s.amplitude.imag, s.photon_number)
+    """_columns' inputs (13, n) at operating points (p, d, s), with the
+    amplitude that each s holds."""
+    return np.array([(*_parameters(p, d)[:_DELTA_INPUT], s.detuning,
+                      s.amplitude.real, s.amplitude.imag, s.photon_number)
                      for p, d, s in points], dtype=float).reshape(-1, 13).T
-
-
-def _detuning_inputs(p: PhysicalParams, d: DerivedParams, deltas):
-    """_columns' inputs (13, k) at p, d and the leading k detunings of
-    the array deltas that steady_state_at_detuning accepts, and the
-    error it raises at the next one, or None.  The steady-state inputs
-    come from the detuning array, with no SteadyState per point, in the
-    bits that steady_state_at_detuning gives."""
-    delta, u, v, n, failure = _steady_columns(p, d, deltas)
-    inputs = np.empty((13, len(delta)))
-    inputs[:_DELTA_INPUT] = np.array(_parameter_inputs(p, d))[:, None]
-    inputs[_DELTA_INPUT:] = delta, u, v, n
-    return inputs, failure
 
 
 def _row_matrix(inputs: np.ndarray, cutoff: float) -> np.ndarray:
@@ -474,8 +475,6 @@ def _variances(inputs: np.ndarray, cutoff: float) -> list:
     coincide is summed on its own over _nodes' circles.  An entry does
     not depend on the other points: a point alone gives the same bits.
     """
-    if not inputs.shape[1]:
-        return []
     rows = _row_matrix(inputs, cutoff)
     re = rows.real
     n = len(rows)

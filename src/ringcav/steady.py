@@ -84,61 +84,37 @@ class SteadyState:
     tangent: bool = False
 
 
-def _field(eps, kappa, delta, wide):
+def _field(eps, kappa, delta):
     """The amplitude c_s = u + i v = eps / (kappa + i delta) as (u, v),
-    and the photon number n = u^2 + v^2, for kappa > 0 and finite delta
-    with |delta| > kappa where ``wide`` holds, else |delta| <= kappa.
-
-    The same arithmetic runs on one point's floats and on an array of
-    detunings on one side of kappa, so that a stack gives the bits of
-    each point alone.  It is CPython's complex division of eps + 0i by
-    kappa + i delta (Smith's method) written out in real arithmetic,
-    divided through by delta where wide, else by kappa; the terms of the
-    zero imaginary part of eps stay, as they fix the signs of zeros.
-    """
-    if wide:
-        ratio = kappa / delta
-        denom = delta + kappa * ratio
-        u = (eps * ratio + 0.0) / denom
-        v = (0.0 * ratio - eps) / denom
-    else:
-        ratio = delta / kappa
-        denom = kappa + delta * ratio
-        u = (eps + 0.0 * ratio) / denom
-        v = (0.0 - eps * ratio) / denom
+    and the photon number n = u^2 + v^2, by the same arithmetic on one
+    point's floats and elementwise on arrays, so that a stack gives the
+    bits of each point alone.  In the input domain and the band |delta|
+    < 1e6 kappa, kappa^2 + delta^2 stays within [1e-52, 1e64]."""
+    den = kappa * kappa + delta * delta
+    u = eps * kappa / den
+    v = -(eps * delta) / den
     return u, v, u * u + v * v
 
 
-def _steady_columns(p: PhysicalParams, d: DerivedParams, deltas):
-    """The steady states at the leading detunings of the array deltas
-    that steady_state_at_detuning accepts, as arrays: those detunings,
-    the amplitude's real and imaginary parts and the photon number; and
-    the error it raises at the first detuning it rejects, or None."""
-    kappa = p.cavity_decay
+def _band(deltas, kappa: float):
+    """The leading detunings of the array deltas in the band, and the
+    error steady_state_at_detuning raises at the next one, or None."""
     rejected = (~_in_band(deltas, kappa)).nonzero()[0]
-    failure = None
-    if rejected.size:
-        k = rejected[0]
-        failure = _detuning_error("delta", float(deltas[k]), kappa)
-        deltas = deltas[:k]
-    wide = np.abs(deltas) > kappa
-    u, v, n = np.empty((3, len(deltas)))
-    for side in (False, True):
-        at = wide == side
-        u[at], v[at], n[at] = _field(d.drive_eps, kappa, deltas[at], side)
-    return deltas, u, v, n, failure
+    if not rejected.size:
+        return deltas, None
+    k = rejected[0]
+    return deltas[:k], _detuning_error("delta", float(deltas[k]), kappa)
 
 
 def steady_state_at_detuning(p: PhysicalParams, d: DerivedParams,
                              delta: float) -> SteadyState:
-    """Steady state for a prescribed *effective* detuning delta (rad/s).
-
-    A non-finite delta, or one with |delta| >= 1e6 kappa, raises
-    InvalidParameter."""
+    """Steady state for a prescribed *effective* detuning delta (rad/s),
+    in the bits that the stacks of every sweep axis take from their
+    detuning arrays.  A non-finite delta, or one with |delta| >= 1e6
+    kappa, raises InvalidParameter."""
     if not _in_band(delta, p.cavity_decay):
         raise _detuning_error("delta", delta, p.cavity_decay)
-    u, v, n = _field(d.drive_eps, p.cavity_decay, delta,
-                     abs(delta) > p.cavity_decay)
+    u, v, n = _field(d.drive_eps, p.cavity_decay, delta)
     disp = 2.0 * d.coupling_g * d.chi * n / p.mech_freq
     if p.geometry is Geometry.THREE_MIRROR_RELATIVE:
         disp = -disp

@@ -6,9 +6,10 @@ criteria at every point; unstable points are reported as such instead
 of aborting the scan.  Rows come back in grid order.  The rows, and the
 minimiser's grids, are solved as stacks of up to _CHUNK operating points
 (one eigen-solve and one residue sum each); a row equals the
-``entanglement_result`` at its point bit for bit.  Where the parameters
-are fixed (detuning sweeps and the minimiser), a stack's inputs come
-straight from its detuning array, with no SteadyState per point.
+``entanglement_result`` at its point bit for bit.  On every axis a
+stack's steady-state inputs come straight from its detuning array (the
+swept detunings, or the fixed delta on each row), with no SteadyState
+per point.
 
 The minimiser works in units of the cavity linewidth kappa and of the
 mechanical frequency omega_m: a coarse grid of spacing
@@ -28,11 +29,11 @@ import numpy as np
 from .errors import (InvalidParameter, NumericalFailure, NoStablePoint,
                      RingCavError, UnstableOperatingPoint)
 from .model import DerivedParams, PhysicalParams, derive_params
-from .spectra import (QuadratureConfig, _detuning_inputs, _point_inputs,
-                      _product_sum, _variances, q_plus_variance)
+from .spectra import (QuadratureConfig, _inputs, _product_sum, _variances,
+                      q_plus_variance)
 # re-exported: callers look the verdict up in this namespace
 from .stability import stability_verdict  # noqa: F401
-from .steady import steady_state_at_detuning
+from .steady import _band
 
 __all__ = [
     "SweepAxis",
@@ -115,26 +116,11 @@ class SweepRow:
 _CHUNK = 256
 
 
-def _stacked(make, values, cutoff: float):
-    """((p, d), variance or its error) at each value, in order, solved in
-    stacks of up to _CHUNK.  make(chunk) gives the parameters and
-    _columns' inputs at the chunk's leading values, up to the first it
-    cannot solve, and that value's error or None; the error is raised
-    after the values before it."""
-    for start in range(0, len(values), _CHUNK):
-        params, inputs, failure = make(values[start:start + _CHUNK])
-        yield from zip(params, _variances(inputs, cutoff))
-        if failure is not None:
-            raise failure
-
-
-def _at_detunings(p: PhysicalParams, d: DerivedParams):
-    """make for _stacked at p, d and each detuning: the inputs come
-    straight from the detuning array."""
-    def make(deltas):
-        inputs, failure = _detuning_inputs(p, d, np.asarray(deltas, float))
-        return [(p, d)] * inputs.shape[1], inputs, failure
-    return make
+def _stacked(inputs: np.ndarray, cutoff: float):
+    """The variance, or its error, at each column of _columns' inputs
+    (13, n), in order, solved in stacks of up to _CHUNK."""
+    for start in range(0, inputs.shape[1], _CHUNK):
+        yield from _variances(inputs[:, start:start + _CHUNK], cutoff)
 
 
 def _sweep_row(value: float, p: PhysicalParams, d: DerivedParams,
@@ -168,28 +154,33 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """
     grid = [float(v) for v in
             np.linspace(spec.start, spec.stop, spec.points)]
-    if spec.axis is SweepAxis.DETUNING:
-        # the parameters are the same on every row
-        make = _at_detunings(spec.fixed, derive_params(spec.fixed))
-    else:
-        field = spec.axis.value
-
-        def make(values):
-            points, failure = [], None
+    detuning = spec.axis is SweepAxis.DETUNING
+    # the parameters of a detuning sweep are the same on every row
+    pds = [(spec.fixed, derive_params(spec.fixed))] if detuning else []
+    rows, failure = [], None
+    for start in range(0, len(grid), _CHUNK):
+        deltas = values = grid[start:start + _CHUNK]
+        if not detuning:
+            pds = []
             for v in values:
                 try:
-                    p = replace(spec.fixed, **{field: v})
-                    d = derive_params(p)
-                    points.append(
-                        (p, d, steady_state_at_detuning(p, d, spec.delta)))
+                    p = replace(spec.fixed, **{spec.axis.value: v})
+                    pds.append((p, derive_params(p)))
                 except RingCavError as err:
                     failure = err
                     break
-            return ([pt[:2] for pt in points], _point_inputs(points),
-                    failure)
-
-    return [_sweep_row(v, p, d, vp) for v, ((p, d), vp) in
-            zip(grid, _stacked(make, grid, spec.quadrature.cutoff))]
+            deltas = [spec.delta] * len(pds)
+        # the rows before the first failure are solved; as no axis moves
+        # kappa, a fixed delta fails on the first row that gets to it
+        deltas, band = _band(np.array(deltas), spec.fixed.cavity_decay)
+        if band is not None:
+            pds, failure = pds[:len(deltas)], band
+        rows += [_sweep_row(v, *pd, vp) for v, pd, vp in zip(
+            values, pds * len(deltas) if len(pds) == 1 else pds,
+            _stacked(_inputs(pds, deltas), spec.quadrature.cutoff))]
+        if failure is not None:
+            raise failure
+    return rows
 
 
 @dataclass(frozen=True)
@@ -205,13 +196,16 @@ def _grid_variances(p: PhysicalParams, d: DerivedParams, deltas,
                     quad: QuadratureConfig) -> list[float]:
     """The variance at each detuning, +inf where the point is unstable,
     solved in stacks."""
+    deltas, failure = _band(np.asarray(deltas, float), p.cavity_decay)
     values = []
-    for _, vp in _stacked(_at_detunings(p, d), deltas, quad.cutoff):
+    for vp in _stacked(_inputs([(p, d)], deltas), quad.cutoff):
         if isinstance(vp, UnstableOperatingPoint):
             vp = math.inf
         elif isinstance(vp, RingCavError):
             raise vp
         values.append(vp)
+    if failure is not None:
+        raise failure
     return values
 
 

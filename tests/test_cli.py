@@ -565,10 +565,23 @@ def test_output_file_and_gnuplot_script(tmp_path, capsys):
     assert "plot" in script
 
 
-def test_gnuplot_script_requires_file_output(capsys):
-    code, out, err = run(["fig2", "--points", "3",
-                          "--gnuplot-script", "/tmp/x.gp"], capsys)
-    assert code == 1
+def test_gnuplot_script_requires_file_output(tmp_path, monkeypatch, capsys):
+    # the usage error comes before the scan: no sweep runs and no summary
+    # line is printed, without --output and with json output
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    sweep = cli.run_sweep
+    monkeypatch.setattr(cli, "run_sweep",
+                        lambda spec: calls.append(spec) or sweep(spec))
+    for extra in ([], ["--format", "json", "--output", "rows.json"]):
+        code, out, err = run(["fig2", "--points", "3", "--gnuplot-script",
+                              "x.gp", *extra], capsys)
+        assert code == 1
+        assert calls == []
+        assert "fig2:" not in err
+        assert err.endswith("error: gnuplot_script: needs csv format and "
+                            "an --output file\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_json_sweep_rows(capsys):

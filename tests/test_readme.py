@@ -2,6 +2,7 @@
 
 import pathlib
 import re
+import shlex
 
 import ringcav as rc
 from ringcav.cli import _SCHEMA
@@ -61,3 +62,17 @@ def test_ini_example_names_every_key():
         for _, _, keys, _ in schema:
             found = [k for k in written.get(section, []) if k in keys]
             assert len(found) == 1, (section, keys, found)
+
+
+def test_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    # every command of the command-line block, with the ini example as
+    # its run.cfg, in an empty directory
+    sh = re.findall(r"^```sh\n(.*?)^```$", README, re.M | re.S)
+    block, = [b for b in sh if "\nringcav " in b]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("ringcav ")]
+    assert len(commands) == 8
+    (tmp_path / "run.cfg").write_text(_block("ini"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert rc.main(argv) == 0, (argv, capsys.readouterr().err)

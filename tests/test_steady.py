@@ -1,11 +1,14 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringcav as rc
-from ringcav.spectra import _detuning_inputs
+from ringcav.spectra import _inputs
+from ringcav.steady import _band
 
 # Frozen high-precision values at delta = 0.965 * omega_m, baseline.
 DELTA_965 = 5741920.308892601
@@ -95,10 +98,10 @@ def test_non_finite_detuning_rejected(baseline, bad):
 @pytest.mark.parametrize("kappa_per_wm, mw", [(0.227, 3.8), (0.005, 1.0),
                                               (40.0, 0.0)])
 def test_detuning_array_gives_the_steady_state_bits(kappa_per_wm, mw):
-    # the inputs a detuning stack builds from its detuning array: the
-    # detuning, amplitude and photon number of steady_state_at_detuning,
-    # signs of zeros included, on either side of |delta| = kappa (the two
-    # branches of the division), at zero and negative detunings
+    # the inputs a stack builds from its detuning array: the detuning,
+    # amplitude and photon number of steady_state_at_detuning, signs of
+    # zeros included, on either side of |delta| = kappa, at zero and
+    # negative detunings
     p = rc.baseline_params(cavity_decay=kappa_per_wm * 5950176.485899068,
                            laser_power=1e-3 * mw)
     d = rc.derive_params(p)
@@ -111,12 +114,55 @@ def test_detuning_array_gives_the_steady_state_bits(kappa_per_wm, mw):
          np.nextafter(kappa, 2.0 * kappa)]])
     assert np.count_nonzero(np.abs(deltas) < kappa) > 200
     assert np.count_nonzero(np.abs(deltas) > kappa) > 200
-    got, failure = _detuning_inputs(p, d, deltas)
-    assert failure is None
+    inside, failure = _band(deltas, kappa)
+    assert failure is None and len(inside) == len(deltas)
+    got = _inputs([(p, d)], deltas)
     states = [rc.steady_state_at_detuning(p, d, float(x)) for x in deltas]
     want = np.array([(s.detuning, s.amplitude.real, s.amplitude.imag,
                       s.photon_number) for s in states]).T
     assert got[9:].tobytes() == want.tobytes()
+
+
+_CORNER_WM = (1e-20, 1.0, 1e20)
+_CORNER_KAPPA_PER_WM = (1e-6, 1.0, 1e6)
+_CORNER_WATTS = (0.0, 3.8e-3, 1e3)
+
+
+def test_amplitude_at_the_domain_corners():
+    # omega_m, kappa / omega_m and the power at the ends of the input
+    # domain, each at the baseline mass and at the mass that keeps
+    # g / omega_m (which omega_m = 1e-20 rad/s needs); the detunings
+    # reach the band |delta| < 1e6 kappa
+    ref = rc.baseline_params()
+    checked = 0
+    for wm, ratio, watts, scaled in itertools.product(
+            _CORNER_WM, _CORNER_KAPPA_PER_WM, _CORNER_WATTS, (False, True)):
+        mass = ref.mirror_mass * (ref.mech_freq / wm) ** (3 * scaled)
+        p = rc.baseline_params(mech_freq=wm, cavity_decay=ratio * wm,
+                               laser_power=watts, mirror_mass=mass)
+        try:
+            d = rc.derive_params(p)
+        except rc.InvalidParameter:
+            continue
+        kappa = p.cavity_decay
+        deltas = np.array([0.0, -0.0, kappa, -kappa, 0.999e6 * kappa,
+                           -0.999e6 * kappa, 0.965 * wm])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _inputs([(p, d)], deltas)
+            states = [rc.steady_state_at_detuning(p, d, float(x))
+                      for x in deltas]
+        want = np.array([(s.detuning, s.amplitude.real, s.amplitude.imag,
+                          s.photon_number) for s in states]).T
+        assert got[9:].tobytes() == want.tobytes(), (wm, ratio, watts,
+                                                       scaled)
+        for x, s in zip(deltas, states):
+            exact = d.drive_eps / complex(kappa, x)
+            assert abs(s.amplitude - exact) <= 4e-16 * abs(exact)
+            assert s.photon_number == pytest.approx(
+                abs(exact) ** 2, rel=1e-15, abs=0.0)
+        checked += 1
+    assert checked == 45
 
 
 def test_unresolvable_detuning_rejected(baseline):

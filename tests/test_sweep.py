@@ -408,6 +408,20 @@ def test_detuning_band_error_comes_as_from_the_row_loop(baseline):
     with pytest.raises(rc.InvalidParameter) as got:
         rc.minimize_over_detuning(p, d, (2e5, 2.3e5))
     assert got.value.field == "delta"
+    # on another axis the fixed delta fails on the first row, unless
+    # that row's parameters fail first (r = 1e4 overflows sinh^2 r)
+    far = 3e5 * _WM
+    for start, field in ((0.0, "delta"), (1e4, "n_squeeze")):
+        spec = rc.SweepSpec(axis=rc.SweepAxis.SQUEEZE_R, start=start,
+                            stop=start + 1.0, points=3, fixed=p, delta=far)
+        with pytest.raises(rc.InvalidParameter) as want:
+            for v in np.linspace(spec.start, spec.stop, spec.points):
+                q = replace(p, squeeze_r=float(v))
+                rc.entanglement_result(q, rc.derive_params(q), far)
+        with pytest.raises(rc.InvalidParameter) as got:
+            rc.run_sweep(spec)
+        assert str(got.value) == str(want.value)
+        assert got.value.field == field
 
 
 def test_failing_row_is_not_masked_by_the_rows_before_it():
