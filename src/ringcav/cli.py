@@ -25,8 +25,8 @@ import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .errors import (ConfigError, InternalInconsistency, InvalidParameter,
-                     ParseError, RingCavError, UnknownKey, ValidationError)
+from .errors import (ConfigError, InvalidParameter, ParseError, RingCavError,
+                     UnknownKey, ValidationError)
 from .model import (Geometry, PhysicalParams, baseline_params,
                     derive_params, validate)
 from .spectra import QuadratureConfig, entanglement_result
@@ -336,24 +336,18 @@ def _build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[shared], help=help_,
                               description=help_, **kw)
 
-    sp = add("point", "both entanglement criteria at one detuning")
-    sp.add_argument("--delta-per-wm", type=float, required=True,
-                    metavar="X", help="effective detuning in units of the "
-                                      "mechanical frequency")
+    for name, help_, kind in (
+            ("point", "both entanglement criteria at one detuning",
+             "effective"),
+            ("branches", "coexisting steady states at one bare detuning",
+             "bare"),
+            ("stability", "dual stability verdict at one detuning",
+             "effective")):
+        add(name, help_).add_argument(
+            "--delta-per-wm", type=float, required=True, metavar="X",
+            help=f"{kind} detuning in units of the mechanical frequency")
 
-    sp = add("branches", "coexisting steady states at one bare detuning")
-    sp.add_argument("--delta-per-wm", type=float, required=True,
-                    metavar="X", help="bare detuning in units of the "
-                                      "mechanical frequency")
-
-    sp = add("stability", "dual stability verdict at one detuning")
-    sp.add_argument("--delta-per-wm", type=float, required=True,
-                    metavar="X", help="effective detuning in units of the "
-                                      "mechanical frequency")
-
-    sp = add("sweep", "run the sweep described by the config file")
-    sp.add_argument("--gnuplot-script", metavar="PATH",
-                    help="also write a gnuplot script plotting the CSV")
+    plotted = [add("sweep", "run the sweep described by the config file")]
 
     sp = add("minimize", "find the detuning minimising the coupled-"
                          "momentum variance")
@@ -366,6 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = add(name, help_)
         sp.add_argument("--points", type=int, default=npts,
                         help=f"grid points (default {npts})")
+        plotted.append(sp)
+    for sp in plotted:
         sp.add_argument("--gnuplot-script", metavar="PATH",
                         help="also write a gnuplot script plotting the CSV")
 
@@ -475,8 +471,6 @@ def _results(ns: argparse.Namespace, cfg: RunConfig) -> list:
             raise ValidationError(
                 "sweep", "the sweep command needs a [sweep] config section")
         return run_sweep(cfg.sweep)
-    if ns.command not in _PRESETS:
-        raise InternalInconsistency(f"unhandled command {ns.command!r}")
     _, _, axis, (lo, hi), delta_per_wm, summarise = _PRESETS[ns.command]
     unit = wm if axis is SweepAxis.DETUNING else 1.0
     rows = run_sweep(SweepSpec(
@@ -497,9 +491,10 @@ def _dispatch(ns: argparse.Namespace) -> int:
     results = _results(ns, cfg)
     text = _render([_record(r) for r in results], cfg.output_format,
                    single=ns.command in ("point", "stability", "minimize"))
+    # the data first: a write that fails leaves no script behind
+    _emit(text, cfg.output_path)
     if gnuplot is not None:
         _emit(_gnuplot_script(cfg.output_path), gnuplot)
-    _emit(text, cfg.output_path)
     return 0
 
 

@@ -164,8 +164,6 @@ def _exp_e1(z: np.ndarray) -> np.ndarray:
     """
     size = np.abs(z)
     series = (size < 60.0) & (size + z.real < 3.0)
-    if not series.any():
-        return _e1_fraction(z)
     out = np.empty_like(z)
     out[series] = _e1_series(z[series])
     out[~series] = _e1_fraction(z[~series])
@@ -475,12 +473,12 @@ def _variances(inputs: np.ndarray, cutoff: float) -> list:
     coincide is summed on its own over _nodes' circles.  An entry does
     not depend on the other points: a point alone gives the same bits.
     """
-    rows = _row_matrix(inputs, cutoff)
-    re = rows.real
-    n = len(rows)
     # overflow at huge inputs is reported below, not warned about; 1 / Q'
     # at a clustered pole may divide by zero, and is dropped in _nodes
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rows = _row_matrix(inputs, cutoff)
+        re = rows.real
+        n = len(rows)
         ev, max_re, live, errors = _stack_verdicts(re)
         all_live = np.count_nonzero(live) == n
         r = 1j * ev

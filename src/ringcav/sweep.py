@@ -195,12 +195,16 @@ class MinimizeResult:
 def _grid_variances(p: PhysicalParams, d: DerivedParams, deltas,
                     quad: QuadratureConfig) -> list[float]:
     """The variance at each detuning, +inf where the point is unstable,
-    solved in stacks."""
+    solved in stacks; a NumericalFailure names its detuning."""
     deltas, failure = _band(np.asarray(deltas, float), p.cavity_decay)
     values = []
-    for vp in _stacked(_inputs([(p, d)], deltas), quad.cutoff):
+    for delta, vp in zip(deltas.tolist(),
+                         _stacked(_inputs([(p, d)], deltas), quad.cutoff)):
         if isinstance(vp, UnstableOperatingPoint):
             vp = math.inf
+        elif isinstance(vp, NumericalFailure):
+            raise NumericalFailure(
+                f"at detuning {delta!r} rad/s: {vp}") from vp
         elif isinstance(vp, RingCavError):
             raise vp
         values.append(vp)
@@ -262,7 +266,7 @@ def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
     NoStablePoint
         If no point of the window is stable.
     NumericalFailure
-        From a grid point's variance.
+        From a grid point's variance, with its detuning attached.
     """
     lo, hi = window
     wm, kappa = p.mech_freq, p.cavity_decay

@@ -106,6 +106,10 @@ def test_parse_error_carries_line_and_column():
         parse_config("[params\n")
     with pytest.raises(rc.ParseError):
         parse_config("[params]\nwavelength = 1e-6\nwavelength = 2e-6\n")
+    with pytest.raises(rc.ParseError, match="empty key"):
+        parse_config("[params]\n = 1e-6\n")
+    with pytest.raises(rc.ParseError, match="empty value"):
+        parse_config("[params]\nwavelength =\n")
 
 
 def test_validation_error_names_field():
@@ -116,6 +120,10 @@ def test_validation_error_names_field():
         parse_config("[params]\ngeometry = pentagon\n")
     with pytest.raises(rc.ValidationError):
         parse_config("output_format = yaml\n")
+    with pytest.raises(rc.ValidationError) as exc:
+        parse_config("[sweep]\naxis = squeeze_r\nstart = 0\nstop = 1\n"
+                     "points = 1\ndelta = 5741920.308892601\n")
+    assert exc.value.field == "sweep.points"
 
 
 def test_sweep_section_round_trip():
@@ -386,12 +394,17 @@ def test_unresolvable_detuning_is_usage_error(argv, capsys):
     # sinh^2 r is finite, the residue sum is not
     (["point", "--delta-per-wm", "0.965", "--r", "315"], None, 2,
      "variance integral is not finite"),
+    # the same in a stacked sweep row and a minimiser grid
+    (["sweep"], "[sweep]\naxis = squeeze_r\nstart = 0\nstop = 340\n"
+                "points = 3\ndelta = 5741920.308892601\n", 2,
+     "variance integral is not finite"),
+    (["minimize", "--r", "320"], None, 2, "at detuning"),
 ], ids=["r-1000", "r-400", "power-1e300", "power-1e284", "temp-1e300",
         "temp-1e-300", "temp-1e304", "wavelength-1e308", "zero-temp-1e300",
         "zero-power-1e284", "minimize-temp-1e300", "zero-quality-1e308",
         "zero-cutoff-1e300",
         "cutoff-1e300", "mass-5e-324", "kappa-1e-300", "kappa-hz-1e300",
-        "r-315"])
+        "r-315", "sweep-r-340", "minimize-r-320"])
 def test_overflowing_input_is_an_error(argv, config, code, says, tmp_path,
                                        capsys):
     if config is not None:
@@ -463,16 +476,22 @@ def test_os_and_decode_failures_exit_1(tmp_path, capsys):
     undecodable = tmp_path / "latin1.cfg"
     undecodable.write_bytes(b"\xff\xfe")
     csv_path = str(tmp_path / "scan.csv")
+    script = tmp_path / "x.gp"
     for argv in (["point", "--delta-per-wm", "1", "--output", str(tmp_path)],
                  ["point", "--delta-per-wm", "1", "--config", str(tmp_path)],
                  ["point", "--delta-per-wm", "1", "--config",
                   str(undecodable)],
                  ["fig2", "--points", "2", "--output", csv_path,
-                  "--gnuplot-script", str(tmp_path)]):
+                  "--gnuplot-script", str(tmp_path)],
+                 # the data cannot be written: no script plots it
+                 ["fig2", "--points", "2", "--output",
+                  str(tmp_path / "missing" / "x.csv"),
+                  "--gnuplot-script", str(script)]):
         code, out, err = run(argv, capsys)
         assert code == 1, argv
         assert err.splitlines()[-1].startswith("error:"), argv
         assert "Traceback" not in err
+    assert not script.exists()
 
 
 @pytest.mark.parametrize("text", [BASELINE_CFG, "[params]\nsqueeze_r = 0.5\n"])
@@ -539,6 +558,22 @@ def test_fig2_summary_on_stderr(capsys):
     assert code == 0
     assert "min var_p_minus" in err
     assert CSV_HEADER in out
+
+
+@pytest.mark.parametrize("argv, summary", [
+    (["fig2", "--points", "5", "--power-mw", "1000"],
+     "fig2: no stable points\n"),
+    (["fig4", "--points", "3", "--power-mw", "200"], ""),
+])
+def test_preset_summary_without_stable_points(argv, summary, capsys):
+    # every row unstable: fig2 says so, fig4 has no crossing to report
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert err == ("config: no config file; package defaults in effect\n"
+                   + summary)
+    rows = out.splitlines()[1:]
+    assert len(rows) == int(argv[2])
+    assert all(r.endswith(",,,,,false") for r in rows)
 
 
 def test_geometry_flag_changes_nothing(capsys):

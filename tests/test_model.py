@@ -67,6 +67,7 @@ def test_squeeze_phase_rotates_m():
     ("squeeze_r", -0.1),
     ("fold_angle", 4.0),
     ("squeeze_phase", math.nan),
+    ("geometry", "3ring"),  # the config spelling, not a Geometry member
 ])
 def test_validate_flags_bad_field(field, value):
     p = rc.baseline_params(**{field: value})

@@ -11,7 +11,8 @@ from oracles import (breakpoints as _breakpoints, lyapunov_squeezed_variance,
 from ringcav.constants import HBAR, KB
 from ringcav.spectra import (_BETA, _BL, _POLE_GAP, _SCALE, _SHIFT_PER_WM,
                              _WM, _ZFAC, _binet, _exp_e1, _point_inputs,
-                             _row_matrix, _simple_weights, _variances)
+                             _product_sum, _row_matrix, _simple_weights,
+                             _variances)
 from ringcav.stability import _stack_verdicts
 
 DELTA_965 = 5741920.308892601
@@ -163,6 +164,23 @@ def test_unstable_point_raises(baseline):
         rc.momentum_variance(p, d, s)
     with pytest.raises(rc.UnstableOperatingPoint):
         rc.entanglement_result(p, d, 0.5 * p.mech_freq)
+
+
+@pytest.mark.parametrize("total, says", [
+    (1.0 + 1.0j, "left imaginary residue"),
+    (-1.0 + 0.0j, "came out non-positive"),
+])
+def test_bad_residue_sum_is_a_numerical_failure(baseline, monkeypatch,
+                                                total, says):
+    monkeypatch.setattr(rc.spectra, "_residue_sums",
+                        lambda q, *rest: np.full(len(q), total))
+    with pytest.raises(rc.NumericalFailure, match=says):
+        rc.momentum_variance(*_ref_state(baseline))
+
+
+def test_criteria_beyond_double_range_are_a_numerical_failure():
+    with pytest.raises(rc.NumericalFailure, match="criteria are not finite"):
+        _product_sum(1e200, 1e200)
 
 
 def test_q_plus_variance_values(baseline):

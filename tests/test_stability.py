@@ -3,6 +3,7 @@ import pytest
 
 import ringcav as rc
 from oracles import characteristic_polynomial_roots
+from ringcav.spectra import _point_inputs, _variances
 
 DELTA_965 = 5741920.308892601
 
@@ -104,6 +105,38 @@ def test_verdicts_agree_on_random_draws(baseline):
         assert v.routh_hurwitz == v.eigenvalue
         checked += 1
     assert checked >= 490
+
+
+def test_failed_eigen_solve_in_a_stack_stays_at_its_point(baseline,
+                                                         monkeypatch):
+    # eigvals fails on one marked matrix: the stack is solved again one
+    # matrix at a time, and only the marked point carries the error
+    p, d = baseline
+    wm = p.mech_freq
+    marked = 0.9 * wm
+    points = [rc.steady_state_at_detuning(p, d, x * wm)
+              for x in (0.8, 0.9, 0.965, 1.1)]
+    inputs = _point_inputs([(p, d, s) for s in points])
+    alone = [_variances(inputs[:, i:i + 1], 50.0)[0]
+             for i in range(len(points))]
+    eigvals = np.linalg.eigvals
+
+    def failing(a):
+        if np.any(a[..., 2, 3] == marked):  # the drift entry delta
+            raise np.linalg.LinAlgError("marked matrix")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    got = _variances(inputs, 50.0)
+    for s, v, want in zip(points, got, alone):
+        if s.detuning == marked:
+            assert isinstance(v, rc.NumericalFailure)
+            assert str(v).startswith("eigenvalue computation failed")
+            with pytest.raises(rc.NumericalFailure, match="eigenvalue"):
+                rc.stability_verdict(p, d, s)
+        else:
+            assert v.hex() == want.hex()
+            assert rc.stability_verdict(p, d, s).stable
 
 
 def test_geometry_does_not_change_stability(baseline):

@@ -29,6 +29,12 @@ def test_spec_validation():
     with pytest.raises(rc.InvalidParameter):
         rc.SweepSpec(axis=rc.SweepAxis.SQUEEZE_R, start=0.0, stop=1.0,
                      points=3, fixed=rc.baseline_params())
+    with pytest.raises(rc.InvalidParameter) as exc:
+        _spec(axis="detuning")  # the config spelling, not a SweepAxis
+    assert exc.value.field == "axis"
+    with pytest.raises(rc.InvalidParameter) as exc:
+        _spec(start=math.nan)
+    assert exc.value.field == "start"
 
 
 def test_detuning_sweep_rows(baseline):
@@ -467,6 +473,9 @@ def test_stability_tests_disagreeing_in_a_stack_is_a_bug(baseline,
     assert "tests disagree" in str(stacked.value)
     with pytest.raises(rc.InternalInconsistency):
         rc.momentum_variance(p, d, s)
+    # the minimiser's grids pass it on as it is
+    with pytest.raises(rc.InternalInconsistency, match="tests disagree"):
+        rc.minimize_over_detuning(p, d)
 
 
 def test_unstable_rows_mid_stack_leave_their_neighbours_be():
