@@ -17,8 +17,7 @@ from .errors import (ConfigError, InternalInconsistency, InvalidParameter,
                      ValidationError)
 from .model import (DerivedParams, Geometry, PhysicalParams,
                     baseline_params, derive_params, validate)
-from .quadrature import QuadResult, integrate_adaptive
-from .spectra import (EntanglementResult, QuadratureConfig, d_of_omega,
+from .spectra import (EntanglementResult, QuadratureConfig,
                       entanglement_result, momentum_variance,
                       q_plus_variance)
 from .stability import (StabilityVerdict, drift_matrix, eigenvalues,
@@ -54,8 +53,7 @@ __all__ = [
     "SteadyState", "steady_state_at_detuning", "find_steady_branches",
     "StabilityVerdict", "drift_matrix", "eigenvalues",
     "routh_hurwitz_stable", "stability_verdict",
-    "QuadResult", "integrate_adaptive",
-    "QuadratureConfig", "EntanglementResult", "d_of_omega",
+    "QuadratureConfig", "EntanglementResult",
     "momentum_variance", "q_plus_variance", "entanglement_result",
     "SweepAxis", "SweepSpec", "SweepRow", "MinimizeResult", "run_sweep",
     "minimize_over_detuning",

@@ -404,7 +404,7 @@ def _apply_overrides(cfg: RunConfig, ns: argparse.Namespace) -> RunConfig:
 
 
 def _summarise(rows: list[SweepRow], what: str) -> None:
-    stable = [r for r in rows if r.stable and r.var_p_minus is not None]
+    stable = [r for r in rows if r.stable]
     if not stable:
         print(f"{what}: no stable points", file=sys.stderr)
         return

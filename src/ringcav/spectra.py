@@ -47,7 +47,6 @@ from .steady import SteadyState, _field, steady_state_at_detuning
 __all__ = [
     "QuadratureConfig",
     "EntanglementResult",
-    "d_of_omega",
     "momentum_variance",
     "q_plus_variance",
     "entanglement_result",
@@ -101,25 +100,6 @@ class QuadratureConfig:
         if not (isinstance(self.cutoff, (int, float))
                 and 2.0 < self.cutoff <= 1e5):
             raise InvalidParameter("cutoff", self.cutoff, "> 2 and <= 1e5")
-
-
-def d_of_omega(omega, p: PhysicalParams, d: DerivedParams,
-               s: SteadyState):
-    """Response denominator of the driven mirror-field loop.
-
-    Vanishing of this function on the real axis marks the instability
-    threshold; its conjugation symmetry is d(-omega) = conj(d(omega)).
-    Accepts a scalar or an array.
-    """
-    wm = p.mech_freq
-    kappa = p.cavity_decay
-    delta = s.detuning
-    w = np.asarray(omega)
-    out = (-4.0 * wm * delta * d.coupling_g ** 2 * s.photon_number
-           * d.chi ** 2
-           + (wm * wm - w * w - 1j * d.gamma_m * w)
-           * ((kappa - 1j * w) ** 2 + delta * delta))
-    return out if out.shape else complex(out)
 
 
 def _binet(z: np.ndarray) -> np.ndarray:

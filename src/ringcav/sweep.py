@@ -152,34 +152,31 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     RingCavError
         Whatever the first failing row raises, as a row-by-row loop would.
     """
-    grid = [float(v) for v in
-            np.linspace(spec.start, spec.stop, spec.points)]
-    detuning = spec.axis is SweepAxis.DETUNING
-    # the parameters of a detuning sweep are the same on every row
-    pds = [(spec.fixed, derive_params(spec.fixed))] if detuning else []
-    rows, failure = [], None
-    for start in range(0, len(grid), _CHUNK):
-        deltas = values = grid[start:start + _CHUNK]
-        if not detuning:
-            pds = []
-            for v in values:
-                try:
-                    p = replace(spec.fixed, **{spec.axis.value: v})
-                    pds.append((p, derive_params(p)))
-                except RingCavError as err:
-                    failure = err
-                    break
-            deltas = [spec.delta] * len(pds)
-        # the rows before the first failure are solved; as no axis moves
-        # kappa, a fixed delta fails on the first row that gets to it
-        deltas, band = _band(np.array(deltas), spec.fixed.cavity_decay)
-        if band is not None:
-            pds, failure = pds[:len(deltas)], band
-        rows += [_sweep_row(v, *pd, vp) for v, pd, vp in zip(
-            values, pds * len(deltas) if len(pds) == 1 else pds,
-            _stacked(_inputs(pds, deltas), spec.quadrature.cutoff))]
-        if failure is not None:
-            raise failure
+    grid = np.linspace(spec.start, spec.stop, spec.points).tolist()
+    failure = None
+    if spec.axis is SweepAxis.DETUNING:
+        # the parameters of a detuning sweep are the same on every row
+        pds, deltas = [(spec.fixed, derive_params(spec.fixed))], grid
+    else:
+        pds = []
+        for v in grid:
+            try:
+                p = replace(spec.fixed, **{spec.axis.value: v})
+                pds.append((p, derive_params(p)))
+            except RingCavError as err:
+                failure = err
+                break
+        deltas = [spec.delta] * len(pds)
+    # the rows before the first failure are solved; as no axis moves
+    # kappa, a fixed delta fails on the first row that gets to it
+    deltas, band = _band(np.array(deltas), spec.fixed.cavity_decay)
+    if band is not None:
+        pds, failure = pds[:len(deltas)], band
+    rows = [_sweep_row(v, *pd, vp) for v, pd, vp in zip(
+        grid, pds * len(deltas) if len(pds) == 1 else pds,
+        _stacked(_inputs(pds, deltas), spec.quadrature.cutoff))]
+    if failure is not None:
+        raise failure
     return rows
 
 

@@ -3,10 +3,7 @@
 Everything here is written straight from the defining formulas with
 plain numpy (a dense trapezoid rule, Kronecker-product solves), sharing
 no code with the package under test, so agreement between the two is
-evidence rather than tautology.  The exceptions are the adaptive
-reference's density and mesh: ``raw_terms`` takes the package's
-``d_of_omega``, and ``breakpoints`` its eigenvalues, which only guide
-the integrator, whose own error control decides the value.
+evidence rather than tautology.
 """
 
 import numpy as np
@@ -69,19 +66,20 @@ _LADDER = np.array([0.0, 2.0, -2.0, 6.0, -6.0, 18.0, -18.0, 54.0, -54.0])
 def breakpoints(p, d, s, cutoff):
     """Initial integration mesh clustered on the known resonances.
 
-    Eigenvalues of the drift matrix locate the poles of the response:
-    each mode at +/- Omega with half-width |Re lambda| shows up in the
-    spectrum at +/- Omega and, through the shifted correlation pieces,
-    around +/- (2 omega_m -/+ Omega).  A geometric ladder of points is
-    placed across every such line so the first partition already
-    resolves features a thousand times narrower than the window.
+    The roots of the characteristic quartic (the eigenvalues of the
+    drift matrix) locate the poles of the response: each mode at
+    +/- Omega with half-width |Re lambda| shows up in the spectrum at
+    +/- Omega and, through the shifted correlation pieces, around
+    +/- (2 omega_m -/+ Omega).  A geometric ladder of points is placed
+    across every such line so the first partition already resolves
+    features a thousand times narrower than the window.
     """
-    import ringcav as rc
-
     wm = p.mech_freq
     lim = cutoff * wm
     delta = s.detuning
-    ev = rc.eigenvalues(rc.drift_matrix(p, d, s))
+    ev = characteristic_polynomial_roots(
+        p.cavity_decay, wm, d.gamma_m, delta, d.coupling_g, d.chi,
+        s.photon_number)
 
     markers = np.array([wm, delta, 2.0 * wm - delta, 2.0 * wm + delta])
     lines = ev[ev.imag != 0.0]
@@ -149,18 +147,34 @@ def numerators(w, p, d, s):
     return squeezed, bath, corr_b, corr_c
 
 
+def denominator(w, p, d, s):
+    """Response denominator d(w) of the driven mirror-field loop.
+
+    Vanishing of this function on the real axis marks the instability
+    threshold; its conjugation symmetry is d(-w) = conj(d(w)).
+    Accepts a scalar or an array.
+    """
+    wm = p.mech_freq
+    kappa = p.cavity_decay
+    delta = s.detuning
+    w = np.asarray(w)
+    out = (-4.0 * wm * delta * d.coupling_g ** 2 * s.photon_number
+           * d.chi ** 2
+           + (wm * wm - w * w - 1j * d.gamma_m * w)
+           * ((kappa - 1j * w) ** 2 + delta * delta))
+    return out if out.shape else complex(out)
+
+
 def raw_terms(w, p, d, s, thermal):
     """The three spectral pieces a(w), b(w), c(w) on an array w."""
-    import ringcav as rc
-
     wm = p.mech_freq
     squeezed, bath, corr_b, corr_c = numerators(w, p, d, s)
-    dw = rc.d_of_omega(w, p, d, s)
+    dw = denominator(w, p, d, s)
     dmw = np.conj(dw)  # d(-w)
     a = ((squeezed + 2.0 * d.gamma_m / wm * thermal(w) * bath)
          / (dw * dmw))
-    b = corr_b / (dw * rc.d_of_omega(2.0 * wm - w, p, d, s))
-    c = corr_c / (dw * rc.d_of_omega(-2.0 * wm - w, p, d, s))
+    b = corr_b / (dw * denominator(2.0 * wm - w, p, d, s))
+    c = corr_c / (dw * denominator(-2.0 * wm - w, p, d, s))
     return a, b, c
 
 

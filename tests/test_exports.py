@@ -1,0 +1,24 @@
+"""Every name that the package and its modules export resolves."""
+
+import importlib
+import pkgutil
+
+import ringcav as rc
+
+
+def test_every_exported_name_resolves():
+    # ringcav, with the CLI names it loads on first use, and each of its
+    # modules that defines __all__: every listed name is an attribute,
+    # and none is listed twice
+    modules = [rc] + [importlib.import_module(f"{rc.__name__}.{m.name}")
+                      for m in pkgutil.iter_modules(rc.__path__)
+                      if m.name != "__main__"]
+    checked = []
+    for mod in modules:
+        names = getattr(mod, "__all__", None)
+        if names is None:
+            continue
+        assert len(set(names)) == len(names), mod.__name__
+        assert [n for n in names if not hasattr(mod, n)] == [], mod.__name__
+        checked.append(mod.__name__)
+    assert {"ringcav", "ringcav.cli", "ringcav.spectra"} <= set(checked)
