@@ -130,33 +130,35 @@ class DerivedParams:
     thermal_ratio: float
 
 
+def _violation(field: str, value, bound: str, ok) -> InvalidParameter | None:
+    """The violation of a real field, or None: it must be an int or a
+    float (a float32 would carry its precision on) for which ok holds."""
+    if not isinstance(value, (int, float)):
+        return InvalidParameter(field, value, "an int or float")
+    return None if ok(value) else InvalidParameter(field, value, bound)
+
+
+# (field, bound, test) for each real field of PhysicalParams
+_REAL_FIELDS = (
+    *((f, "> 0 and finite", lambda v: math.isfinite(v) and v > 0)
+      for f in ("wavelength", "cavity_length", "mirror_mass", "cavity_decay",
+                "mech_freq", "mech_quality")),
+    *((f, ">= 0 and finite", lambda v: math.isfinite(v) and v >= 0)
+      for f in ("bath_temp", "laser_power", "squeeze_r")),
+    ("fold_angle", "in [0, pi]", lambda v: 0.0 <= v <= math.pi),
+    ("squeeze_phase", "finite", math.isfinite),
+)
+
+
 def validate(p: PhysicalParams) -> list[InvalidParameter]:
     """Return the list of constraint violations in p (empty if valid)."""
-    out: list[InvalidParameter] = []
-
-    def positive(field: str) -> None:
-        v = getattr(p, field)
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-            out.append(InvalidParameter(field, v, "> 0 and finite"))
-
-    def nonnegative(field: str) -> None:
-        v = getattr(p, field)
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-            out.append(InvalidParameter(field, v, ">= 0 and finite"))
-
-    for f in ("wavelength", "cavity_length", "mirror_mass", "cavity_decay",
-              "mech_freq", "mech_quality"):
-        positive(f)
-    for f in ("bath_temp", "laser_power", "squeeze_r"):
-        nonnegative(f)
-    if not (isinstance(p.fold_angle, (int, float))
-            and 0.0 <= p.fold_angle <= math.pi):
-        out.append(InvalidParameter("fold_angle", p.fold_angle,
-                                    "in [0, pi]"))
-    if not (isinstance(p.squeeze_phase, (int, float))
-            and math.isfinite(p.squeeze_phase)):
-        out.append(InvalidParameter("squeeze_phase", p.squeeze_phase,
-                                    "finite"))
+    out = []
+    for f, bound, ok in _REAL_FIELDS:
+        v = getattr(p, f)
+        # tested inline first: every row of a non-detuning sweep is
+        # validated, and a call per field more costs about 1 us
+        if not (isinstance(v, (int, float)) and ok(v)):
+            out.append(_violation(f, v, bound, ok))
     if not isinstance(p.geometry, Geometry):
         out.append(InvalidParameter("geometry", p.geometry,
                                     "a Geometry member"))

@@ -36,9 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, KB
-from .errors import (InvalidParameter, NumericalFailure, RingCavError,
-                     UnstableOperatingPoint)
-from .model import DerivedParams, PhysicalParams
+from .errors import NumericalFailure, RingCavError, UnstableOperatingPoint
+from .model import DerivedParams, PhysicalParams, _violation
 # importable from here for callers that look it up in this namespace
 from .quadrature import integrate_adaptive  # noqa: F401
 from .stability import _stability_columns, _stack_verdicts
@@ -97,9 +96,10 @@ class QuadratureConfig:
     cutoff: float = 50.0
 
     def __post_init__(self):
-        if not (isinstance(self.cutoff, (int, float))
-                and 2.0 < self.cutoff <= 1e5):
-            raise InvalidParameter("cutoff", self.cutoff, "> 2 and <= 1e5")
+        err = _violation("cutoff", self.cutoff, "> 2 and <= 1e5",
+                         lambda c: 2.0 < c <= 1e5)
+        if err is not None:
+            raise err
 
 
 def _binet(z: np.ndarray) -> np.ndarray:

@@ -15,20 +15,27 @@ The minimiser works in units of the cavity linewidth kappa and of the
 mechanical frequency omega_m: a coarse grid of spacing
 min(kappa, omega_m) / 8 (4 to 4,096 points; wider windows than 512
 times that scale are no longer resolved), then refinement grids until
-the bracket is narrower than min(1e-4 omega_m, 1e-3 kappa).
+the bracket is narrower than min(1e-4 omega_m, 1e-3 kappa).  Each
+refinement grid ends in a probe of three points about the vertex of the
+parabola through its best point and that point's neighbours: where the
+vertex beats both sides, its bracket is narrower than the tolerance and
+the search ends; elsewhere the grid's bracket is refined as before.  At
+baseline that is 37 + 24 + 3 = 64 points in three stacks.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (InvalidParameter, NumericalFailure, NoStablePoint,
                      RingCavError, UnstableOperatingPoint)
-from .model import DerivedParams, PhysicalParams, derive_params
+from .model import (DerivedParams, PhysicalParams, _violation,
+                    derive_params)
 from .spectra import (QuadratureConfig, _inputs, _product_sum, _variances,
                       q_plus_variance)
 # re-exported: callers look the verdict up in this namespace
@@ -76,12 +83,16 @@ class SweepSpec:
     def __post_init__(self):
         if not isinstance(self.axis, SweepAxis):
             raise InvalidParameter("axis", self.axis, "a SweepAxis member")
-        if not (isinstance(self.points, int) and self.points >= 2):
+        integral = (hasattr(type(self.points), "__index__")
+                    and not isinstance(self.points, bool))
+        if not (integral and operator.index(self.points) >= 2):
             raise InvalidParameter("points", self.points, "an integer >= 2")
+        # a numpy integer is kept as the int that it stands for
+        object.__setattr__(self, "points", operator.index(self.points))
         for f in ("start", "stop"):
-            v = getattr(self, f)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise InvalidParameter(f, v, "finite")
+            err = _violation(f, getattr(self, f), "finite", math.isfinite)
+            if err is not None:
+                raise err
         if not self.start < self.stop:
             raise InvalidParameter("start", self.start, "< stop")
         if self.axis is SweepAxis.DETUNING:
@@ -89,10 +100,13 @@ class SweepSpec:
                 raise InvalidParameter(
                     "delta", self.delta,
                     "unset for a detuning sweep (the axis provides it)")
-        elif self.delta is None or not math.isfinite(self.delta):
+        elif self.delta is None:
             raise InvalidParameter(
                 "delta", self.delta,
                 "a finite operating detuning for a non-detuning axis")
+        elif (err := _violation("delta", self.delta, "finite",
+                                math.isfinite)) is not None:
+            raise err
 
 
 @dataclass(frozen=True)
@@ -217,6 +231,9 @@ _MAX_GRID = 16 * _CHUNK
 # points per refinement grid: three bring the baseline bracket below
 # 1e-4 omega_m
 _REFINE_POINTS = 24
+# a probe's half-width in units of the tolerance: just under 1/2, so
+# that its bracket is narrower than the tolerance
+_PROBE_WIDTH = 0.49
 
 
 def _coarse_points(span: float, kappa: float, wm: float) -> int:
@@ -227,6 +244,25 @@ def _coarse_points(span: float, kappa: float, wm: float) -> int:
     # the quotient can overflow to inf: cap it before math.ceil
     per = min(_PER_SCALE * span / min(kappa, wm), _MAX_GRID)
     return max(4, min(math.ceil(per) + 1, _MAX_GRID))
+
+
+def _probe(grid: np.ndarray, values: list[float], i: int,
+           tau: float) -> list[float] | None:
+    """x - tau, x and x + tau about the vertex x of the parabola through
+    a grid's best point i and its neighbours; None unless i is interior,
+    the parabola's curvature is positive and finite, and the three are
+    distinct floats strictly inside the bracket."""
+    if not 0 < i < len(grid) - 1:
+        return None
+    f0, f1, f2 = values[i - 1:i + 2]
+    curvature = f0 - 2.0 * f1 + f2
+    if not 0.0 < curvature < math.inf:
+        return None
+    x0, x1, x2 = grid[i - 1:i + 2].tolist()
+    x = x1 + 0.25 * (x2 - x0) * (f0 - f2) / curvature
+    if not x0 < x - tau < x < x + tau < x2:
+        return None
+    return [x - tau, x, x + tau]
 
 
 def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
@@ -251,9 +287,15 @@ def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
     than 512 s (kappa below about 2e-3 omega_m per omega_m of window)
     get a coarser grid, which no longer resolves kappa.  Grids
     of _REFINE_POINTS over the best point's bracket refine it while that
-    is wider than min(1e-4 omega_m, 1e-3 kappa) and still shrinks.  The
-    grids are solved in stacks of up to 256 points, and the best point
-    seen anywhere is returned.
+    is wider than tol = min(1e-4 omega_m, 1e-3 kappa) and still shrinks.
+    Where a refinement grid's best point is interior and the parabola
+    through it and its neighbours has a positive, finite curvature, a
+    probe solves its vertex x and x +/- 0.49 tol (distinct floats inside
+    the bracket, or no probe).  If x is the least of the three, the
+    minimum lies within x +/- 0.49 tol and the search ends; otherwise
+    the grid's bracket is refined as before.  The grids are solved in
+    stacks of up to 256 points, and the best point seen anywhere is
+    returned: at baseline 37 + 24 + 3 points in three stacks.
 
     Raises
     ------
@@ -289,5 +331,16 @@ def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
         # a bracket a few floats wide can stop shrinking above tol
         if not tol < right - left < width:
             return MinimizeResult(delta_star=best_delta, value=best_value)
+        # a refinement grid, not the coarse one, ends in a parabolic probe
+        probe = (_probe(grid, values, i, _PROBE_WIDTH * tol)
+                 if width < b - a else None)
         width = right - left
+        if probe is not None:
+            probed = _grid_variances(p, d, probe, quad)
+            j = int(np.argmin(probed))
+            if probed[j] < best_value:
+                best_delta, best_value = probe[j], probed[j]
+            # the vertex beats both sides: its bracket is below tol
+            if j == 1:
+                return MinimizeResult(delta_star=best_delta, value=best_value)
         grid = np.linspace(left, right, _REFINE_POINTS)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -129,6 +130,17 @@ def test_validate_passes_edge_values():
     assert d.n_squeeze == 0.0
     assert d.chi == 1.0
 
+
+
+def test_a_real_of_another_type_is_named_as_such():
+    # a float32 would carry its precision into every derived quantity
+    p = rc.baseline_params(laser_power=np.float32(1e-3))
+    [err] = rc.validate(p)
+    assert (err.field, err.bound) == ("laser_power", "an int or float")
+    assert rc.validate(rc.baseline_params(laser_power=np.float64(1e-3))) == []
+    with pytest.raises(rc.InvalidParameter) as exc:
+        rc.QuadratureConfig(np.float32(50.0))
+    assert exc.value.bound == "an int or float"
 
 @given(r=st.floats(min_value=0.0, max_value=6.0),
        phase=st.floats(min_value=-7.0, max_value=7.0,

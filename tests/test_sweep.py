@@ -7,6 +7,8 @@ import pytest
 import ringcav as rc
 from ringcav import sweep as sweep_mod
 
+_WM = rc.baseline_params().mech_freq
+
 
 def _spec(**kw):
     base = dict(axis=rc.SweepAxis.DETUNING, start=0.9, stop=1.1, points=3,
@@ -35,6 +37,32 @@ def test_spec_validation():
     with pytest.raises(rc.InvalidParameter) as exc:
         _spec(start=math.nan)
     assert exc.value.field == "start"
+
+
+def test_spec_takes_any_integer_for_points():
+    spec = _spec(points=np.int64(5))
+    assert type(spec.points) is int and spec.points == 5
+    assert len(rc.run_sweep(spec)) == 5
+    for points in (True, 5.0, np.float64(5.0), np.int64(1)):
+        with pytest.raises(rc.InvalidParameter) as exc:
+            _spec(points=points)
+        assert exc.value.bound == "an integer >= 2"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("start", np.int64(0)), ("start", np.float32(0.0)),
+    # a float32 operating detuning moved the variance by up to 2e-9
+    ("delta", np.float32(0.965 * _WM)),
+])
+def test_spec_names_the_type_it_rejects(field, value):
+    # a numpy integer or a float32 is not an int or a float; a float32
+    # would carry its precision into the rows
+    kw = dict(start=0.0, delta=0.965 * _WM)
+    kw[field] = value
+    with pytest.raises(rc.InvalidParameter) as exc:
+        rc.SweepSpec(axis=rc.SweepAxis.SQUEEZE_R, stop=1.0, points=3,
+                     fixed=rc.baseline_params(), **kw)
+    assert (exc.value.field, exc.value.bound) == (field, "an int or float")
 
 
 def test_detuning_sweep_rows(baseline):
@@ -226,9 +254,6 @@ def _row_tuple(r):
             r.branch_note)
 
 
-_WM = rc.baseline_params().mech_freq
-
-
 @pytest.mark.parametrize("axis, start, stop, points, fixed, cutoff", [
     # unstable rows beside stable ones, and delta = 0 (a double pole)
     (rc.SweepAxis.DETUNING, -0.5 * _WM, 1.5 * _WM, 21,
@@ -264,7 +289,9 @@ def test_sweep_rows_equal_point_results_bit_for_bit(axis, start, stop,
 
 def _minimize_reference(p, d, window):
     """The minimiser point by point: momentum_variance at every point
-    of the coarse grid and of each refinement grid."""
+    of the coarse grid, of each refinement grid and of each probe about
+    the vertex of the parabola through a refinement grid's best point
+    and its neighbours."""
     wm = p.mech_freq
     best = [math.nan, math.inf]
 
@@ -286,13 +313,24 @@ def _minimize_reference(p, d, window):
         lo, hi, sweep_mod._coarse_points(hi - lo, p.cavity_decay, wm))]
     width = hi - lo
     tol = min(1e-4 * wm, 1e-3 * p.cavity_decay)
+    tau = sweep_mod._PROBE_WIDTH * tol
     while True:
         values = variances(grid)
         i = values.index(min(values))
         left, right = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
         if right - left <= tol or right - left >= width:
             return tuple(best)
+        refining = width < hi - lo
         width = right - left
+        if refining and 0 < i < len(grid) - 1:
+            f0, f1, f2 = values[i - 1:i + 2]
+            curvature = f0 - 2.0 * f1 + f2
+            if 0.0 < curvature < math.inf:
+                x = grid[i] + 0.25 * (right - left) * (f0 - f2) / curvature
+                if left < x - tau < x < x + tau < right:
+                    probed = variances([x - tau, x, x + tau])
+                    if probed.index(min(probed)) == 1:
+                        return tuple(best)
         grid = [float(x) for x in np.linspace(left, right,
                                               sweep_mod._REFINE_POINTS)]
 
@@ -380,6 +418,64 @@ def test_minimize_refines_the_coarse_bracket(kappa_per_wm, monkeypatch):
                         [(x / _WM - 0.9) ** 2 for x in deltas])
     res = rc.minimize_over_detuning(p, rc.derive_params(p), (0.5, 1.5))
     assert abs(res.delta_star / _WM - 0.9) <= 1e-4
+
+
+def _counted_grids(monkeypatch, variances=None):
+    """The sizes of the grids that the minimiser solves from now on,
+    each through variances(deltas), or the real stacked solve."""
+    grids = []
+    solve = sweep_mod._grid_variances
+
+    def counted(p, d, deltas, quad):
+        grids.append(len(deltas))
+        if variances is None:
+            return solve(p, d, deltas, quad)
+        return [variances(x) for x in deltas]
+
+    monkeypatch.setattr(sweep_mod, "_grid_variances", counted)
+    return grids
+
+
+def test_minimiser_work_on_the_narrow_cases(monkeypatch):
+    # each grid is one stacked solve, or several past 256 points. The
+    # minimiser solved 200 grids here before refinement grids ended in
+    # a parabolic probe, and 176 with it
+    grids = _counted_grids(monkeypatch)
+    for kappa_per_wm, r, mw, window in _NARROW:
+        p = rc.baseline_params(cavity_decay=kappa_per_wm * _WM, squeeze_r=r,
+                               laser_power=1e-3 * mw)
+        rc.minimize_over_detuning(p, rc.derive_params(p), window)
+    assert len(grids) < 200
+
+
+def test_a_missed_probe_falls_back_to_a_refinement_grid(baseline,
+                                                        monkeypatch):
+    # no parabola fits a cusp: its vertex misses the minimum by more
+    # than the probe's half-width, and the bracket is refined as before
+    p, d = baseline
+    grids = _counted_grids(monkeypatch,
+                           lambda x: abs(x / _WM - 0.9137) ** 1.3)
+    res = rc.minimize_over_detuning(p, d, (0.5, 1.5))
+    tol = min(1e-4 * _WM, 1e-3 * p.cavity_decay)
+    assert abs(res.delta_star - 0.9137 * _WM) <= tol
+    missed = [k for k, n in enumerate(grids[:-1]) if n == 3]
+    assert missed
+    assert all(grids[k + 1] == sweep_mod._REFINE_POINTS for k in missed)
+
+
+@pytest.mark.parametrize("variance", [
+    # stable only from 0.9137 omega_m on: the best point's left
+    # neighbour is unstable on every refinement grid
+    lambda x: x / _WM - 0.9137 if x >= 0.9137 * _WM else math.inf,
+    # least at the window's lower edge
+    lambda x: x / _WM,
+], ids=["unstable-neighbour", "window-edge"])
+def test_no_probe_without_a_parabola(baseline, monkeypatch, variance):
+    p, d = baseline
+    grids = _counted_grids(monkeypatch, variance)
+    rc.minimize_over_detuning(p, d, (0.5, 1.5))
+    assert len(grids) > 2
+    assert 3 not in grids
 
 
 def test_narrow_cavity_minimize_from_the_command_line(tmp_path, capsys):
@@ -532,7 +628,8 @@ def test_eigen_solves_per_sweep_and_minimiser(baseline, monkeypatch):
     rc.minimize_over_detuning(p, d)
     coarse = sweep_mod._coarse_points(1.5 * wm - 0.5 * wm, p.cavity_decay,
                                       wm)
-    assert grids == [coarse] + 3 * [sweep_mod._REFINE_POINTS]
+    # a refinement grid, then a parabolic probe of three points
+    assert grids == [coarse, sweep_mod._REFINE_POINTS, 3] == [37, 24, 3]
     assert len(solves) == len(builds) == len(grids)
     # every build runs on a stack's arrays, none on one point's floats
     assert builds.count(()) == 0
