@@ -18,8 +18,10 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .constants import C_LIGHT, HBAR, KB
-from .errors import InvalidParameter
+from .errors import InternalInconsistency, InvalidParameter
 
 __all__ = [
     "Geometry",
@@ -138,15 +140,16 @@ def _violation(field: str, value, bound: str, ok) -> InvalidParameter | None:
     return None if ok(value) else InvalidParameter(field, value, bound)
 
 
-# (field, bound, test) for each real field of PhysicalParams
+# (field, bound, test) for each real field of PhysicalParams; a test
+# runs on a float or, for a swept field, elementwise on a column
 _REAL_FIELDS = (
-    *((f, "> 0 and finite", lambda v: math.isfinite(v) and v > 0)
+    *((f, "> 0 and finite", lambda v: (v > 0) & (v < math.inf))
       for f in ("wavelength", "cavity_length", "mirror_mass", "cavity_decay",
                 "mech_freq", "mech_quality")),
-    *((f, ">= 0 and finite", lambda v: math.isfinite(v) and v >= 0)
+    *((f, ">= 0 and finite", lambda v: (v >= 0) & (v < math.inf))
       for f in ("bath_temp", "laser_power", "squeeze_r")),
-    ("fold_angle", "in [0, pi]", lambda v: 0.0 <= v <= math.pi),
-    ("squeeze_phase", "finite", math.isfinite),
+    ("fold_angle", "in [0, pi]", lambda v: (v >= 0.0) & (v <= math.pi)),
+    ("squeeze_phase", "finite", lambda v: abs(v) < math.inf),
 )
 
 
@@ -155,8 +158,8 @@ def validate(p: PhysicalParams) -> list[InvalidParameter]:
     out = []
     for f, bound, ok in _REAL_FIELDS:
         v = getattr(p, f)
-        # tested inline first: every row of a non-detuning sweep is
-        # validated, and a call per field more costs about 1 us
+        # tested inline first: a call per field more costs about 1 us on
+        # every derive_params
         if not (isinstance(v, (int, float)) and ok(v)):
             out.append(_violation(f, v, bound, ok))
     if not isinstance(p.geometry, Geometry):
@@ -178,32 +181,57 @@ def derive_params(p: PhysicalParams) -> DerivedParams:
     violations = validate(p)
     if violations:
         raise violations[0]
+    return _derive(p, _require)
 
+
+def _require(ok, field: str, value, bound: str) -> None:
+    """A check of derive_params: InvalidParameter unless ok."""
+    if not ok:
+        raise InvalidParameter(field, value, bound)
+
+
+_RANGE = "the double range: a rate derived from it underflows or overflows"
+_TOO_LARGE = "finite: an input parameter is too large"
+# the domain band, measured (README, "Input domain"): rates that the
+# eigenvalues resolve, with finite products, and finite criteria; (lo,
+# hi, bound) for omega_m, kappa, Q, g and T in turn
+_BAND = tuple((lo, hi, f"the domain band {lo:g} <= {label} <= {hi:g}")
+              for label, lo, hi in (("omega_m in rad/s", 1e-20, 1e20),
+                                    ("kappa / omega_m", 1e-6, 1e6),
+                                    ("1 / Q", 1e-12, 1e4),
+                                    ("g / omega_m", 0, 1e6),
+                                    ("kB T / hbar omega_m", 0, 1e150)))
+
+
+def _derive(p: PhysicalParams, require) -> DerivedParams:
+    """derive_params' arithmetic and checks on a valid p whose fields are
+    floats, or one of bath_temp, laser_power and squeeze_r a column of
+    them (an array).  The same operations run on a float and on a column,
+    a math function of the swept field per entry (_each), so that each
+    entry gets the bits of its row alone.  require(ok, field, value,
+    bound) takes the checks in the order derive_params makes them that
+    fail on a float or are a column, ok true where one passes."""
     omega_laser = 2.0 * math.pi * C_LIGHT / p.wavelength
     kt = KB * p.bath_temp
-    thermal_ratio = HBAR * p.mech_freq / kt if kt else math.inf
+    thermal_ratio = _each(_ratio, kt, HBAR * p.mech_freq)
     # a denominator that underflows to 0 (or kB T / hbar that overflows)
     # would divide by zero here or in the spectra
-    for name, bad in (("wavelength", HBAR * omega_laser == 0.0),
-                      ("mirror_mass", p.mirror_mass * p.mech_freq == 0.0),
-                      ("bath_temp", p.bath_temp > 0.0
-                       and not 0.0 < kt / HBAR < math.inf),
-                      ("mech_freq", thermal_ratio == 0.0)):
-        if bad:
-            raise InvalidParameter(name, getattr(p, name),
-                                   "the double range: a rate derived from "
-                                   "it underflows or overflows")
+    rate = kt / HBAR
+    for name, ok in (
+            ("wavelength", HBAR * omega_laser != 0.0),
+            ("mirror_mass", p.mirror_mass * p.mech_freq != 0.0),
+            ("bath_temp",
+             (p.bath_temp <= 0.0) | ((rate > 0.0) & (rate < math.inf))),
+            ("mech_freq", thermal_ratio != 0.0)):
+        if ok is not True:
+            require(ok, name, getattr(p, name), _RANGE)
     gamma_m = p.mech_freq / p.mech_quality
     chi = math.cos(0.5 * p.fold_angle) ** 2
     coupling_g = (omega_laser / p.cavity_length) * math.sqrt(
         HBAR / (p.mirror_mass * p.mech_freq))
-    drive_eps = math.sqrt(
-        2.0 * p.cavity_decay * p.laser_power / (HBAR * omega_laser))
-    try:
-        sh = math.sinh(p.squeeze_r)
-        ch = math.cosh(p.squeeze_r)
-    except OverflowError:
-        sh = ch = math.inf
+    drive_eps = _each(math.sqrt, 2.0 * p.cavity_decay * p.laser_power
+                      / (HBAR * omega_laser))
+    sh, ch = _each(_sinh_cosh, p.squeeze_r)
     n_squeeze = sh * sh
     m_squeeze = sh * ch * cmath.exp(1j * p.squeeze_phase)
     out = DerivedParams(
@@ -217,26 +245,99 @@ def derive_params(p: PhysicalParams) -> DerivedParams:
         thermal_ratio=thermal_ratio,
     )
     for name, value in vars(out).items():
-        # thermal_ratio is +inf at T = 0 by definition
-        if not cmath.isfinite(value) and name != "thermal_ratio":
-            raise InvalidParameter(name, value,
-                                   "finite: an input parameter is too large")
-    # the domain band, measured (README, "Input domain"): rates that the
-    # eigenvalues resolve, with finite products, and finite criteria
+        # thermal_ratio is +inf at T = 0 by definition; v - v is 0 where
+        # v is finite, NaN at inf and NaN
+        ok = name == "thermal_ratio" or value - value == 0.0
+        if ok is not True:
+            require(ok, name, value, _TOO_LARGE)
     wm = p.mech_freq
-    for name, value, label, ratio, lo, hi in (
-            ("mech_freq", wm, "omega_m in rad/s", wm, 1e-20, 1e20),
-            ("cavity_decay", p.cavity_decay, "kappa / omega_m",
-             p.cavity_decay / wm, 1e-6, 1e6),
-            ("mech_quality", p.mech_quality, "1 / Q", 1.0 / p.mech_quality,
-             1e-12, 1e4),
-            ("coupling_g", coupling_g, "g / omega_m", coupling_g / wm, 0, 1e6),
-            ("bath_temp", p.bath_temp, "kB T / hbar omega_m",
-             1.0 / thermal_ratio, 0, 1e150)):
-        if not lo <= ratio <= hi:
-            raise InvalidParameter(name, value, f"the domain band {lo:g} <= "
-                                   f"{label} <= {hi:g}")
+    for (name, value, ratio), (lo, hi, bound) in zip((
+            ("mech_freq", wm, wm),
+            ("cavity_decay", p.cavity_decay, p.cavity_decay / wm),
+            ("mech_quality", p.mech_quality, 1.0 / p.mech_quality),
+            ("coupling_g", coupling_g, coupling_g / wm),
+            ("bath_temp", p.bath_temp, 1.0 / thermal_ratio)), _BAND):
+        ok = (ratio >= lo) & (ratio <= hi)
+        if ok is not True:
+            require(ok, name, value, bound)
     return out
+
+
+def _each(f, x, *args):
+    """f(x, *args) on a float x; on a column, f at each of its entries,
+    as a column (a tuple-valued f gives one column per item)."""
+    if type(x) is np.ndarray:
+        return np.array([f(v, *args) for v in x.tolist()]).T
+    return f(x, *args)
+
+
+def _ratio(kt: float, hw: float) -> float:
+    """hbar omega_m / kB T from hw = hbar omega_m and kt = kB T; +inf at
+    T = 0."""
+    return hw / kt if kt else math.inf
+
+
+def _sinh_cosh(r: float) -> tuple[float, float]:
+    """sinh r and cosh r, both +inf where math overflows."""
+    try:
+        return math.sinh(r), math.cosh(r)
+    except OverflowError:
+        return math.inf, math.inf
+
+
+def _derive_column(p: PhysicalParams, field: str, values: np.ndarray):
+    """derive_params at p with field (bath_temp, laser_power or
+    squeeze_r) set to each of values (n floats), in one pass.
+
+    Returns p and its DerivedParams with that field, and the quantities
+    derived from it, as columns over the leading values that
+    derive_params accepts, and the error that it raises at the next
+    value, or None.  Raises that error where it is the first value's.
+    """
+    test = next(t for f, _, t in _REAL_FIELDS if f == field)
+    # the values before the first that fails validation
+    k = _leading(test(values))
+    ok = np.ones(k, dtype=bool)
+
+    def require(passing, *check):
+        nonlocal ok
+        if isinstance(passing, np.ndarray):
+            ok &= passing
+        else:
+            # a check of the fixed fields alone fails on every row
+            _require(passing, *check)
+
+    if any(err.field != field for err in validate(p)):
+        k = 0  # a fixed field fails on every row
+    if k:
+        try:
+            with np.errstate(all="ignore"):
+                d = _derive(replace(p, **{field: values[:k]}), require)
+        except InvalidParameter:
+            k = 0
+        else:
+            k = _leading(ok)
+    failure = None
+    if k < len(values):
+        # the error that derive_params raises at that row
+        value = float(values[k])
+        failure = InternalInconsistency(f"derive_params accepts {field} = "
+                                        f"{value!r}, which its column rejects")
+        try:
+            derive_params(replace(p, **{field: value}))
+        except InvalidParameter as err:
+            failure = err
+        if not k:
+            raise failure
+        d = DerivedParams(**{f: v[:k] if isinstance(v, np.ndarray) else v
+                             for f, v in vars(d).items()})
+    return replace(p, **{field: values[:k]}), d, failure
+
+
+def _leading(ok: np.ndarray) -> int:
+    """The number of leading true entries of ok."""
+    rejected = (~ok).nonzero()[0]
+    return int(rejected[0]) if rejected.size else len(ok)
 
 
 def baseline_params(**overrides) -> PhysicalParams:

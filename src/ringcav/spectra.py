@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, KB
-from .errors import NumericalFailure, RingCavError, UnstableOperatingPoint
-from .model import DerivedParams, PhysicalParams, _violation
+from .errors import NumericalFailure, UnstableOperatingPoint
+from .model import DerivedParams, PhysicalParams, _each, _violation
 # importable from here for callers that look it up in this namespace
 from .quadrature import integrate_adaptive  # noqa: F401
 from .stability import _stability_columns, _stack_verdicts
@@ -375,15 +375,18 @@ def _parameters(p: PhysicalParams, d: DerivedParams) -> tuple:
             d.m_squeeze.imag, d.drive_eps)
 
 
-def _inputs(pds, deltas: np.ndarray) -> np.ndarray:
-    """_columns' inputs (13, n) at the detunings deltas (n), with one
-    pair (p, d) for all or one per detuning: the stacks of every sweep
-    axis and minimiser grid.  The steady state comes from the detuning
+def _inputs(p: PhysicalParams, d: DerivedParams,
+            deltas: np.ndarray) -> np.ndarray:
+    """_columns' inputs (13, n) at the detunings deltas (n): the stacks of
+    every sweep axis and minimiser grid.  The fields of p and d are
+    floats, or for a swept field and what derives from it columns (n),
+    one entry per detuning.  The steady state comes from the detuning
     array, in the bits of steady_state_at_detuning."""
-    par = np.array([_parameters(p, d) for p, d in pds]).reshape(-1, 10).T
+    par = _parameters(p, d)
     inputs = np.empty((13, len(deltas)))
-    inputs[:_DELTA_INPUT] = par[:_DELTA_INPUT]
-    inputs[_DELTA_INPUT:] = deltas, *_field(par[-1], par[1], deltas)
+    for i, x in enumerate(par[:_DELTA_INPUT]):
+        inputs[i] = x
+    inputs[_DELTA_INPUT:] = deltas, *_field(par[-1], p.cavity_decay, deltas)
     return inputs
 
 
@@ -442,16 +445,18 @@ def _residue_sums(q: np.ndarray, wt: np.ndarray, shift: np.ndarray,
         hq * _bose_kernel(q, lim, kt, bl, zfac)], axis=1).sum(1)
 
 
-def _variances(inputs: np.ndarray, cutoff: float) -> list:
+def _variances(inputs: np.ndarray, cutoff: float):
     """Momentum variances at a stack of operating points, given by
     _columns' inputs (13, n).
 
-    Each entry is the variance at that point or the RingCavError it
-    raises there.  One eigen-solve for the whole stack decides stability
-    (both tests, cross-checked) and gives the poles; the residue sums run
-    on their (n, 4) poles, except that a point whose eigenvalues nearly
-    coincide is summed on its own over _nodes' circles.  An entry does
-    not depend on the other points: a point alone gives the same bits.
+    Returns the variances (n) and, in column order, {column: the
+    RingCavError raised there} at the few points that have one, whose
+    variance entries mean nothing.  One eigen-solve for the whole stack
+    decides stability (both tests, cross-checked) and gives the poles;
+    the residue sums run on their (n, 4) poles, except that a point whose
+    eigenvalues nearly coincide is summed on its own over _nodes' circles.
+    An entry does not depend on the other points: a point alone gives the
+    same bits.
     """
     # overflow at huge inputs is reported below, not warned about; 1 / Q'
     # at a clustered pole may divide by zero, and is dropped in _nodes
@@ -484,17 +489,19 @@ def _variances(inputs: np.ndarray, cutoff: float) -> list:
         # left out above have totals 0
         ok = ((value > 0.0) & (value < math.inf)
               & (np.abs(leak) <= _IMAG_RESIDUAL * value))
-    out = value.tolist()
-    for i in () if np.count_nonzero(ok) == n else (~ok).nonzero()[0]:
+    if np.count_nonzero(ok) == n:
+        return value, {}
+    failures = {}
+    for i in (~ok).nonzero()[0].tolist():
         if live[i]:
-            out[i] = _failure(complex(totals[i]) / (2.0 * math.pi))
+            failures[i] = _failure(complex(totals[i]) / (2.0 * math.pi))
         else:
             margin = -float(max_re[i])
-            out[i] = errors[i] or UnstableOperatingPoint(
+            failures[i] = errors[i] or UnstableOperatingPoint(
                 f"no stationary state at detuning "
                 f"{float(inputs[_DELTA_INPUT, i])!r} rad/s (stability margin "
                 f"{margin!r} rad/s)", margin)
-    return out
+    return value, failures
 
 
 def _failure(value: complex) -> NumericalFailure:
@@ -526,10 +533,10 @@ def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
         If the variance overflows, leaks a non-negligible imaginary
         part or comes out non-positive.
     """
-    value, = _variances(_point_inputs([(p, d, s)]), quad.cutoff)
-    if isinstance(value, RingCavError):
-        raise value
-    return value
+    value, failures = _variances(_point_inputs([(p, d, s)]), quad.cutoff)
+    if failures:
+        raise failures[0]
+    return float(value[0])
 
 
 def q_plus_variance(p: PhysicalParams, d: DerivedParams) -> float:
@@ -538,10 +545,17 @@ def q_plus_variance(p: PhysicalParams, d: DerivedParams) -> float:
     It stays in thermal equilibrium with the mirror bath: 1/2 + n_bar
     at temperature T.  From hbar omega_m / kB T = 37.5 on (T = 0
     included), n_bar no longer moves the sum, which is exactly 1/2.
+    Where d holds a column of thermal ratios (a temperature sweep), the
+    column of variances.
     """
-    if d.thermal_ratio > 37.5:
+    return _each(_thermal_variance, d.thermal_ratio)
+
+
+def _thermal_variance(ratio: float) -> float:
+    """1/2 + n_bar at hbar omega_m / kB T = ratio."""
+    if ratio > 37.5:
         return 0.5
-    return 0.5 + 1.0 / math.expm1(d.thermal_ratio)
+    return 0.5 + 1.0 / math.expm1(ratio)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameter, NumericalFailure
-from .model import DerivedParams, Geometry, PhysicalParams
+from .model import DerivedParams, Geometry, PhysicalParams, _leading
 
 __all__ = ["SteadyState", "steady_state_at_detuning", "find_steady_branches"]
 
@@ -99,10 +99,9 @@ def _field(eps, kappa, delta):
 def _band(deltas, kappa: float):
     """The leading detunings of the array deltas in the band, and the
     error steady_state_at_detuning raises at the next one, or None."""
-    rejected = (~_in_band(deltas, kappa)).nonzero()[0]
-    if not rejected.size:
+    k = _leading(_in_band(deltas, kappa))
+    if k == len(deltas):
         return deltas, None
-    k = rejected[0]
     return deltas[:k], _detuning_error("delta", float(deltas[k]), kappa)
 
 

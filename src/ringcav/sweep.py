@@ -9,7 +9,9 @@ minimiser's grids, are solved as stacks of up to _CHUNK operating points
 ``entanglement_result`` at its point bit for bit.  On every axis a
 stack's steady-state inputs come straight from its detuning array (the
 swept detunings, or the fixed delta on each row), with no SteadyState
-per point.
+per point, and the parameters are derived once: a temperature, power
+or squeezing sweep carries its field as a column through derive_params'
+arithmetic and checks.  The rows' columns are assembled as arrays.
 
 The minimiser works in units of the cavity linewidth kappa and of the
 mechanical frequency omega_m: a coarse grid of spacing
@@ -28,14 +30,14 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (InvalidParameter, NumericalFailure, NoStablePoint,
-                     RingCavError, UnstableOperatingPoint)
-from .model import (DerivedParams, PhysicalParams, _violation,
-                    derive_params)
+                     UnstableOperatingPoint)
+from .model import (DerivedParams, PhysicalParams, _derive_column,
+                    _violation, derive_params)
 from .spectra import (QuadratureConfig, _inputs, _product_sum, _variances,
                       q_plus_variance)
 # re-exported: callers look the verdict up in this namespace
@@ -131,33 +133,22 @@ _CHUNK = 256
 
 
 def _stacked(inputs: np.ndarray, cutoff: float):
-    """The variance, or its error, at each column of _columns' inputs
-    (13, n), in order, solved in stacks of up to _CHUNK."""
+    """The variances at the columns of _columns' inputs (13, n), solved in
+    stacks of up to _CHUNK, and {column: error} in column order where a
+    point has one."""
+    values, failures = np.empty(inputs.shape[1]), {}
     for start in range(0, inputs.shape[1], _CHUNK):
-        yield from _variances(inputs[:, start:start + _CHUNK], cutoff)
-
-
-def _sweep_row(value: float, p: PhysicalParams, d: DerivedParams,
-               vp) -> SweepRow:
-    """The row at one grid value from its variance (or error) vp."""
-    if isinstance(vp, UnstableOperatingPoint):
-        return SweepRow(axis_value=value, var_q_plus=None, var_p_minus=None,
-                        product=None, sum=None, stable=False,
-                        branch_note=f"unstable, margin {vp.margin!r} rad/s")
-    try:
-        if isinstance(vp, RingCavError):
-            raise vp
-        vq = q_plus_variance(p, d)
-        prod, tot = _product_sum(vq, vp)
-    except NumericalFailure as err:
-        raise NumericalFailure(
-            f"at axis value {value!r}: {err}") from err
-    return SweepRow(axis_value=value, var_q_plus=vq, var_p_minus=vp,
-                    product=prod, sum=tot, stable=True)
+        v, f = _variances(inputs[:, start:start + _CHUNK], cutoff)
+        values[start:start + len(v)] = v
+        failures.update((start + i, err) for i, err in f.items())
+    return values, failures
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the sweep, in grid order.
+
+    The parameters are derived once, with the swept field as a column,
+    and every column of the rows is assembled as an array.
 
     Raises
     ------
@@ -166,29 +157,48 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     RingCavError
         Whatever the first failing row raises, as a row-by-row loop would.
     """
-    grid = np.linspace(spec.start, spec.stop, spec.points).tolist()
-    failure = None
+    grid = np.linspace(spec.start, spec.stop, spec.points)
     if spec.axis is SweepAxis.DETUNING:
-        # the parameters of a detuning sweep are the same on every row
-        pds, deltas = [(spec.fixed, derive_params(spec.fixed))], grid
+        p, d, failure = spec.fixed, derive_params(spec.fixed), None
+        deltas = grid
     else:
-        pds = []
-        for v in grid:
-            try:
-                p = replace(spec.fixed, **{spec.axis.value: v})
-                pds.append((p, derive_params(p)))
-            except RingCavError as err:
-                failure = err
-                break
-        deltas = [spec.delta] * len(pds)
+        p, d, failure = _derive_column(spec.fixed, spec.axis.value, grid)
+        deltas = np.full(len(getattr(p, spec.axis.value)), spec.delta)
     # the rows before the first failure are solved; as no axis moves
-    # kappa, a fixed delta fails on the first row that gets to it
-    deltas, band = _band(np.array(deltas), spec.fixed.cavity_decay)
+    # kappa, a fixed delta fails on the first row that gets to it, where
+    # no row is left to solve
+    deltas, band = _band(deltas, p.cavity_decay)
     if band is not None:
-        pds, failure = pds[:len(deltas)], band
-    rows = [_sweep_row(v, *pd, vp) for v, pd, vp in zip(
-        grid, pds * len(deltas) if len(pds) == 1 else pds,
-        _stacked(_inputs(pds, deltas), spec.quadrature.cutoff))]
+        if not deltas.size:
+            raise band
+        failure = band
+    var_q = np.broadcast_to(q_plus_variance(p, d), deltas.shape)
+    var_p, failures = _stacked(_inputs(p, d, deltas), spec.quadrature.cutoff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = var_q * var_p
+        tot = var_q + var_p
+    values = grid.tolist()
+    notes = {i: f"unstable, margin {err.margin!r} rad/s"
+             for i, err in failures.items()
+             if isinstance(err, UnstableOperatingPoint)}
+    # a row fails on an error of its integral, or else of its criteria
+    failed = ~(np.isfinite(prod) & np.isfinite(tot))
+    failed[list(failures)] = True
+    failed[list(notes)] = False
+    first = failed.nonzero()[0]
+    if first.size:
+        i = int(first[0])
+        try:
+            if i in failures:
+                raise failures[i]
+            _product_sum(float(var_q[i]), float(var_p[i]))
+        except NumericalFailure as err:
+            raise NumericalFailure(
+                f"at axis value {values[i]!r}: {err}") from err
+    rows = [SweepRow(*row, True) for row in zip(
+        values, var_q.tolist(), var_p.tolist(), prod.tolist(), tot.tolist())]
+    for i, note in notes.items():
+        rows[i] = SweepRow(values[i], None, None, None, None, False, note)
     if failure is not None:
         raise failure
     return rows
@@ -208,20 +218,17 @@ def _grid_variances(p: PhysicalParams, d: DerivedParams, deltas,
     """The variance at each detuning, +inf where the point is unstable,
     solved in stacks; a NumericalFailure names its detuning."""
     deltas, failure = _band(np.asarray(deltas, float), p.cavity_decay)
-    values = []
-    for delta, vp in zip(deltas.tolist(),
-                         _stacked(_inputs([(p, d)], deltas), quad.cutoff)):
-        if isinstance(vp, UnstableOperatingPoint):
-            vp = math.inf
-        elif isinstance(vp, NumericalFailure):
+    values, failures = _stacked(_inputs(p, d, deltas), quad.cutoff)
+    for i, err in failures.items():
+        if isinstance(err, NumericalFailure):
             raise NumericalFailure(
-                f"at detuning {delta!r} rad/s: {vp}") from vp
-        elif isinstance(vp, RingCavError):
-            raise vp
-        values.append(vp)
+                f"at detuning {float(deltas[i])!r} rad/s: {err}") from err
+        if not isinstance(err, UnstableOperatingPoint):
+            raise err
+        values[i] = math.inf
     if failure is not None:
         raise failure
-    return values
+    return values.tolist()
 
 
 # coarse grid points per min(kappa, omega_m) of window, and at most
@@ -300,14 +307,19 @@ def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
     Raises
     ------
     InvalidParameter
-        If the window is not finite in rad/s with low < high, or
-        reaches a detuning with |delta| >= 1e6 kappa.
+        If an end of the window is not an int or a float, the window is
+        not finite in rad/s with low < high, or it reaches a detuning
+        with |delta| >= 1e6 kappa.
     NoStablePoint
         If no point of the window is stable.
     NumericalFailure
         From a grid point's variance, with its detuning attached.
     """
     lo, hi = window
+    for x in window:
+        # a float32 would carry its precision into the grids
+        if not isinstance(x, (int, float)):
+            raise InvalidParameter("window", x, "an int or float")
     wm, kappa = p.mech_freq, p.cavity_decay
     a, b = lo * wm, hi * wm
     # the grid divides the span b - a, which must not overflow

@@ -100,6 +100,44 @@ WM = rc.baseline_params().mech_freq
 T_M = HBAR * WM / KB
 
 
+@pytest.mark.parametrize("overrides,field,message", [
+    # a validation error before a quantity that overflows
+    ({"wavelength": -1e-6, "squeeze_r": 1000.0}, "wavelength",
+     "wavelength = -1e-06 violates > 0 and finite"),
+    ({"bath_temp": -1e-6, "laser_power": 1e297}, "bath_temp",
+     "bath_temp = -1e-06 violates >= 0 and finite"),
+    # validation in field order, whatever the kind of violation
+    ({"bath_temp": -1.0, "laser_power": np.float32(1e-3)}, "bath_temp",
+     "bath_temp = -1.0 violates >= 0 and finite"),
+    # a rate that underflows before a quantity that overflows
+    ({"wavelength": 1e308, "squeeze_r": 1000.0}, "wavelength",
+     "wavelength = 1e+308 violates the double range: a rate derived from "
+     "it underflows or overflows"),
+    ({"mech_freq": 1e-300, "laser_power": 1e297}, "mech_freq",
+     "mech_freq = 1e-300 violates the double range: a rate derived from "
+     "it underflows or overflows"),
+    ({"bath_temp": 1e-306, "mech_quality": 1e13}, "bath_temp",
+     "bath_temp = 1e-306 violates the double range: a rate derived from "
+     "it underflows or overflows"),
+    # two quantities that overflow: in DerivedParams' field order
+    ({"laser_power": 1e297, "squeeze_r": 1000.0}, "drive_eps",
+     "drive_eps = inf violates finite: an input parameter is too large"),
+    # a quantity that overflows before the domain band
+    ({"squeeze_r": 400.0, "cavity_decay": 1e7 * WM}, "n_squeeze",
+     "n_squeeze = inf violates finite: an input parameter is too large"),
+    # the domain band in its own order
+    ({"cavity_decay": 1e-7 * WM, "bath_temp": 1e160}, "cavity_decay",
+     "cavity_decay = 0.5950176485899068 violates the domain band 1e-06 <= "
+     "kappa / omega_m <= 1e+06"),
+])
+def test_first_of_two_violations_is_raised(overrides, field, message):
+    # each input breaks two checks; derive_params raises the first
+    with pytest.raises(rc.InvalidParameter) as exc:
+        rc.derive_params(rc.baseline_params(**overrides))
+    assert exc.value.field == field
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("field,inside,outside", [
     ("cavity_decay", {"cavity_decay": 1.1e-6 * WM},
      {"cavity_decay": 0.9e-6 * WM}),

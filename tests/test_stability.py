@@ -117,7 +117,7 @@ def test_failed_eigen_solve_in_a_stack_stays_at_its_point(baseline,
     points = [rc.steady_state_at_detuning(p, d, x * wm)
               for x in (0.8, 0.9, 0.965, 1.1)]
     inputs = _point_inputs([(p, d, s) for s in points])
-    alone = [_variances(inputs[:, i:i + 1], 50.0)[0]
+    alone = [_variances(inputs[:, i:i + 1], 50.0)[0][0]
              for i in range(len(points))]
     eigvals = np.linalg.eigvals
 
@@ -127,9 +127,11 @@ def test_failed_eigen_solve_in_a_stack_stays_at_its_point(baseline,
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", failing)
-    got = _variances(inputs, 50.0)
-    for s, v, want in zip(points, got, alone):
+    values, failures = _variances(inputs, 50.0)
+    assert list(failures) == [1]
+    for s, v, want in zip(points, values, alone):
         if s.detuning == marked:
+            v = failures[1]
             assert isinstance(v, rc.NumericalFailure)
             assert str(v).startswith("eigenvalue computation failed")
             with pytest.raises(rc.NumericalFailure, match="eigenvalue"):

@@ -116,7 +116,7 @@ def test_detuning_array_gives_the_steady_state_bits(kappa_per_wm, mw):
     assert np.count_nonzero(np.abs(deltas) > kappa) > 200
     inside, failure = _band(deltas, kappa)
     assert failure is None and len(inside) == len(deltas)
-    got = _inputs([(p, d)], deltas)
+    got = _inputs(p, d, deltas)
     states = [rc.steady_state_at_detuning(p, d, float(x)) for x in deltas]
     want = np.array([(s.detuning, s.amplitude.real, s.amplitude.imag,
                       s.photon_number) for s in states]).T
@@ -149,7 +149,7 @@ def test_amplitude_at_the_domain_corners():
                            -0.999e6 * kappa, 0.965 * wm])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _inputs([(p, d)], deltas)
+            got = _inputs(p, d, deltas)
             states = [rc.steady_state_at_detuning(p, d, float(x))
                       for x in deltas]
         want = np.array([(s.detuning, s.amplitude.real, s.amplitude.imag,

@@ -98,22 +98,30 @@ def test_unstable_rows_are_flagged_not_fatal():
         assert "unstable" in r.branch_note
 
 
-@pytest.mark.parametrize("axis,derivations", [
-    (rc.SweepAxis.DETUNING, 1),
-    (rc.SweepAxis.SQUEEZE_R, 3),
-])
+# a grid on each axis, in units of omega_m for detuning
+_GRIDS = {rc.SweepAxis.DETUNING: (0.9, 1.1),
+          rc.SweepAxis.SQUEEZE_R: (0.0, 1.0),
+          rc.SweepAxis.LASER_POWER: (1e-3, 5e-3),
+          rc.SweepAxis.BATH_TEMP: (0.0, 1e-4)}
+
+
+@pytest.mark.parametrize("axis,derivations", [(a, 1) for a in _GRIDS])
 def test_derivations_per_sweep(axis, derivations, monkeypatch):
-    # a detuning sweep keeps every parameter fixed: derive them once
+    # every axis derives its parameters once, the swept field as a
+    # column: one pass of derive_params' arithmetic per sweep
     calls = []
+    derive = rc.model._derive
 
-    def counted(p):
-        calls.append(p)
-        return rc.derive_params(p)
+    def counted(*args):
+        calls.append(args)
+        return derive(*args)
 
-    monkeypatch.setattr(sweep_mod, "derive_params", counted)
+    monkeypatch.setattr(rc.model, "_derive", counted)
+    start, stop = _GRIDS[axis]
     delta = None if axis is rc.SweepAxis.DETUNING else 5.7e6
-    rows = rc.run_sweep(_spec(axis=axis, delta=delta))
-    assert len(rows) == 3 and all(r.stable for r in rows)
+    rows = rc.run_sweep(_spec(axis=axis, start=start, stop=stop, points=5,
+                              delta=delta))
+    assert len(rows) == 5 and all(r.stable for r in rows)
     assert len(calls) == derivations
 
 
@@ -237,6 +245,28 @@ def test_minimize_window_validation(baseline):
         rc.minimize_over_detuning(p, d, (-0.0, 1e308))
 
 
+@pytest.mark.parametrize("window", [
+    # a float32 end moved delta_star by 5.7e-4 rad/s
+    (np.float32(0.5), 1.5), (0.5, np.float32(1.5)), ("0.5", 1.5),
+])
+def test_minimize_names_the_window_type_it_rejects(baseline, window):
+    p, d = baseline
+    with pytest.raises(rc.InvalidParameter) as exc:
+        rc.minimize_over_detuning(p, d, window)
+    bad = next(x for x in window if type(x) is not float)
+    assert (exc.value.field, exc.value.bound) == ("window", "an int or float")
+    assert exc.value.value is bad
+
+
+def test_minimize_takes_an_int_or_a_float64_window(baseline):
+    # np.float64 is a float; an int is the float that it stands for
+    p, d = baseline
+    for window in [(np.float64(0.5), np.float64(1.5)), (0.5, 1)]:
+        as_floats = tuple(float(x) for x in window)
+        assert (rc.minimize_over_detuning(p, d, window)
+                == rc.minimize_over_detuning(p, d, as_floats))
+
+
 def _point_row(p, delta, quad):
     """The row a sweep must give at (p, delta): entanglement_result's
     numbers, or the unstable note from its error."""
@@ -285,6 +315,80 @@ def test_sweep_rows_equal_point_results_bit_for_bit(axis, start, stop,
             want = _point_row(replace(p, **{axis.value: r.axis_value}),
                               spec.delta, quad)
         assert _row_tuple(r) == want, r.axis_value
+
+
+def _row_loop(spec):
+    """The sweep row by row: replace, derive_params and
+    entanglement_result at each grid value. Returns the rows as tuples,
+    or raises what the first failing row raises, a NumericalFailure with
+    its axis value attached."""
+    rows = []
+    for v in np.linspace(spec.start, spec.stop, spec.points).tolist():
+        p = replace(spec.fixed, **{spec.axis.value: v})
+        d = rc.derive_params(p)
+        try:
+            res = rc.entanglement_result(p, d, spec.delta, spec.quadrature)
+        except rc.UnstableOperatingPoint as err:
+            rows.append((v, None, None, None, None, False,
+                         f"unstable, margin {err.margin!r} rad/s"))
+            continue
+        except rc.NumericalFailure as err:
+            raise rc.NumericalFailure(f"at axis value {v!r}: {err}") from err
+        rows.append((v, res.var_q_plus, res.var_p_minus, res.product,
+                     res.sum, True, None))
+    return rows
+
+
+@pytest.mark.parametrize("axis, start, stop, points", [
+    (rc.SweepAxis.BATH_TEMP, 0.0, 200e-6, 21),
+    # kB T underflows to 0 on the second row alone: the rows that
+    # derive_params accepts are not one interval
+    (rc.SweepAxis.BATH_TEMP, 0.0, 1e-300, 11),
+    (rc.SweepAxis.BATH_TEMP, -1e-6, 1e-4, 5),
+    # kB T / hbar overflows from the second row on
+    (rc.SweepAxis.BATH_TEMP, 0.0, 1e298, 5),
+    # unstable rows from about 70 mW on
+    (rc.SweepAxis.LASER_POWER, 0.0, 0.1, 11),
+    # drive_eps overflows from the third row on, after an unstable row
+    (rc.SweepAxis.LASER_POWER, 0.0, 1e284, 11),
+    (rc.SweepAxis.LASER_POWER, -1e-3, 1e-2, 5),
+    (rc.SweepAxis.SQUEEZE_R, 0.0, 2.0, 9),
+    # math.sinh overflows on the second row, sinh^2 r from r = 355 on
+    (rc.SweepAxis.SQUEEZE_R, 0.0, 750.0, 2),
+    (rc.SweepAxis.SQUEEZE_R, 0.0, 1000.0, 5),
+    # the variance integral overflows at r = 315, after valid rows
+    (rc.SweepAxis.SQUEEZE_R, 0.0, 315.0, 8),
+    (rc.SweepAxis.SQUEEZE_R, -1.0, 1.0, 5),
+])
+def test_sweep_equals_the_row_loop(axis, start, stop, points):
+    spec = rc.SweepSpec(axis=axis, start=start, stop=stop, points=points,
+                        fixed=rc.baseline_params(), delta=0.965 * _WM)
+    try:
+        want = _row_loop(spec)
+    except rc.RingCavError as err:
+        with pytest.raises(type(err)) as got:
+            rc.run_sweep(spec)
+        assert type(got.value) is type(err)
+        assert str(got.value) == str(err)
+        return
+    rows = rc.run_sweep(spec)
+    assert [(r.axis_value, *_row_tuple(r)) for r in rows] == want
+    for r in rows:
+        for x in (r.axis_value, r.var_q_plus, r.var_p_minus, r.product,
+                  r.sum):
+            assert x is None or type(x) is float
+
+
+def test_a_row_that_only_the_column_rejects_is_a_bug(monkeypatch):
+    # the column's checks and derive_params' disagreeing on a row is an
+    # internal inconsistency, raised after the rows before it
+    monkeypatch.setattr(rc.model, "derive_params", lambda p: None)
+    spec = rc.SweepSpec(axis=rc.SweepAxis.BATH_TEMP, start=0.0,
+                        stop=1e-300, points=11, fixed=rc.baseline_params(),
+                        delta=0.965 * _WM)
+    with pytest.raises(rc.InternalInconsistency,
+                       match="bath_temp = 1e-301, which its column rejects"):
+        rc.run_sweep(spec)
 
 
 def _minimize_reference(p, d, window):
