@@ -181,13 +181,7 @@ def derive_params(p: PhysicalParams) -> DerivedParams:
     violations = validate(p)
     if violations:
         raise violations[0]
-    return _derive(p, _require)
-
-
-def _require(ok, field: str, value, bound: str) -> None:
-    """A check of derive_params: InvalidParameter unless ok."""
-    if not ok:
-        raise InvalidParameter(field, value, bound)
+    return _derive(p)[0]
 
 
 _RANGE = "the double range: a rate derived from it underflows or overflows"
@@ -203,20 +197,21 @@ _BAND = tuple((lo, hi, f"the domain band {lo:g} <= {label} <= {hi:g}")
                                     ("kB T / hbar omega_m", 0, 1e150)))
 
 
-def _derive(p: PhysicalParams, require) -> DerivedParams:
+def _derive(p: PhysicalParams) -> tuple[DerivedParams, np.ndarray | bool]:
     """derive_params' arithmetic and checks on a valid p whose fields are
     floats, or one of bath_temp, laser_power and squeeze_r a column of
     them (an array).  The same operations run on a float and on a column,
     a math function of the swept field per entry (_each), so that each
-    entry gets the bits of its row alone.  require(ok, field, value,
-    bound) takes the checks in the order derive_params makes them that
-    fail on a float or are a column, ok true where one passes."""
+    entry gets the bits of its row alone.  Returns the DerivedParams and
+    the rows that pass every check that is a column (True if none is); a
+    check that is not raises InvalidParameter where it fails."""
     omega_laser = 2.0 * math.pi * C_LIGHT / p.wavelength
     kt = KB * p.bath_temp
     thermal_ratio = _each(_ratio, kt, HBAR * p.mech_freq)
     # a denominator that underflows to 0 (or kB T / hbar that overflows)
     # would divide by zero here or in the spectra
     rate = kt / HBAR
+    rows = True
     for name, ok in (
             ("wavelength", HBAR * omega_laser != 0.0),
             ("mirror_mass", p.mirror_mass * p.mech_freq != 0.0),
@@ -224,7 +219,7 @@ def _derive(p: PhysicalParams, require) -> DerivedParams:
              (p.bath_temp <= 0.0) | ((rate > 0.0) & (rate < math.inf))),
             ("mech_freq", thermal_ratio != 0.0)):
         if ok is not True:
-            require(ok, name, getattr(p, name), _RANGE)
+            rows = _passing(rows, ok, name, getattr(p, name), _RANGE)
     gamma_m = p.mech_freq / p.mech_quality
     chi = math.cos(0.5 * p.fold_angle) ** 2
     coupling_g = (omega_laser / p.cavity_length) * math.sqrt(
@@ -249,7 +244,7 @@ def _derive(p: PhysicalParams, require) -> DerivedParams:
         # v is finite, NaN at inf and NaN
         ok = name == "thermal_ratio" or value - value == 0.0
         if ok is not True:
-            require(ok, name, value, _TOO_LARGE)
+            rows = _passing(rows, ok, name, value, _TOO_LARGE)
     wm = p.mech_freq
     for (name, value, ratio), (lo, hi, bound) in zip((
             ("mech_freq", wm, wm),
@@ -259,8 +254,18 @@ def _derive(p: PhysicalParams, require) -> DerivedParams:
             ("bath_temp", p.bath_temp, 1.0 / thermal_ratio)), _BAND):
         ok = (ratio >= lo) & (ratio <= hi)
         if ok is not True:
-            require(ok, name, value, bound)
-    return out
+            rows = _passing(rows, ok, name, value, bound)
+    return out, rows
+
+
+def _passing(rows, ok, field: str, value, bound: str):
+    """rows & ok where the check ok is a column, else rows; raises
+    InvalidParameter where ok is false (a bool, or a numpy bool)."""
+    if isinstance(ok, np.ndarray):
+        return rows & ok
+    if not ok:
+        raise InvalidParameter(field, value, bound)
+    return rows
 
 
 def _each(f, x, *args):
@@ -297,26 +302,16 @@ def _derive_column(p: PhysicalParams, field: str, values: np.ndarray):
     test = next(t for f, _, t in _REAL_FIELDS if f == field)
     # the values before the first that fails validation
     k = _leading(test(values))
-    ok = np.ones(k, dtype=bool)
-
-    def require(passing, *check):
-        nonlocal ok
-        if isinstance(passing, np.ndarray):
-            ok &= passing
-        else:
-            # a check of the fixed fields alone fails on every row
-            _require(passing, *check)
-
     if any(err.field != field for err in validate(p)):
         k = 0  # a fixed field fails on every row
     if k:
         try:
             with np.errstate(all="ignore"):
-                d = _derive(replace(p, **{field: values[:k]}), require)
+                d, rows = _derive(replace(p, **{field: values[:k]}))
         except InvalidParameter:
-            k = 0
+            k = 0  # a check of the fixed fields alone fails on every row
         else:
-            k = _leading(ok)
+            k = _leading(rows)  # the swept field makes rows a column
     failure = None
     if k < len(values):
         # the error that derive_params raises at that row

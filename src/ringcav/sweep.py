@@ -71,7 +71,8 @@ class SweepSpec:
     Axis values are SI: rad/s for detuning, W for power, K for
     temperature, dimensionless for the squeezing parameter.  For every
     axis other than detuning the operating (effective) detuning must be
-    supplied in ``delta``; a detuning sweep must leave it unset.
+    supplied in ``delta``; a detuning sweep must leave it unset.  The
+    grid has 2 to 1,000,000 points.
     """
 
     axis: SweepAxis
@@ -91,6 +92,8 @@ class SweepSpec:
             raise InvalidParameter("points", self.points, "an integer >= 2")
         # a numpy integer is kept as the int that it stands for
         object.__setattr__(self, "points", operator.index(self.points))
+        if self.points > 1_000_000:  # a row holds about 0.9 KB
+            raise InvalidParameter("points", self.points, "at most 1000000")
         for f in ("start", "stop"):
             err = _violation(f, getattr(self, f), "finite", math.isfinite)
             if err is not None:

@@ -206,7 +206,7 @@ def _run_configs(draw):
                                     unique=True).map(sorted))
         sweep = rc.SweepSpec(
             axis=axis, start=start, stop=stop,
-            points=draw(st.integers(min_value=2, max_value=10 ** 9)),
+            points=draw(st.integers(min_value=2, max_value=10 ** 6)),
             fixed=params, quadrature=quadrature,
             delta=None if axis is rc.SweepAxis.DETUNING else draw(_finite))
     path = draw(st.text(st.characters(blacklist_categories=(
@@ -317,6 +317,14 @@ def test_missing_config_file_exits_1(capsys):
 
 def test_bad_flag_exits_1(capsys):
     assert main(["point", "--delta-per-wm", "1", "--frobnicate"]) == 1
+
+
+def test_too_many_points_is_a_usage_error(capsys):
+    # 2e9 points once ended in numpy's allocation traceback for the grid
+    code, out, err = run(["fig2", "--points", "2000000000"], capsys)
+    assert code == 1 and out == ""
+    assert "points = 2000000000 violates at most 1000000" in err
+    assert "Traceback" not in err
 
 
 def test_help_exits_0(capsys):

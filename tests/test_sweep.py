@@ -49,6 +49,17 @@ def test_spec_takes_any_integer_for_points():
         assert exc.value.bound == "an integer >= 2"
 
 
+def test_spec_bounds_points():
+    # checked before any grid exists: 1e15 points would ask numpy for
+    # 8 PB
+    assert _spec(points=1_000_000).points == 1_000_000
+    for points in (1_000_001, 10**15, np.int64(10**15)):
+        with pytest.raises(rc.InvalidParameter) as exc:
+            _spec(points=points)
+        assert (exc.value.field, exc.value.value, exc.value.bound) == (
+            "points", int(points), "at most 1000000")
+
+
 @pytest.mark.parametrize("field, value", [
     ("start", np.int64(0)), ("start", np.float32(0.0)),
     # a float32 operating detuning moved the variance by up to 2e-9
@@ -339,30 +350,45 @@ def _row_loop(spec):
     return rows
 
 
-@pytest.mark.parametrize("axis, start, stop, points", [
-    (rc.SweepAxis.BATH_TEMP, 0.0, 200e-6, 21),
+def _case(axis, start, stop, points, **fixed):
+    """A row-loop case, named by its grid and by the fields it sets."""
+    return pytest.param(axis, start, stop, points, fixed, id="-".join(
+        [str(axis), str(start), str(stop), str(points),
+         *(f"{k}={v}" for k, v in fixed.items())]))
+
+
+@pytest.mark.parametrize("axis, start, stop, points, fixed", [
+    _case(rc.SweepAxis.BATH_TEMP, 0.0, 200e-6, 21),
     # kB T underflows to 0 on the second row alone: the rows that
     # derive_params accepts are not one interval
-    (rc.SweepAxis.BATH_TEMP, 0.0, 1e-300, 11),
-    (rc.SweepAxis.BATH_TEMP, -1e-6, 1e-4, 5),
+    _case(rc.SweepAxis.BATH_TEMP, 0.0, 1e-300, 11),
+    _case(rc.SweepAxis.BATH_TEMP, -1e-6, 1e-4, 5),
     # kB T / hbar overflows from the second row on
-    (rc.SweepAxis.BATH_TEMP, 0.0, 1e298, 5),
+    _case(rc.SweepAxis.BATH_TEMP, 0.0, 1e298, 5),
+    # the variance is finite on the last row, but its criteria are not
+    _case(rc.SweepAxis.BATH_TEMP, 1e40, 1e100, 2, squeeze_r=250.0),
+    # a fixed field fails validation, its range check or its domain band
+    # on every row
+    _case(rc.SweepAxis.BATH_TEMP, 0.0, 1e-4, 5, cavity_length=-1.0),
+    _case(rc.SweepAxis.BATH_TEMP, 0.0, 1e-4, 5, mech_quality=1e13),
+    _case(rc.SweepAxis.BATH_TEMP, 0.0, 1e-4, 5, wavelength=1e308),
     # unstable rows from about 70 mW on
-    (rc.SweepAxis.LASER_POWER, 0.0, 0.1, 11),
+    _case(rc.SweepAxis.LASER_POWER, 0.0, 0.1, 11),
     # drive_eps overflows from the third row on, after an unstable row
-    (rc.SweepAxis.LASER_POWER, 0.0, 1e284, 11),
-    (rc.SweepAxis.LASER_POWER, -1e-3, 1e-2, 5),
-    (rc.SweepAxis.SQUEEZE_R, 0.0, 2.0, 9),
+    _case(rc.SweepAxis.LASER_POWER, 0.0, 1e284, 11),
+    _case(rc.SweepAxis.LASER_POWER, -1e-3, 1e-2, 5),
+    _case(rc.SweepAxis.SQUEEZE_R, 0.0, 2.0, 9),
     # math.sinh overflows on the second row, sinh^2 r from r = 355 on
-    (rc.SweepAxis.SQUEEZE_R, 0.0, 750.0, 2),
-    (rc.SweepAxis.SQUEEZE_R, 0.0, 1000.0, 5),
+    _case(rc.SweepAxis.SQUEEZE_R, 0.0, 750.0, 2),
+    _case(rc.SweepAxis.SQUEEZE_R, 0.0, 1000.0, 5),
     # the variance integral overflows at r = 315, after valid rows
-    (rc.SweepAxis.SQUEEZE_R, 0.0, 315.0, 8),
-    (rc.SweepAxis.SQUEEZE_R, -1.0, 1.0, 5),
+    _case(rc.SweepAxis.SQUEEZE_R, 0.0, 315.0, 8),
+    _case(rc.SweepAxis.SQUEEZE_R, -1.0, 1.0, 5),
+    _case(rc.SweepAxis.SQUEEZE_R, 0.0, 1.0, 5, mirror_mass=-1.0),
 ])
-def test_sweep_equals_the_row_loop(axis, start, stop, points):
+def test_sweep_equals_the_row_loop(axis, start, stop, points, fixed):
     spec = rc.SweepSpec(axis=axis, start=start, stop=stop, points=points,
-                        fixed=rc.baseline_params(), delta=0.965 * _WM)
+                        fixed=rc.baseline_params(**fixed), delta=0.965 * _WM)
     try:
         want = _row_loop(spec)
     except rc.RingCavError as err:
@@ -377,6 +403,23 @@ def test_sweep_equals_the_row_loop(axis, start, stop, points):
         for x in (r.axis_value, r.var_q_plus, r.var_p_minus, r.product,
                   r.sum):
             assert x is None or type(x) is float
+
+
+def test_a_sweep_takes_float64_parameters():
+    # a numpy float64 is a float: validate accepts it, and its checks
+    # come out as numpy bools, which must pass where they are true
+    floats = {f: v for f, v in vars(rc.baseline_params()).items()
+              if type(v) is float}
+    p = rc.baseline_params(**{f: np.float64(v) for f, v in floats.items()})
+    assert all(type(getattr(p, f)) is np.float64 for f in floats)
+    assert rc.derive_params(p) == rc.derive_params(rc.baseline_params())
+    for axis in (rc.SweepAxis.BATH_TEMP, rc.SweepAxis.LASER_POWER,
+                 rc.SweepAxis.SQUEEZE_R):
+        start, stop = _GRIDS[axis]
+        got, want = (rc.run_sweep(_spec(axis=axis, start=start, stop=stop,
+                                        points=5, delta=5.7e6, fixed=fixed))
+                     for fixed in (p, rc.baseline_params()))
+        assert got == want
 
 
 def test_a_row_that_only_the_column_rejects_is_a_bug(monkeypatch):
