@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import C_LIGHT, HBAR, KB
-from .errors import InternalInconsistency, InvalidParameter
+from .errors import InvalidParameter
 
 __all__ = [
     "Geometry",
@@ -157,11 +157,9 @@ def validate(p: PhysicalParams) -> list[InvalidParameter]:
     """Return the list of constraint violations in p (empty if valid)."""
     out = []
     for f, bound, ok in _REAL_FIELDS:
-        v = getattr(p, f)
-        # tested inline first: a call per field more costs about 1 us on
-        # every derive_params
-        if not (isinstance(v, (int, float)) and ok(v)):
-            out.append(_violation(f, v, bound, ok))
+        err = _violation(f, getattr(p, f), bound, ok)
+        if err is not None:
+            out.append(err)
     if not isinstance(p.geometry, Geometry):
         out.append(InvalidParameter("geometry", p.geometry,
                                     "a Geometry member"))
@@ -296,14 +294,15 @@ def _derive_column(p: PhysicalParams, field: str, values: np.ndarray):
 
     Returns p and its DerivedParams with that field, and the quantities
     derived from it, as columns over the leading values that
-    derive_params accepts, and the error that it raises at the next
-    value, or None.  Raises that error where it is the first value's.
+    derive_params accepts; the DerivedParams is None where it accepts
+    none.
     """
     test = next(t for f, _, t in _REAL_FIELDS if f == field)
     # the values before the first that fails validation
     k = _leading(test(values))
     if any(err.field != field for err in validate(p)):
         k = 0  # a fixed field fails on every row
+    d = None
     if k:
         try:
             with np.errstate(all="ignore"):
@@ -312,21 +311,9 @@ def _derive_column(p: PhysicalParams, field: str, values: np.ndarray):
             k = 0  # a check of the fixed fields alone fails on every row
         else:
             k = _leading(rows)  # the swept field makes rows a column
-    failure = None
-    if k < len(values):
-        # the error that derive_params raises at that row
-        value = float(values[k])
-        failure = InternalInconsistency(f"derive_params accepts {field} = "
-                                        f"{value!r}, which its column rejects")
-        try:
-            derive_params(replace(p, **{field: value}))
-        except InvalidParameter as err:
-            failure = err
-        if not k:
-            raise failure
-        d = DerivedParams(**{f: v[:k] if isinstance(v, np.ndarray) else v
-                             for f, v in vars(d).items()})
-    return replace(p, **{field: values[:k]}), d, failure
+            d = DerivedParams(**{f: v[:k] if isinstance(v, np.ndarray)
+                                 else v for f, v in vars(d).items()})
+    return replace(p, **{field: values[:k]}), d
 
 
 def _leading(ok: np.ndarray) -> int:

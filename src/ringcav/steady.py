@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameter, NumericalFailure
-from .model import DerivedParams, Geometry, PhysicalParams, _leading
+from .model import DerivedParams, Geometry, PhysicalParams
 
 __all__ = ["SteadyState", "steady_state_at_detuning", "find_steady_branches"]
 
@@ -94,15 +94,6 @@ def _field(eps, kappa, delta):
     u = eps * kappa / den
     v = -(eps * delta) / den
     return u, v, u * u + v * v
-
-
-def _band(deltas, kappa: float):
-    """The leading detunings of the array deltas in the band, and the
-    error steady_state_at_detuning raises at the next one, or None."""
-    k = _leading(_in_band(deltas, kappa))
-    if k == len(deltas):
-        return deltas, None
-    return deltas[:k], _detuning_error("delta", float(deltas[k]), kappa)
 
 
 def steady_state_at_detuning(p: PhysicalParams, d: DerivedParams,

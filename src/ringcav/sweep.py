@@ -11,7 +11,9 @@ stack's steady-state inputs come straight from its detuning array (the
 swept detunings, or the fixed delta on each row), with no SteadyState
 per point, and the parameters are derived once: a temperature, power
 or squeezing sweep carries its field as a column through derive_params'
-arithmetic and checks.  The rows' columns are assembled as arrays.
+arithmetic and checks.  The stacks stop at the first row that fails
+(see _solve and run_sweep), and that row alone goes through
+entanglement_result, which raises its error as a row-by-row loop would.
 
 The minimiser works in units of the cavity linewidth kappa and of the
 mechanical frequency omega_m: a coarse grid of spacing
@@ -30,19 +32,20 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NoReturn
 
 import numpy as np
 
-from .errors import (InvalidParameter, NumericalFailure, NoStablePoint,
-                     UnstableOperatingPoint)
-from .model import (DerivedParams, PhysicalParams, _derive_column,
+from .errors import (InternalInconsistency, InvalidParameter,
+                     NumericalFailure, NoStablePoint, UnstableOperatingPoint)
+from .model import (DerivedParams, PhysicalParams, _derive_column, _leading,
                     _violation, derive_params)
-from .spectra import (QuadratureConfig, _inputs, _product_sum, _variances,
-                      q_plus_variance)
+from .spectra import (QuadratureConfig, _inputs, _variances,
+                      entanglement_result, q_plus_variance)
 # re-exported: callers look the verdict up in this namespace
 from .stability import stability_verdict  # noqa: F401
-from .steady import _band
+from .steady import _in_band
 
 __all__ = [
     "SweepAxis",
@@ -84,8 +87,12 @@ class SweepSpec:
     delta: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.axis, SweepAxis):
-            raise InvalidParameter("axis", self.axis, "a SweepAxis member")
+        for f, kind, bound in (
+                ("axis", SweepAxis, "a SweepAxis member"),
+                ("fixed", PhysicalParams, "a PhysicalParams"),
+                ("quadrature", QuadratureConfig, "a QuadratureConfig")):
+            if not isinstance(getattr(self, f), kind):
+                raise InvalidParameter(f, getattr(self, f), bound)
         integral = (hasattr(type(self.points), "__index__")
                     and not isinstance(self.points, bool))
         if not (integral and operator.index(self.points) >= 2):
@@ -135,75 +142,89 @@ class SweepRow:
 _CHUNK = 256
 
 
-def _stacked(inputs: np.ndarray, cutoff: float):
-    """The variances at the columns of _columns' inputs (13, n), solved in
-    stacks of up to _CHUNK, and {column: error} in column order where a
-    point has one."""
-    values, failures = np.empty(inputs.shape[1]), {}
-    for start in range(0, inputs.shape[1], _CHUNK):
-        v, f = _variances(inputs[:, start:start + _CHUNK], cutoff)
+def _solve(p: PhysicalParams, d: DerivedParams, deltas: np.ndarray,
+           cutoff: float):
+    """The variances, {row: margin} and the number k of rows solved in
+    stacks of up to _CHUNK, up to the first detuning outside the band or
+    variance that fails; +inf where a row is unstable.  The fields of p
+    and d are floats, or columns as long as deltas."""
+    k = _leading(_in_band(deltas, p.cavity_decay))
+    values, margins = np.empty(k), {}
+    # as no axis moves kappa, a fixed delta is in the band on every row
+    # or on none, and a column then has the k entries of deltas[:k]
+    inputs = _inputs(p, d, deltas[:k]) if k else None
+    for start in range(0, k, _CHUNK):
+        v, failures = _variances(inputs[:, start:start + _CHUNK], cutoff)
         values[start:start + len(v)] = v
-        failures.update((start + i, err) for i, err in f.items())
-    return values, failures
+        for i, err in failures.items():
+            if not isinstance(err, UnstableOperatingPoint):
+                return values[:start + i], margins, start + i
+            values[start + i] = math.inf
+            margins[start + i] = err.margin
+    return values, margins, k
+
+
+def _raise_at(where: str, p: PhysicalParams, d: DerivedParams,
+              delta: float, quad: QuadratureConfig) -> NoReturn:
+    """Raise entanglement_result's error at a row where the stacks stop,
+    a NumericalFailure with where in front; a row that it solves, or
+    calls unstable, is an InternalInconsistency."""
+    try:
+        entanglement_result(p, d, delta, quad)
+    except NumericalFailure as err:
+        raise NumericalFailure(f"{where}: {err}") from err
+    except UnstableOperatingPoint:
+        pass
+    raise InternalInconsistency(
+        f"{where}: the stacks fail a row that entanglement_result does not")
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the sweep, in grid order.
 
     The parameters are derived once, with the swept field as a column,
-    and every column of the rows is assembled as an array.
+    and the rows solved in stacks up to the first that fails (on the
+    column, _solve or the criteria), where the point route raises.
 
     Raises
     ------
     NumericalFailure
-        From any row's integral, with the axis value attached.
+        From any row's integral or criteria, with the axis value attached.
     RingCavError
         Whatever the first failing row raises, as a row-by-row loop would.
+    InternalInconsistency
+        If the point route solves a row where the stacks fail.
     """
     grid = np.linspace(spec.start, spec.stop, spec.points)
-    if spec.axis is SweepAxis.DETUNING:
-        p, d, failure = spec.fixed, derive_params(spec.fixed), None
-        deltas = grid
-    else:
-        p, d, failure = _derive_column(spec.fixed, spec.axis.value, grid)
-        deltas = np.full(len(getattr(p, spec.axis.value)), spec.delta)
-    # the rows before the first failure are solved; as no axis moves
-    # kappa, a fixed delta fails on the first row that gets to it, where
-    # no row is left to solve
-    deltas, band = _band(deltas, p.cavity_decay)
-    if band is not None:
-        if not deltas.size:
-            raise band
-        failure = band
-    var_q = np.broadcast_to(q_plus_variance(p, d), deltas.shape)
-    var_p, failures = _stacked(_inputs(p, d, deltas), spec.quadrature.cutoff)
-    with np.errstate(over="ignore", invalid="ignore"):
-        prod = var_q * var_p
-        tot = var_q + var_p
     values = grid.tolist()
-    notes = {i: f"unstable, margin {err.margin!r} rad/s"
-             for i, err in failures.items()
-             if isinstance(err, UnstableOperatingPoint)}
-    # a row fails on an error of its integral, or else of its criteria
-    failed = ~(np.isfinite(prod) & np.isfinite(tot))
-    failed[list(failures)] = True
-    failed[list(notes)] = False
-    first = failed.nonzero()[0]
-    if first.size:
-        i = int(first[0])
-        try:
-            if i in failures:
-                raise failures[i]
-            _product_sum(float(var_q[i]), float(var_p[i]))
-        except NumericalFailure as err:
-            raise NumericalFailure(
-                f"at axis value {values[i]!r}: {err}") from err
+    field = spec.axis.value
+    if spec.axis is SweepAxis.DETUNING:
+        p, d, deltas = spec.fixed, derive_params(spec.fixed), grid
+    else:
+        p, d = _derive_column(spec.fixed, field, grid)
+        deltas = np.full(len(getattr(p, field)), spec.delta)
+    var_p, margins, k = _solve(p, d, deltas, spec.quadrature.cutoff)
+    if k:
+        var_q = np.broadcast_to(q_plus_variance(p, d), deltas.shape)[:k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = var_q * var_p
+            tot = var_q + var_p
+        # a stable row fails on criteria that are not finite, which
+        # the minimiser's grids do not compute
+        k = _leading((var_p == math.inf)
+                     | (np.isfinite(prod) & np.isfinite(tot)))
+    if k < spec.points:
+        if spec.axis is SweepAxis.DETUNING:
+            q, delta = spec.fixed, values[k]
+        else:
+            q, delta = replace(spec.fixed, **{field: values[k]}), spec.delta
+        _raise_at(f"at axis value {values[k]!r}", q, derive_params(q), delta,
+                  spec.quadrature)
     rows = [SweepRow(*row, True) for row in zip(
         values, var_q.tolist(), var_p.tolist(), prod.tolist(), tot.tolist())]
-    for i, note in notes.items():
-        rows[i] = SweepRow(values[i], None, None, None, None, False, note)
-    if failure is not None:
-        raise failure
+    for i, margin in margins.items():
+        rows[i] = SweepRow(values[i], None, None, None, None, False,
+                           f"unstable, margin {margin!r} rad/s")
     return rows
 
 
@@ -219,18 +240,12 @@ class MinimizeResult:
 def _grid_variances(p: PhysicalParams, d: DerivedParams, deltas,
                     quad: QuadratureConfig) -> list[float]:
     """The variance at each detuning, +inf where the point is unstable,
-    solved in stacks; a NumericalFailure names its detuning."""
-    deltas, failure = _band(np.asarray(deltas, float), p.cavity_decay)
-    values, failures = _stacked(_inputs(p, d, deltas), quad.cutoff)
-    for i, err in failures.items():
-        if isinstance(err, NumericalFailure):
-            raise NumericalFailure(
-                f"at detuning {float(deltas[i])!r} rad/s: {err}") from err
-        if not isinstance(err, UnstableOperatingPoint):
-            raise err
-        values[i] = math.inf
-    if failure is not None:
-        raise failure
+    solved in stacks; the first point that fails goes to _raise_at."""
+    deltas = np.asarray(deltas, float)
+    values, _, k = _solve(p, d, deltas, quad.cutoff)
+    if k < len(deltas):
+        delta = float(deltas[k])
+        _raise_at(f"at detuning {delta!r} rad/s", p, d, delta, quad)
     return values.tolist()
 
 
@@ -310,16 +325,22 @@ def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
     Raises
     ------
     InvalidParameter
-        If an end of the window is not an int or a float, the window is
-        not finite in rad/s with low < high, or it reaches a detuning
-        with |delta| >= 1e6 kappa.
+        If the window is not a (low, high) pair, an end of it is not an
+        int or a float, it is not finite in rad/s with low < high, or it
+        reaches a detuning with |delta| >= 1e6 kappa.
     NoStablePoint
         If no point of the window is stable.
     NumericalFailure
         From a grid point's variance, with its detuning attached.
+    InternalInconsistency
+        If entanglement_result solves a grid point where the stacks fail.
     """
-    lo, hi = window
-    for x in window:
+    try:
+        lo, hi = window
+    except (TypeError, ValueError):
+        raise InvalidParameter("window", window,
+                               "a (low, high) pair") from None
+    for x in (lo, hi):
         # a float32 would carry its precision into the grids
         if not isinstance(x, (int, float)):
             raise InvalidParameter("window", x, "an int or float")

@@ -37,6 +37,13 @@ def test_spec_validation():
     with pytest.raises(rc.InvalidParameter) as exc:
         _spec(start=math.nan)
     assert exc.value.field == "start"
+    # run_sweep used to fail on these with an AttributeError
+    for field in ("fixed", "quadrature"):
+        kw = dict(axis=rc.SweepAxis.SQUEEZE_R, start=0.0, stop=1.0,
+                  points=3, fixed=rc.baseline_params(), delta=_WM)
+        with pytest.raises(rc.InvalidParameter) as exc:
+            rc.SweepSpec(**{**kw, field: None})
+        assert (exc.value.field, exc.value.value) == (field, None)
 
 
 def test_spec_takes_any_integer_for_points():
@@ -254,6 +261,12 @@ def test_minimize_window_validation(baseline):
     # finite in units of omega_m, but the span overflows in rad/s
     with pytest.raises(rc.InvalidParameter):
         rc.minimize_over_detuning(p, d, (-0.0, 1e308))
+    # not a pair: a ValueError and a TypeError on unpacking before
+    for window in ((0.5, 1.0, 1.5), None):
+        with pytest.raises(rc.InvalidParameter) as exc:
+            rc.minimize_over_detuning(p, d, window)
+        assert (exc.value.field, exc.value.value, exc.value.bound) == (
+            "window", window, "a (low, high) pair")
 
 
 @pytest.mark.parametrize("window", [
@@ -422,16 +435,69 @@ def test_a_sweep_takes_float64_parameters():
         assert got == want
 
 
-def test_a_row_that_only_the_column_rejects_is_a_bug(monkeypatch):
-    # the column's checks and derive_params' disagreeing on a row is an
-    # internal inconsistency, raised after the rows before it
-    monkeypatch.setattr(rc.model, "derive_params", lambda p: None)
-    spec = rc.SweepSpec(axis=rc.SweepAxis.BATH_TEMP, start=0.0,
-                        stop=1e-300, points=11, fixed=rc.baseline_params(),
-                        delta=0.965 * _WM)
-    with pytest.raises(rc.InternalInconsistency,
-                       match="bath_temp = 1e-301, which its column rejects"):
+def _unstable(*args):
+    raise rc.UnstableOperatingPoint("unstable", 0.0)
+
+
+@pytest.mark.parametrize("point", [lambda *args: None, _unstable],
+                         ids=["solved", "unstable"])
+@pytest.mark.parametrize("axis, stop, points, patch_derive, value", [
+    # the column derivation rejects bath_temp = 1e-301, the 11th row
+    (rc.SweepAxis.BATH_TEMP, 1e-300, 11, True, "1e-301"),
+    # the variance integral overflows at r = 315, the last row
+    (rc.SweepAxis.SQUEEZE_R, 315.0, 8, False, "315.0"),
+], ids=["column", "variance"])
+def test_a_row_that_only_the_stacks_reject_is_a_bug(
+        monkeypatch, point, axis, stop, points, patch_derive, value):
+    # the point route solving, or calling unstable, the row where the
+    # stacks stop is an internal inconsistency that names the row
+    monkeypatch.setattr(sweep_mod, "entanglement_result", point)
+    if patch_derive:
+        monkeypatch.setattr(sweep_mod, "derive_params", lambda p: None)
+    spec = rc.SweepSpec(axis=axis, start=0.0, stop=stop, points=points,
+                        fixed=rc.baseline_params(), delta=0.965 * _WM)
+    with pytest.raises(rc.InternalInconsistency) as exc:
         rc.run_sweep(spec)
+    assert str(exc.value) == (f"at axis value {value}: the stacks fail a "
+                              "row that entanglement_result does not")
+
+
+@pytest.mark.parametrize("point", [lambda *args: None, _unstable],
+                         ids=["solved", "unstable"])
+def test_a_grid_point_that_only_the_stacks_reject_is_a_bug(monkeypatch,
+                                                          point):
+    # r = 320 overflows the variance integral at the coarse grid's first
+    # point, 0.5 omega_m
+    monkeypatch.setattr(sweep_mod, "entanglement_result", point)
+    p = rc.baseline_params(squeeze_r=320.0)
+    with pytest.raises(rc.InternalInconsistency) as exc:
+        rc.minimize_over_detuning(p, rc.derive_params(p))
+    assert str(exc.value) == (f"at detuning {0.5 * _WM!r} rad/s: the stacks "
+                              "fail a row that entanglement_result does not")
+
+
+@pytest.mark.parametrize("r, window, error", [
+    (1.0, (2e5, 2.3e5), rc.InvalidParameter),
+    (320.0, (0.5, 1.5), rc.NumericalFailure),
+], ids=["band", "variance"])
+def test_minimiser_error_comes_as_from_the_point(r, window, error):
+    # after the "at detuning ... rad/s: " of a NumericalFailure, the
+    # error is entanglement_result's at that detuning
+    p = rc.baseline_params(squeeze_r=r)
+    d = rc.derive_params(p)
+    with pytest.raises(error) as got:
+        rc.minimize_over_detuning(p, d, window)
+    text = str(got.value)
+    if error is rc.NumericalFailure:
+        where, text = text.split(": ", 1)
+        delta = float(where.removeprefix("at detuning ").removesuffix(
+            " rad/s"))
+        assert where == f"at detuning {delta!r} rad/s"
+    else:
+        delta = got.value.value
+    with pytest.raises(error) as want:
+        rc.entanglement_result(p, d, delta)
+    assert text == str(want.value)
 
 
 def _minimize_reference(p, d, window):
