@@ -1,9 +1,10 @@
 """Independent re-derivations used as oracles by the tests.
 
 Everything here is written straight from the defining formulas with
-plain numpy (a dense trapezoid rule, Kronecker-product solves), sharing
-no code with the package under test, so agreement between the two is
-evidence rather than tautology.
+plain numpy (a dense trapezoid rule, Kronecker-product solves) or
+mpmath (tanh-sinh quadrature, partial fractions with the Matsubara
+series), sharing no code with the package under test, so agreement
+between the two is evidence rather than tautology.
 """
 
 import numpy as np
@@ -243,6 +244,32 @@ def characteristic_polynomial_roots(kappa, wm, gm, delta, g, chi, n):
     return np.roots(coeffs)
 
 
+def _mp_point(wavelength, cavity_length, mirror_mass, kappa, wm, quality,
+              fold_angle, bath_temp, power, r, phase, delta):
+    """One operating point in mpmath numbers at the working precision:
+    kappa, omega_m, delta, T, gamma_m, the coupling g, chi, the amplitude
+    c_s, the photon number n, N = sinh^2 r, M, the prefactor 8 kappa (g
+    chi)^2 and theta = kB T / hbar."""
+    import mpmath as mp
+
+    hbar = mp.mpf("1.054571817e-34")
+    kb = mp.mpf("1.380649e-23")
+    c_light = mp.mpf(299792458)
+    kappa, wm, delta = mp.mpf(kappa), mp.mpf(wm), mp.mpf(delta)
+    temp = mp.mpf(bath_temp)
+    gm = wm / mp.mpf(quality)
+    wl = 2 * mp.pi * c_light / mp.mpf(wavelength)
+    g = (wl / mp.mpf(cavity_length)) * mp.sqrt(
+        hbar / (mp.mpf(mirror_mass) * wm))
+    chi = mp.cos(mp.mpf(fold_angle) / 2) ** 2
+    eps = mp.sqrt(2 * kappa * mp.mpf(power) / (hbar * wl))
+    cs = eps / mp.mpc(kappa, delta)
+    nsq = mp.sinh(mp.mpf(r)) ** 2
+    msq = mp.sinh(mp.mpf(r)) * mp.cosh(mp.mpf(r)) * mp.expj(mp.mpf(phase))
+    return (kappa, wm, delta, temp, gm, g, chi, cs, abs(cs) ** 2, nsq, msq,
+            8 * kappa * g * g * chi * chi, kb * temp / hbar)
+
+
 def mpmath_momentum_variance(wavelength, cavity_length, mirror_mass,
                              kappa, wm, quality, fold_angle, bath_temp,
                              power, r, phase, delta, cutoff=50.0, dps=30):
@@ -261,23 +288,10 @@ def mpmath_momentum_variance(wavelength, cavity_length, mirror_mass,
     import mpmath as mp
 
     with mp.workdps(dps):
-        hbar = mp.mpf("1.054571817e-34")
-        kb = mp.mpf("1.380649e-23")
-        c_light = mp.mpf(299792458)
-        kappa, wm, delta = mp.mpf(kappa), mp.mpf(wm), mp.mpf(delta)
-        temp = mp.mpf(bath_temp)
-        gm = wm / mp.mpf(quality)
-        wl = 2 * mp.pi * c_light / mp.mpf(wavelength)
-        g = (wl / mp.mpf(cavity_length)) * mp.sqrt(
-            hbar / (mp.mpf(mirror_mass) * wm))
-        chi = mp.cos(mp.mpf(fold_angle) / 2) ** 2
-        eps = mp.sqrt(2 * kappa * mp.mpf(power) / (hbar * wl))
-        cs = eps / mp.mpc(kappa, delta)
-        n = abs(cs) ** 2
-        nsq = mp.sinh(mp.mpf(r)) ** 2
-        msq = (mp.sinh(mp.mpf(r)) * mp.cosh(mp.mpf(r))
-               * mp.expj(mp.mpf(phase)))
-        pref = 8 * kappa * g * g * chi * chi
+        (kappa, wm, delta, temp, gm, g, chi, cs, n, nsq, msq, pref,
+         theta) = _mp_point(wavelength, cavity_length, mirror_mass, kappa,
+                            wm, quality, fold_angle, bath_temp, power, r,
+                            phase, delta)
         j = mp.mpc(0, 1)
 
         def dd(w):
@@ -290,8 +304,8 @@ def mpmath_momentum_variance(wavelength, cavity_length, mirror_mass,
             if temp == 0:
                 return 2 * w if w > 0 else mp.mpf(0)
             if w == 0:
-                return 2 * kb * temp / hbar
-            return 2 * w / -mp.expm1(-hbar * w / (kb * temp))
+                return 2 * theta
+            return 2 * w / -mp.expm1(-w / theta)
 
         def density(w):
             dw = dd(w)
@@ -317,3 +331,89 @@ def mpmath_momentum_variance(wavelength, cavity_length, mirror_mass,
             marks.update((m, -m))
         pts = sorted(x for x in marks if -lim <= x <= lim)
         return float(mp.quad(density, pts) / (2 * mp.pi))
+
+
+def matsubara_momentum_variance(wavelength, cavity_length, mirror_mass,
+                                kappa, wm, quality, fold_angle, bath_temp,
+                                power, r, phase, delta, cutoff=50.0, dps=40):
+    """Coupled-momentum variance at T > 0 by partial fractions and the
+    Matsubara series of the bath weight, in dps-digit arithmetic.
+
+    The density of mpmath_momentum_variance is rational in w but for the
+    bath weight w (1 + coth(w / 2 theta)), theta = kB T / hbar.  Its odd
+    part w integrates to zero against the even rest over [-L, L], and
+    its even part is the Mittag-Leffler series w coth(w / 2 theta) = 2
+    theta + sum_k 4 theta w^2 / (w^2 + nu_k^2), nu_k = 2 pi k theta, poles
+    at the Matsubara frequencies.  So each term is a proper rational
+    function N(w) / prod_i (w - p_i), whose integral over [-L, L] is
+    sum_i N(p_i) / prod_(j != i) (p_i - p_j) (log(L - p_i) - log(-L -
+    p_i)).  The poles are the roots r of the monic quartic d(w), as
+    eigenvalues of its companion matrix (mpmath.eig), their mirrors -r
+    (the a piece), 2 omega_m - r (b) and -2 omega_m - r (c), and +/- i
+    nu_k; mpmath.nsum sums the series over k.  No Binet formula, E1,
+    Bernoulli series or contour is involved.  At delta = 0, d has a
+    double root at -i kappa, which mpmath.eig splits by about
+    10^(-dps / 2); the two residues then cancel about dps / 2 digits.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        (kappa, wm, delta, temp, gm, g, chi, cs, n, nsq, msq, pref,
+         theta) = _mp_point(wavelength, cavity_length, mirror_mass, kappa,
+                            wm, quality, fold_angle, bath_temp, power, r,
+                            phase, delta)
+        j = mp.mpc(0, 1)
+        lim = mp.mpf(cutoff) * wm
+        # d(w) = (wm^2 - i gm w - w^2) (kappa^2 + delta^2 - 2 i kappa w
+        # - w^2) - 4 wm delta g^2 n chi^2 = w^4 + c1 w^3 + ... + c4
+        u = [-1, -j * gm, wm * wm]
+        v = [-1, -2 * j * kappa, kappa ** 2 + delta ** 2]
+        c = [sum(u[i] * v[k - i] for i in range(3) if 0 <= k - i < 3)
+             for k in range(5)]
+        c[4] -= 4 * wm * delta * g * g * n * chi * chi
+        # its roots: the eigenvalues of the companion matrix
+        roots = list(mp.eig(mp.matrix([[-c[1], -c[2], -c[3], -c[4]],
+                                       [1, 0, 0, 0], [0, 1, 0, 0],
+                                       [0, 0, 1, 0]]),
+                            left=False, right=False))
+
+        def integral(num, poles):
+            return mp.fsum(
+                num(p) / mp.fprod(p - q for k, q in enumerate(poles)
+                                  if k != i)
+                * (mp.log(lim - p) - mp.log(-lim - p))
+                for i, p in enumerate(poles))
+
+        def bath(w):
+            # 2 gamma_m / omega_m times the a piece's bath numerator
+            return (2 * gm / wm * ((delta ** 2 + kappa ** 2 - w * w) ** 2
+                                   + 4 * kappa ** 2 * w * w))
+
+        def squeezed(w):
+            return pref * n * ((nsq + 1) * (kappa ** 2 + (delta + w) ** 2)
+                               + nsq * (kappa ** 2 + (delta - w) ** 2))
+
+        def piece_b(w):
+            return (w * (w - 2 * wm) * pref * mp.conj(cs) ** 2 * msq
+                    * (kappa - j * (delta + w))
+                    * (kappa - j * (delta + 2 * wm - w)))
+
+        def piece_c(w):
+            return (w * (w + 2 * wm) * pref * cs ** 2 * mp.conj(msq)
+                    * (kappa + j * (delta - w))
+                    * (kappa + j * (delta + 2 * wm + w)))
+
+        mirrored = roots + [-x for x in roots]
+
+        def matsubara(k):
+            nu = 2 * mp.pi * k * theta
+            return integral(lambda w: 4 * theta * w ** 4 * bath(w),
+                            mirrored + [j * nu, -j * nu])
+
+        total = (integral(lambda w: w * w * (squeezed(w)
+                                             + 2 * theta * bath(w)),
+                          mirrored)
+                 + mp.nsum(matsubara, [1, mp.inf])
+                 + integral(piece_b, roots + [2 * wm - x for x in roots])
+                 + integral(piece_c, roots + [-2 * wm - x for x in roots]))
+        return float(mp.re(total) / (2 * mp.pi))

@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import ringcav as rc
 from oracles import (breakpoints as _breakpoints, denominator,
-                     lyapunov_squeezed_variance, mpmath_momentum_variance,
-                     raw_terms, thermal_weight, trapezoid_momentum_variance)
+                     lyapunov_squeezed_variance, matsubara_momentum_variance,
+                     mpmath_momentum_variance, raw_terms, thermal_weight,
+                     trapezoid_momentum_variance)
 from ringcav.constants import HBAR, KB
 from ringcav.quadrature import integrate_adaptive
 from ringcav.spectra import (_BETA, _BL, _POLE_GAP, _SCALE, _SHIFT_PER_WM,
@@ -462,6 +464,33 @@ def test_variance_matches_30_digit_oracle(temp):
                                                           abs=0.0)
 
 
+@pytest.mark.parametrize("temp, x, geometry, beta_l, bound", [
+    (41.4e-6, 0.965, "3ring", (39.0, math.inf), 3e-14),
+    (200e-6, 0.965, "3ring", (math.pi, 39.0), 3e-14),
+    (5e-3, 0.965, "3ring", (0.0, math.pi), 1e-14),
+    (41.4e-6, 0.0, "3ring", (39.0, math.inf), 1e-12),
+    (41.4e-6, 0.965, "4ring", (39.0, math.inf), 3e-14),
+], ids=["binet", "e1-tail", "bernoulli", "double-pole", "four-mirror"])
+def test_variance_matches_the_matsubara_oracle(temp, x, geometry, beta_l,
+                                                bound):
+    # an exact second route for the whole variance at T > 0: the Bose
+    # part of each row (Binet's formula alone, less its E1 tail, or the
+    # Bernoulli series, as beta L says) against partial fractions and
+    # the Matsubara series.  The package read 1.3e-14, 1.2e-14, 4.0e-15,
+    # 6.3e-13 (the double pole at -i kappa) and 1.3e-14 off
+    p = rc.baseline_params(bath_temp=temp, geometry=rc.Geometry(geometry))
+    d = rc.derive_params(p)
+    s = rc.steady_state_at_detuning(p, d, x * p.mech_freq)
+    row = _row_matrix(_point_inputs([(p, d, s)]), 50.0)[0]
+    assert beta_l[0] <= row[_BL].real < beta_l[1]
+    ref = matsubara_momentum_variance(
+        p.wavelength, p.cavity_length, p.mirror_mass, p.cavity_decay,
+        p.mech_freq, p.mech_quality, p.fold_angle, temp, p.laser_power,
+        p.squeeze_r, p.squeeze_phase, s.detuning)
+    assert rc.momentum_variance(p, d, s) == pytest.approx(ref, rel=bound,
+                                                          abs=0.0)
+
+
 @pytest.mark.parametrize("cutoff", [50.0, 1e5])
 @pytest.mark.parametrize("temp", [0.0, 41.4e-6, 200e-6])
 def test_zero_power_decouples_the_light(temp, cutoff):
@@ -595,3 +624,83 @@ def test_exp_e1_matches_mpmath():
         with mpmath.workdps(30):
             want = complex(mpmath.exp(z) * mpmath.e1(z))
         assert got == pytest.approx(want, rel=2e-14, abs=0.0), z
+
+
+def test_exp_e1_gives_each_element_its_bits_alone():
+    # a mixed array: both branches, and continued-fraction depths from 5
+    # (|z| >= 300) to 64 (|z| + Re z = 3); each element as alone, and in
+    # the reversed array
+    rng = np.random.default_rng(2112)
+    z = (10.0 ** rng.uniform(0.0, 6.0, 300)
+         * np.exp(1j * rng.uniform(-math.pi, math.pi, 300)))
+    z = np.concatenate([z, [1.5, 1.5 + 1e-3j, 11.0, 40.0, 60.0, 1e6, -1e3,
+                            2.0 * np.exp(2.5j)]])
+    series = (np.abs(z) < 60.0) & (np.abs(z) + z.real < 3.0)
+    assert 0 < np.count_nonzero(series) < z.size
+    got = _exp_e1(z)
+    alone = np.concatenate([_exp_e1(z[i:i + 1]) for i in range(z.size)])
+    assert got.tobytes() == alone.tobytes()
+    assert _exp_e1(z[::-1]).tobytes() == got[::-1].tobytes()
+
+
+def test_exp_e1_over_the_bose_tail_domain(monkeypatch):
+    # the production domain, |z| from 3 to 60 within 0.01 rad of the
+    # positive axis, seeded, and the tail's own arguments k beta (L -+ q)
+    # over a 0 to 200 uK temperature sweep
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(3060)
+    seen = [rng.uniform(3.0, 60.0, 200)
+            * np.exp(1j * rng.uniform(-0.01, 0.01, 200))]
+    exp_e1 = rc.spectra._exp_e1
+    monkeypatch.setattr(rc.spectra, "_exp_e1",
+                        lambda z: seen.append(z) or exp_e1(z))
+    p = rc.baseline_params()
+    rc.run_sweep(rc.SweepSpec(axis=rc.SweepAxis.BATH_TEMP, start=0.0,
+                              stop=200e-6, points=12, fixed=p,
+                              delta=0.965 * p.mech_freq))
+    z = np.concatenate(seen)
+    assert z.size > 300
+    for zz, got in zip(z, exp_e1(z)):
+        with mpmath.workdps(30):
+            want = complex(mpmath.exp(zz) * mpmath.e1(zz))
+        assert got == pytest.approx(want, rel=2e-14, abs=0.0), zz
+
+
+def test_exp_e1_of_a_non_finite_argument_is_nan():
+    # NaN where an element is not finite, with no warning, beside finite
+    # elements that keep their bits; such an element steps as z = 60 (9
+    # steps), where the depth read from its |z| would be NaN
+    bad = [math.nan, math.inf, -math.inf, complex(math.inf, math.inf),
+           complex(math.nan, 1.0), complex(1.0, math.inf),
+           complex(-math.inf, 2.0)]
+    z = np.array(bad + [11.0 + 0.01j, 0.5j, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _exp_e1(z)
+    assert np.isnan(got[:len(bad)]).all()
+    assert got[len(bad):].tobytes() == _exp_e1(z[len(bad):]).tobytes()
+
+
+def test_kernels_give_each_row_its_bits_alone():
+    # _binet on an odd number of rows of four, with and without a row
+    # beyond |z| = 4.79, and _simple_weights on rows of poles: a stack's
+    # rows against the rows alone
+    rng = np.random.default_rng(4791)
+    z = (10.0 ** rng.uniform(-3.0, 0.6, (37, 4))
+         * np.exp(1j * rng.uniform(-1.5, 1.5, (37, 4))))
+    for stack in (z, np.concatenate([z, [[20.0, 3.0 + 1j, 0.1j, 7.0]]])):
+        alone = np.concatenate([_binet(row[None]) for row in stack])
+        assert _binet(stack).tobytes() == alone.tobytes()
+    wm = rc.baseline_params().mech_freq
+    r = wm * (rng.uniform(-2.0, 2.0, (37, 4))
+              - 1j * rng.uniform(1e-3, 1.0, (37, 4)))
+    r[0, 1] = r[0, 0] + 1e-9 * wm  # a cluster
+    shift = np.full((37, 1, 1), wm) * _SHIFT_PER_WM
+    gap = np.full((37, 1, 1), _POLE_GAP * wm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        simple, close = _simple_weights(r, shift, gap)
+        ones = [_simple_weights(r[i:i + 1], shift[i:i + 1], gap[i:i + 1])
+                for i in range(37)]
+    assert simple.tobytes() == np.concatenate([w for w, _ in ones]).tobytes()
+    assert close.tolist() == [bool(c[0]) for _, c in ones]
+    assert close[0] and not close[1:].any()

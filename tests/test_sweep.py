@@ -661,6 +661,21 @@ def test_minimiser_work_on_the_narrow_cases(monkeypatch):
     assert len(grids) < 200
 
 
+def test_a_missed_probe_costs_one_grid_and_one_probe(monkeypatch):
+    # at kappa = omega_m the first probe misses; the grid over the whole
+    # bracket holds the minimum inside, so its own probe ends the search.
+    # A grid over the probe's side alone ends at the vertex, within a
+    # probe width of the minimum: no parabola fits at its end, and a
+    # further 24-point grid follows instead of the probe
+    grids = _counted_grids(monkeypatch)
+    for _, r, mw, window in [c for c in _NARROW if c[0] == 1.0]:
+        p = rc.baseline_params(cavity_decay=_WM, squeeze_r=r,
+                               laser_power=1e-3 * mw)
+        rc.minimize_over_detuning(p, rc.derive_params(p), window)
+        assert grids[1:] == [sweep_mod._REFINE_POINTS, 3] * 2, grids
+        grids.clear()
+
+
 def test_a_missed_probe_falls_back_to_a_refinement_grid(baseline,
                                                         monkeypatch):
     # no parabola fits a cusp: its vertex misses the minimum by more
