@@ -275,9 +275,11 @@ def _cell(x) -> str:
     return "" if x is None else f"{x:.12g}"
 
 
-def _render(records: list[dict], fmt: str, single: bool) -> str:
-    """CSV with a header row, or indented JSON: a bare object when
-    ``single``, else a list."""
+def _render(results, fmt: str) -> str:
+    """One result dataclass, or a list of them, as CSV with a header row
+    or as indented JSON: a bare object for one, else a list."""
+    single = not isinstance(results, list)
+    records = [_record(r) for r in ([results] if single else results)]
     if fmt == "json":
         return json.dumps(records[0] if single else records, indent=2) + "\n"
     lines = [",".join(records[0])]
@@ -431,11 +433,8 @@ def _summarise_crossing(rows: list[SweepRow], what: str) -> None:
 # detuning and stderr summary.  Detunings are in units of the mechanical
 # frequency, temperatures in K.
 _PRESETS = {
-    "fig2": (200, "preset: detuning scan of both criteria at one "
-                  "squeezing value",
-             SweepAxis.DETUNING, (0.5, 1.5), None, _summarise),
-    "fig3": (200, "preset: detuning scan of both criteria at one "
-                  "laser power",
+    "fig2": (200, "preset: detuning scan of both criteria at the given "
+                  "--r and --power-mw",
              SweepAxis.DETUNING, (0.5, 1.5), None, _summarise),
     "fig4": (201, "preset: temperature scan of both criteria at the "
                   "optimal detuning",
@@ -443,8 +442,9 @@ _PRESETS = {
 }
 
 
-def _results(ns: argparse.Namespace, cfg: RunConfig) -> list:
-    """The command's results, as dataclasses in output order."""
+def _results(ns: argparse.Namespace, cfg: RunConfig):
+    """The command's result: one dataclass for a command that prints one
+    record, else a list of them in output order."""
     p = cfg.params
     d = derive_params(p)
     wm = p.mech_freq
@@ -453,19 +453,19 @@ def _results(ns: argparse.Namespace, cfg: RunConfig) -> list:
         res = entanglement_result(p, d, ns.delta_per_wm * wm,
                                   cfg.quadrature)
         if cfg.output_format == "json":
-            return [res]
+            return res
         # a sweep row, so that point and sweep CSVs concatenate
-        return [SweepRow(axis_value=res.delta, var_q_plus=res.var_q_plus,
-                         var_p_minus=res.var_p_minus, product=res.product,
-                         sum=res.sum, stable=True)]
+        return SweepRow(axis_value=res.delta, var_q_plus=res.var_q_plus,
+                        var_p_minus=res.var_p_minus, product=res.product,
+                        sum=res.sum, stable=True)
     if ns.command == "branches":
         return find_steady_branches(p, d, ns.delta_per_wm * wm)
     if ns.command == "stability":
         s = steady_state_at_detuning(p, d, ns.delta_per_wm * wm)
-        return [stability_verdict(p, d, s)]
+        return stability_verdict(p, d, s)
     if ns.command == "minimize":
-        return [minimize_over_detuning(p, d, tuple(ns.window),
-                                       cfg.quadrature)]
+        return minimize_over_detuning(p, d, tuple(ns.window),
+                                      cfg.quadrature)
     if ns.command == "sweep":
         if cfg.sweep is None:
             raise ValidationError(
@@ -488,9 +488,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
                                 or cfg.output_path == "-"):
         raise ValidationError(
             "gnuplot_script", "needs csv format and an --output file")
-    results = _results(ns, cfg)
-    text = _render([_record(r) for r in results], cfg.output_format,
-                   single=ns.command in ("point", "stability", "minimize"))
+    text = _render(_results(ns, cfg), cfg.output_format)
     # the data first: a write that fails leaves no script behind
     _emit(text, cfg.output_path)
     if gnuplot is not None:

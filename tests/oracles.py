@@ -336,7 +336,7 @@ def mpmath_momentum_variance(wavelength, cavity_length, mirror_mass,
 def matsubara_momentum_variance(wavelength, cavity_length, mirror_mass,
                                 kappa, wm, quality, fold_angle, bath_temp,
                                 power, r, phase, delta, cutoff=50.0, dps=40):
-    """Coupled-momentum variance at T > 0 by partial fractions and the
+    """Coupled-momentum variance by partial fractions and, at T > 0, the
     Matsubara series of the bath weight, in dps-digit arithmetic.
 
     The density of mpmath_momentum_variance is rational in w but for the
@@ -350,10 +350,13 @@ def matsubara_momentum_variance(wavelength, cavity_length, mirror_mass,
     p_i)).  The poles are the roots r of the monic quartic d(w), as
     eigenvalues of its companion matrix (mpmath.eig), their mirrors -r
     (the a piece), 2 omega_m - r (b) and -2 omega_m - r (c), and +/- i
-    nu_k; mpmath.nsum sums the series over k.  No Binet formula, E1,
-    Bernoulli series or contour is involved.  At delta = 0, d has a
-    double root at -i kappa, which mpmath.eig splits by about
-    10^(-dps / 2); the two residues then cancel about dps / 2 digits.
+    nu_k; mpmath.nsum sums the series over k.  At T = 0 the weight is 2 w
+    on w > 0 and 0 below, and the bath term integrates over [0, L] as
+    sum_i N(p_i) / prod_(j != i) (p_i - p_j) (log(L - p_i) - log(-p_i))
+    instead.  No Binet formula, E1, Bernoulli series or contour is
+    involved.  At delta = 0, d has a double root at -i kappa, which
+    mpmath.eig splits by about 10^(-dps / 2); the two residues then
+    cancel about dps / 2 digits.
     """
     import mpmath as mp
 
@@ -377,11 +380,12 @@ def matsubara_momentum_variance(wavelength, cavity_length, mirror_mass,
                                        [0, 0, 1, 0]]),
                             left=False, right=False))
 
-        def integral(num, poles):
+        def integral(num, poles, lo=-lim):
+            # over [lo, L]
             return mp.fsum(
                 num(p) / mp.fprod(p - q for k, q in enumerate(poles)
                                   if k != i)
-                * (mp.log(lim - p) - mp.log(-lim - p))
+                * (mp.log(lim - p) - mp.log(lo - p))
                 for i, p in enumerate(poles))
 
         def bath(w):
@@ -410,10 +414,14 @@ def matsubara_momentum_variance(wavelength, cavity_length, mirror_mass,
             return integral(lambda w: 4 * theta * w ** 4 * bath(w),
                             mirrored + [j * nu, -j * nu])
 
+        if temp == 0:
+            thermal = integral(lambda w: 2 * w ** 3 * bath(w), mirrored, 0)
+        else:
+            thermal = mp.nsum(matsubara, [1, mp.inf])
         total = (integral(lambda w: w * w * (squeezed(w)
                                              + 2 * theta * bath(w)),
                           mirrored)
-                 + mp.nsum(matsubara, [1, mp.inf])
+                 + thermal
                  + integral(piece_b, roots + [2 * wm - x for x in roots])
                  + integral(piece_c, roots + [-2 * wm - x for x in roots]))
         return float(mp.re(total) / (2 * mp.pi))

@@ -309,6 +309,31 @@ def test_sweep_needs_config_section(tmp_path, capsys):
     assert "sweep" in err
 
 
+_SWEEP_KEYS = {"axis": "detuning", "start": "5e6", "stop": "6e6",
+               "points": "3"}
+
+
+@pytest.mark.parametrize("missing", sorted(_SWEEP_KEYS))
+def test_sweep_section_without_a_required_key_exits_1(missing, tmp_path,
+                                                      capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[sweep]\n" + "".join(
+        f"{k} = {v}\n" for k, v in _SWEEP_KEYS.items() if k != missing))
+    code, out, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: sweep.{missing}: required\n")
+
+
+def test_fig3_is_not_a_command(capsys):
+    # the paper's Fig. 3 power family is fig2 --power-mw P
+    code, out, err = run(["fig3", "--points", "20"], capsys)
+    assert (code, out) == (1, "")
+    assert "argument command: invalid choice: 'fig3'" in err
+    code, out, err = run(["--help"], capsys)
+    assert code == 0
+    assert "{point,branches,stability,sweep,minimize,fig2,fig4}" in out
+
+
 def test_missing_config_file_exits_1(capsys):
     code, out, err = run(["point", "--delta-per-wm", "1",
                           "--config", "/nonexistent/x.cfg"], capsys)

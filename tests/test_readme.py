@@ -71,7 +71,7 @@ def test_command_line_examples_run(tmp_path, monkeypatch, capsys):
     block, = [b for b in sh if "\nringcav " in b]
     commands = [shlex.split(line)[1:] for line in block.splitlines()
                 if line.startswith("ringcav ")]
-    assert len(commands) == 8
+    assert len(commands) == 7
     (tmp_path / "run.cfg").write_text(_block("ini"), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     for argv in commands:

@@ -14,10 +14,10 @@ from oracles import (breakpoints as _breakpoints, denominator,
                      trapezoid_momentum_variance)
 from ringcav.constants import HBAR, KB
 from ringcav.quadrature import integrate_adaptive
-from ringcav.spectra import (_BETA, _BL, _POLE_GAP, _SCALE, _SHIFT_PER_WM,
-                             _WM, _ZFAC, _binet, _exp_e1, _point_inputs,
-                             _product_sum, _row_matrix, _simple_weights,
-                             _variances)
+from ringcav.spectra import (_BETA, _BL, _KT, _POLE_GAP, _SCALE,
+                             _SHIFT_PER_WM, _WM, _ZFAC, _binet, _exp_e1,
+                             _point_inputs, _product_sum, _row_matrix,
+                             _simple_weights, _variances)
 from ringcav.stability import _stack_verdicts
 
 DELTA_965 = 5741920.308892601
@@ -464,25 +464,33 @@ def test_variance_matches_30_digit_oracle(temp):
                                                           abs=0.0)
 
 
-@pytest.mark.parametrize("temp, x, geometry, beta_l, bound", [
-    (41.4e-6, 0.965, "3ring", (39.0, math.inf), 3e-14),
-    (200e-6, 0.965, "3ring", (math.pi, 39.0), 3e-14),
-    (5e-3, 0.965, "3ring", (0.0, math.pi), 1e-14),
-    (41.4e-6, 0.0, "3ring", (39.0, math.inf), 1e-12),
-    (41.4e-6, 0.965, "4ring", (39.0, math.inf), 3e-14),
-], ids=["binet", "e1-tail", "bernoulli", "double-pole", "four-mirror"])
-def test_variance_matches_the_matsubara_oracle(temp, x, geometry, beta_l,
-                                                bound):
-    # an exact second route for the whole variance at T > 0: the Bose
-    # part of each row (Binet's formula alone, less its E1 tail, or the
-    # Bernoulli series, as beta L says) against partial fractions and
-    # the Matsubara series.  The package read 1.3e-14, 1.2e-14, 4.0e-15,
-    # 6.3e-13 (the double pole at -i kappa) and 1.3e-14 off
-    p = rc.baseline_params(bath_temp=temp, geometry=rc.Geometry(geometry))
+@pytest.mark.parametrize("temp, power, x, geometry, beta_l, bound", [
+    (41.4e-6, 3.8e-3, 0.965, "3ring", (39.0, math.inf), 3e-14),
+    (200e-6, 3.8e-3, 0.965, "3ring", (math.pi, 39.0), 3e-14),
+    (5e-3, 3.8e-3, 0.965, "3ring", (0.0, math.pi), 1e-14),
+    (41.4e-6, 3.8e-3, 0.0, "3ring", (39.0, math.inf), 1e-12),
+    (41.4e-6, 3.8e-3, 0.965, "4ring", (39.0, math.inf), 3e-14),
+    (0.0, 3.8e-3, 0.965, "3ring", (39.0, math.inf), 3e-14),
+    (41.4e-6, 0.0, 1e-10, "3ring", (39.0, math.inf), 1e-13),
+], ids=["binet", "e1-tail", "bernoulli", "double-pole", "four-mirror",
+        "zero-temperature", "near-double-pole"])
+def test_variance_matches_the_matsubara_oracle(temp, power, x, geometry,
+                                                beta_l, bound):
+    # an exact second route for the whole variance: the Bose part of
+    # each row (Binet's formula alone, less its E1 tail, or the
+    # Bernoulli series, as beta L says; none at T = 0, where the beta L
+    # column holds L) against partial fractions and the Matsubara
+    # series, or at T = 0 the weight 2 w on w > 0.  The package read
+    # 1.3e-14, 1.2e-14, 4.0e-15, 6.3e-13 (the double pole at -i kappa),
+    # 1.3e-14, 1.3e-14 and 4.3e-14 (without light, the optical poles
+    # 2e-10 omega_m apart) off
+    p = rc.baseline_params(bath_temp=temp, laser_power=power,
+                           geometry=rc.Geometry(geometry))
     d = rc.derive_params(p)
     s = rc.steady_state_at_detuning(p, d, x * p.mech_freq)
     row = _row_matrix(_point_inputs([(p, d, s)]), 50.0)[0]
     assert beta_l[0] <= row[_BL].real < beta_l[1]
+    assert (row[_KT].real == 0.0) == (temp == 0.0)
     ref = matsubara_momentum_variance(
         p.wavelength, p.cavity_length, p.mirror_mass, p.cavity_decay,
         p.mech_freq, p.mech_quality, p.fold_angle, temp, p.laser_power,
