@@ -40,7 +40,7 @@ from .errors import NumericalFailure, UnstableOperatingPoint
 from .model import DerivedParams, PhysicalParams, _each, _violation
 # importable from here for callers that look it up in this namespace
 from .quadrature import integrate_adaptive  # noqa: F401
-from .stability import _stability_columns, _stack_verdicts
+from .stability import _drift_entries, _hurwitz, _stack_verdicts
 from .steady import SteadyState, _field, steady_state_at_detuning
 
 __all__ = [
@@ -308,12 +308,13 @@ def _nodes(r: np.ndarray, simple: np.ndarray, shift: np.ndarray,
             np.concatenate([simple[:, single]] + weights, axis=1))
 
 
-# The columns of a _row_matrix after the 17 of _stability_columns: the
-# window L, omega_m, 8 gamma_m / omega_m, kt = kB T / hbar, beta L (L
-# where kt = 0), i / (2 pi kt) where Binet's formula applies (else 0),
-# k4, then for the pieces a, b, c each the numerators' alpha and beta.
-_L, _WM, _SCALE, _KT, _BL, _ZFAC, _K4 = range(17, 24)
-_ALPHA, _BETA = range(24, 30, 3)
+# A _row_matrix row: drift_matrix's 16 entries, its Routh-Hurwitz verdict,
+# the window L, omega_m, 8 gamma_m / omega_m, kt = kB T / hbar, beta L (L
+# where kt = 0), i / (2 pi kt) where Binet's formula applies (else 0), k4,
+# and for the pieces a, b, c each the numerators' alpha and beta.
+_DRIFT = slice(0, 16)
+_RH, _L, _WM, _SCALE, _KT, _BL, _ZFAC, _K4 = range(16, 24)
+_ALPHA, _BETA = range(_K4 + 1, _K4 + 7, 3)
 # the shifts s / omega_m (3, 1) of the pieces a, b, c: r_j mirrors to s - r_j
 _SHIFT_PER_WM = np.array([[0.0], [2.0], [-2.0]])
 
@@ -355,7 +356,8 @@ def _columns(wm, kappa, temp, gm, g, chi, nsq, mre, mim, delta, u, v, n,
     e = delta + 2.0 * wm
     c0r = kappa * kappa - delta * e
     c0i = kappa * e + delta * kappa
-    return (*_stability_columns(wm, kappa, gm, g, chi, delta, u, v, n),
+    return (*_drift_entries(wm, kappa, gm, g, chi, delta, u, v),
+            _hurwitz(wm, kappa, gm, g, chi, delta, n),
             lim, wm, 4.0 * (2.0 * gm / wm), kt, bl,
             1j * (binet * (1.0 / (2.0 * math.pi * kt1))),
             4.0 * kappa * kappa,
@@ -464,7 +466,8 @@ def _variances(inputs: np.ndarray, cutoff: float):
         rows = _row_matrix(inputs, cutoff)
         re = rows.real
         n = len(rows)
-        ev, max_re, live, errors = _stack_verdicts(re)
+        ev, max_re, live, errors = _stack_verdicts(
+            re[:, _DRIFT].reshape(n, 4, 4), re[:, _RH] > 0.0, re[:, _WM])
         all_live = np.count_nonzero(live) == n
         r = 1j * ev
         wm = re[:, _WM, None, None]

@@ -144,26 +144,17 @@ def _disagreement(rh_ok: bool, eig_ok: bool,
         f"max Re(lambda) = {max_re!r}")
 
 
-def _stability_columns(wm, kappa, gm, g, chi, delta, u, v, n) -> tuple:
-    """The columns that _stack_verdicts reads: drift_matrix's 16 entries
-    and the Routh-Hurwitz verdict, at field amplitude u + i v and photon
-    number n, on floats or arrays."""
-    return (*_drift_entries(wm, kappa, gm, g, chi, delta, u, v),
-            _hurwitz(wm, kappa, gm, g, chi, delta, n))
+def _stack_verdicts(a: np.ndarray, rh_ok: np.ndarray, wm: np.ndarray):
+    """Eigenvalues and both stability verdicts at a stack of points, from
+    their drift matrices a (n, 4, 4), Routh-Hurwitz verdicts rh_ok (n)
+    and omega_m wm (n), which scales the boundary band.
 
-
-def _stack_verdicts(rows: np.ndarray):
-    """Eigenvalues and both stability verdicts at a stack of points.
-
-    ``rows`` (n, k) holds in its first 17 columns the _stability_columns
-    of each operating point.  One eigvals call solves the stacked drift
-    matrices.  Returns the eigenvalues (n, 4) by descending real part,
-    the largest real parts, whether each point is stable with no error,
-    and per point None or the error that eigenvalues or
-    stability_verdict raises there.
+    One eigvals call solves the stack.  Returns the eigenvalues (n, 4) by
+    descending real part, the largest real parts, whether each point is
+    stable with no error, and per point None or the error that
+    eigenvalues or stability_verdict raises there.
     """
-    n = len(rows)
-    a = rows[:, :16].reshape(n, 4, 4)
+    n = len(a)
     errors = [None] * n
     try:
         ev = eigenvalues(a)
@@ -177,12 +168,11 @@ def _stack_verdicts(rows: np.ndarray):
                 errors[i] = err
     max_re = ev[:, 0].real
     eig_ok = max_re < 0.0
-    rh_ok = rows[:, 16] > 0.0
     clash = rh_ok != eig_ok
     stable = eig_ok
     if np.count_nonzero(clash):
         stable = eig_ok.copy()
-        for i in (clash & (np.abs(max_re) > _BOUNDARY_BAND * rows[:, 1])
+        for i in (clash & (np.abs(max_re) > _BOUNDARY_BAND * wm)
                   ).nonzero()[0]:
             errors[i] = errors[i] or _disagreement(
                 bool(rh_ok[i]), bool(eig_ok[i]), float(max_re[i]))

@@ -195,20 +195,8 @@ def lyapunov_squeezed_variance(wavelength, cavity_length, mirror_mass,
     2 V_PP + 4 Re W_PP: the variance without the mirror bath, over the
     whole frequency axis.
     """
-    gm = wm / quality
-    wl = 2.0 * np.pi * C_LIGHT / wavelength
-    g = (wl / cavity_length) * np.sqrt(HBAR / (mirror_mass * wm))
-    chi = np.cos(0.5 * fold_angle) ** 2
-    eps = np.sqrt(2.0 * kappa * power / (HBAR * wl))
-    cs = eps / (kappa + 1j * delta)
-    u, v = cs.real, cs.imag
-    nsq = np.sinh(r) ** 2
-    msq = np.sinh(r) * np.cosh(r) * np.exp(1j * phase)
-    gu, gv = 2.0 * g * chi * u, 2.0 * g * chi * v
-    a = np.array([[0.0, wm, 0.0, 0.0],
-                  [-wm, -gm, -gu, -gv],
-                  [gv, 0.0, -kappa, delta],
-                  [-gu, 0.0, -delta, -kappa]])
+    a, nsq, msq = _dynamics(wavelength, cavity_length, mirror_mass, kappa,
+                            wm, quality, fold_angle, power, r, phase, delta)
     eye = np.eye(4)
 
     def solve(drift, noise):
@@ -224,6 +212,64 @@ def lyapunov_squeezed_variance(wavelength, cavity_length, mirror_mass,
     cov = solve(a, d_n)
     corr = solve(a + 1j * wm * eye, d_m)
     return float(2.0 * cov[1, 1] + 4.0 * corr[1, 1].real)
+
+
+def _dynamics(wavelength, cavity_length, mirror_mass, kappa, wm, quality,
+              fold_angle, power, r, phase, delta):
+    """The drift matrix of lyapunov_squeezed_variance in (Q, P, x, y),
+    N = sinh^2 r and M = sinh r cosh r e^(i phase)."""
+    gm = wm / quality
+    wl = 2.0 * np.pi * C_LIGHT / wavelength
+    g = (wl / cavity_length) * np.sqrt(HBAR / (mirror_mass * wm))
+    chi = np.cos(0.5 * fold_angle) ** 2
+    eps = np.sqrt(2.0 * kappa * power / (HBAR * wl))
+    cs = eps / (kappa + 1j * delta)
+    u, v = cs.real, cs.imag
+    nsq = np.sinh(r) ** 2
+    msq = np.sinh(r) * np.cosh(r) * np.exp(1j * phase)
+    gu, gv = 2.0 * g * chi * u, 2.0 * g * chi * v
+    a = np.array([[0.0, wm, 0.0, 0.0],
+                  [-wm, -gm, -gu, -gv],
+                  [gv, 0.0, -kappa, delta],
+                  [-gu, 0.0, -delta, -kappa]])
+    return a, nsq, msq
+
+
+def transfer_density(w, thermal, wavelength, cavity_length, mirror_mass,
+                     kappa, wm, quality, fold_angle, power, r, phase, delta):
+    """The density's three terms w^2 a(w), w (w - 2 omega_m) b(w) and
+    w (w + 2 omega_m) c(w) on an array w, from the linearised dynamics.
+
+    With A the drift matrix of _dynamics, the response is G(w) = (-i w I
+    - A)^-1 and the momentum's response to the field noise T(w) = G[P,
+    (x, y)].  The field noise enters as 2 kappa S_N, S_N = [[N + 1/2,
+    i/2], [-i/2, N + 1/2]], and as 2 kappa S_M, S_M = [[M/2, -iM/2],
+    [-iM/2, -M/2]], between w and 2 omega_m - w; the bath force on P as
+    (gamma_m / omega_m) W(w), W = thermal(w) = w (1 + coth(hbar w / 2 kB
+    T)).  So the spectrum's pieces are a = 2 kappa T S_N T^H + (gamma_m
+    / omega_m) |G_PP|^2 W, b = 2 kappa T(w) S_M T(2 omega_m - w)^T and c
+    = 2 kappa T(w) conj(S_M) T(-2 omega_m - w)^T.  Each is returned
+    doubled: the variances count the vacuum as 1 (V = 1 + 2 n_bar for a
+    thermal mode), where S_N's N + 1/2 counts it as 1/2.  No
+    denominator d(w) or numerator polynomial is involved.
+    """
+    a, nsq, msq = _dynamics(wavelength, cavity_length, mirror_mass, kappa,
+                            wm, quality, fold_angle, power, r, phase, delta)
+
+    def response(x):
+        return np.linalg.inv(-1j * x[:, None, None] * np.eye(4) - a)
+
+    g = response(w)
+    t = g[:, 1, 2:]
+    s_n = np.array([[nsq + 0.5, 0.5j], [-0.5j, nsq + 0.5]])
+    s_m = np.array([[0.5 * msq, -0.5j * msq], [-0.5j * msq, -0.5 * msq]])
+    piece_a = (2.0 * kappa * np.einsum("ni,ij,nj->n", t, s_n, t.conj())
+               + np.abs(g[:, 1, 1]) ** 2 * thermal(w) / quality)
+    piece_b = 2.0 * kappa * np.einsum("ni,ij,nj->n", t, s_m,
+                                      response(2.0 * wm - w)[:, 1, 2:])
+    piece_c = 2.0 * kappa * np.einsum("ni,ij,nj->n", t, s_m.conj(),
+                                      response(-2.0 * wm - w)[:, 1, 2:])
+    return 2.0 * piece_a, 2.0 * piece_b, 2.0 * piece_c
 
 
 def characteristic_polynomial_roots(kappa, wm, gm, delta, g, chi, n):

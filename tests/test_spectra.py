@@ -11,13 +11,13 @@ import ringcav as rc
 from oracles import (breakpoints as _breakpoints, denominator,
                      lyapunov_squeezed_variance, matsubara_momentum_variance,
                      mpmath_momentum_variance, raw_terms, thermal_weight,
-                     trapezoid_momentum_variance)
+                     transfer_density, trapezoid_momentum_variance)
 from ringcav.constants import HBAR, KB
 from ringcav.quadrature import integrate_adaptive
-from ringcav.spectra import (_BETA, _BL, _KT, _POLE_GAP, _SCALE,
-                             _SHIFT_PER_WM, _WM, _ZFAC, _binet, _exp_e1,
-                             _point_inputs, _product_sum, _row_matrix,
-                             _simple_weights, _variances)
+from ringcav.spectra import (_BETA, _BL, _DRIFT, _KT, _POLE_GAP, _RH,
+                             _SCALE, _SHIFT_PER_WM, _WM, _ZFAC, _binet,
+                             _exp_e1, _point_inputs, _product_sum,
+                             _row_matrix, _simple_weights, _variances)
 from ringcav.stability import _stack_verdicts
 
 DELTA_965 = 5741920.308892601
@@ -370,6 +370,39 @@ def test_squeezed_part_matches_lyapunov_oracle(monkeypatch):
     print(f"worst residue/Lyapunov deviation {worst:.1e}")
 
 
+def test_transfer_function_density_matches_raw_terms():
+    # the density from the dynamics, G(w) = (-i w I - A)^-1 of the drift
+    # matrix, against the hand-derived terms, pointwise over [-5, 5]
+    # omega_m.  It read at most 5.6e-14 relative off, but 1.0e-12 at
+    # delta = 0 and 1.6e-10 at delta = 1e3 omega_m, both at w = +/-
+    # omega_m: there the inverse loses digits across the narrow
+    # mechanical line of G(w) or G(+/-2 omega_m - w), and 40 digits put
+    # raw_terms within 4e-16 and the oracle 1.6e-10 off
+    worst = 0.0
+    for p, delta, _ in _route_cases():
+        d = rc.derive_params(p)
+        s = rc.steady_state_at_detuning(p, d, delta)
+        wm = p.mech_freq
+        w = np.linspace(-5.0, 5.0, 2001) * wm
+        thermal = thermal_weight(p)
+        # thermal_weight divides 0 by 0 at w = 0 before taking its limit
+        with np.errstate(invalid="ignore"):
+            a, b, c = raw_terms(w, p, d, s, thermal)
+            got = transfer_density(
+                w, thermal, p.wavelength, p.cavity_length, p.mirror_mass,
+                p.cavity_decay, wm, p.mech_quality, p.fold_angle,
+                p.laser_power, p.squeeze_r, p.squeeze_phase, s.detuning)
+        bound = (3e-12 if delta == 0.0 else 5e-10 if delta == 1e3 * wm
+                 else 1e-13)
+        for want, x in zip((w * w * a, w * (w - 2.0 * wm) * b,
+                            w * (w + 2.0 * wm) * c), got):
+            err = np.abs(x - want)
+            assert np.all(err <= bound * np.abs(want)), (p, delta / wm)
+            worst = max(worst, np.divide(err, np.abs(want), where=want != 0,
+                                         out=np.zeros_like(err)).max())
+    print(f"worst transfer-function/raw_terms deviation {worst:.1e}")
+
+
 def test_factored_weights_match_eight_pole_products():
     # each piece's eight poles written out, r_j and their mirrors s - r_j
     # for s = 0, 2 omega_m, -2 omega_m, with 1 / Q'(q) as the product
@@ -382,7 +415,8 @@ def test_factored_weights_match_eight_pole_products():
     rows = _row_matrix(_point_inputs(points), 50.0).real
     n = len(rows)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ev, _, live, _ = _stack_verdicts(rows)
+        ev, _, live, _ = _stack_verdicts(rows[:, _DRIFT].reshape(n, 4, 4),
+                                         rows[:, _RH] > 0.0, rows[:, _WM])
         r = 1j * ev
         wm = rows[:, _WM, None, None]
         simple, close = _simple_weights(r, wm * _SHIFT_PER_WM,
@@ -464,28 +498,36 @@ def test_variance_matches_30_digit_oracle(temp):
                                                           abs=0.0)
 
 
-@pytest.mark.parametrize("temp, power, x, geometry, beta_l, bound", [
-    (41.4e-6, 3.8e-3, 0.965, "3ring", (39.0, math.inf), 3e-14),
-    (200e-6, 3.8e-3, 0.965, "3ring", (math.pi, 39.0), 3e-14),
-    (5e-3, 3.8e-3, 0.965, "3ring", (0.0, math.pi), 1e-14),
-    (41.4e-6, 3.8e-3, 0.0, "3ring", (39.0, math.inf), 1e-12),
-    (41.4e-6, 3.8e-3, 0.965, "4ring", (39.0, math.inf), 3e-14),
-    (0.0, 3.8e-3, 0.965, "3ring", (39.0, math.inf), 3e-14),
-    (41.4e-6, 0.0, 1e-10, "3ring", (39.0, math.inf), 1e-13),
+@pytest.mark.parametrize("temp, power, x, geometry, quality, beta_l, bound", [
+    (41.4e-6, 3.8e-3, 0.965, "3ring", 6700.0, (39.0, math.inf), 3e-14),
+    (200e-6, 3.8e-3, 0.965, "3ring", 6700.0, (math.pi, 39.0), 3e-14),
+    (5e-3, 3.8e-3, 0.965, "3ring", 6700.0, (0.0, math.pi), 1e-14),
+    (41.4e-6, 3.8e-3, 0.0, "3ring", 6700.0, (39.0, math.inf), 1e-12),
+    (41.4e-6, 3.8e-3, 0.965, "4ring", 6700.0, (39.0, math.inf), 3e-14),
+    (0.0, 3.8e-3, 0.965, "3ring", 6700.0, (39.0, math.inf), 3e-14),
+    (41.4e-6, 0.0, 1e-10, "3ring", 6700.0, (39.0, math.inf), 1e-13),
+    (41.4e-6, 3.8e-3, 0.0, "3ring", 100.0, (39.0, math.inf), 3e-14),
+    (41.4e-6, 3.8e-3, 0.0, "3ring", 1e5, (39.0, math.inf), 5e-11),
 ], ids=["binet", "e1-tail", "bernoulli", "double-pole", "four-mirror",
-        "zero-temperature", "near-double-pole"])
+        "zero-temperature", "near-double-pole", "double-pole-q100",
+        "double-pole-q1e5"])
 def test_variance_matches_the_matsubara_oracle(temp, power, x, geometry,
-                                                beta_l, bound):
+                                                quality, beta_l, bound):
     # an exact second route for the whole variance: the Bose part of
     # each row (Binet's formula alone, less its E1 tail, or the
     # Bernoulli series, as beta L says; none at T = 0, where the beta L
     # column holds L) against partial fractions and the Matsubara
     # series, or at T = 0 the weight 2 w on w > 0.  The package read
-    # 1.3e-14, 1.2e-14, 4.0e-15, 6.3e-13 (the double pole at -i kappa),
-    # 1.3e-14, 1.3e-14 and 4.3e-14 (without light, the optical poles
-    # 2e-10 omega_m apart) off
+    # 1.3e-14, 1.2e-14, 4.0e-15, 6.3e-13, 1.3e-14, 1.3e-14 and 4.3e-14
+    # (without light, the optical poles 2e-10 omega_m apart) off, and
+    # at delta = 0 1.3e-14 at Q = 100 and 2.2e-11 at Q = 1e5.  The error
+    # follows the slowest decay rate min |Re lambda| = gamma_m / 2 at
+    # delta = 0 (2.98e4, 444 and 29.8 rad/s at Q = 100, 6700 and 1e5),
+    # within eps omega_m / min |Re lambda|; the optical double pole at
+    # -i kappa comes out of the eigen-solve as an exact double root
     p = rc.baseline_params(bath_temp=temp, laser_power=power,
-                           geometry=rc.Geometry(geometry))
+                           geometry=rc.Geometry(geometry),
+                           mech_quality=quality)
     d = rc.derive_params(p)
     s = rc.steady_state_at_detuning(p, d, x * p.mech_freq)
     row = _row_matrix(_point_inputs([(p, d, s)]), 50.0)[0]

@@ -4,6 +4,7 @@ import pytest
 import ringcav as rc
 from oracles import characteristic_polynomial_roots
 from ringcav.spectra import _point_inputs, _variances
+from ringcav.stability import _stack_verdicts
 
 DELTA_965 = 5741920.308892601
 
@@ -139,6 +140,21 @@ def test_failed_eigen_solve_in_a_stack_stays_at_its_point(baseline,
         else:
             assert v.hex() == want.hex()
             assert rc.stability_verdict(p, d, s).stable
+
+
+def test_boundary_band_scales_with_each_rows_own_omega_m():
+    # the same matrix, slowest mode 1e-3 rad/s unstable, which
+    # Routh-Hurwitz calls stable: within the band 1e-9 omega_m at omega_m
+    # = 1e9 rad/s (1 rad/s), so unstable with no error, and outside it at
+    # omega_m = 1 rad/s (1e-9 rad/s), where the tests disagree
+    a = np.stack([np.diag([1e-3, -1.0, -1.0, -1.0])] * 2)
+    _, max_re, stable, errors = _stack_verdicts(
+        a, np.array([True, True]), np.array([1e9, 1.0]))
+    assert list(max_re) == [1e-3, 1e-3]
+    assert not stable.any()
+    assert errors[0] is None
+    assert isinstance(errors[1], rc.InternalInconsistency)
+    assert "tests disagree" in str(errors[1])
 
 
 def test_geometry_does_not_change_stability(baseline):

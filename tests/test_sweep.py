@@ -786,8 +786,8 @@ def test_stability_tests_disagreeing_in_a_stack_is_a_bug(baseline,
     # the Routh-Hurwitz test that the scalar verdict and the stacked rows
     # share, made to call every point unstable (on floats and on arrays)
     p, d = baseline
-    monkeypatch.setattr(rc.stability, "_hurwitz",
-                        lambda wm, *rest: wm < 0.0)
+    for module in (rc.stability, rc.spectra):
+        monkeypatch.setattr(module, "_hurwitz", lambda wm, *rest: wm < 0.0)
     s = rc.steady_state_at_detuning(p, d, 0.965 * p.mech_freq)
     with pytest.raises(rc.InternalInconsistency) as scalar:
         rc.stability_verdict(p, d, s)
