@@ -20,6 +20,7 @@ import enum
 import functools
 import json
 import math
+import os
 import re
 import sys
 import typing
@@ -488,6 +489,10 @@ def _dispatch(ns: argparse.Namespace) -> int:
                                 or cfg.output_path == "-"):
         raise ValidationError(
             "gnuplot_script", "needs csv format and an --output file")
+    # the script would overwrite the data it plots
+    if gnuplot is not None and (os.path.realpath(gnuplot)
+                                == os.path.realpath(cfg.output_path)):
+        raise ValidationError("gnuplot_script", "is the --output file")
     text = _render(_results(ns, cfg), cfg.output_format)
     # the data first: a write that fails leaves no script behind
     _emit(text, cfg.output_path)

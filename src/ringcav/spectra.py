@@ -38,7 +38,7 @@ import numpy as np
 from .constants import HBAR, KB
 from .errors import NumericalFailure, UnstableOperatingPoint
 from .model import DerivedParams, PhysicalParams, _each, _violation
-# importable from here for callers that look it up in this namespace
+# bench/tracing.py and bench/tests look it up in this namespace
 from .quadrature import integrate_adaptive  # noqa: F401
 from .stability import _drift_entries, _hurwitz, _stack_verdicts
 from .steady import SteadyState, _field, steady_state_at_detuning
@@ -455,10 +455,10 @@ def _variances(inputs: np.ndarray, cutoff: float):
     RingCavError raised there} at the few points that have one, whose
     variance entries mean nothing.  One eigen-solve for the whole stack
     decides stability (both tests, cross-checked) and gives the poles;
-    the residue sums run on their (n, 4) poles, except that a point whose
-    eigenvalues nearly coincide is summed on its own over _nodes' circles.
-    An entry does not depend on the other points: a point alone gives the
-    same bits.
+    one residue sum runs on every point's (n, 4) poles, and a stable point
+    whose eigenvalues nearly coincide is then summed again on its own over
+    _nodes' circles, which replaces its entry.  An entry does not depend
+    on the other points: a point alone gives the same bits.
     """
     # overflow at huge inputs is reported below, not warned about; 1 / Q'
     # at a clustered pole may divide by zero, and is dropped in _nodes
@@ -468,29 +468,20 @@ def _variances(inputs: np.ndarray, cutoff: float):
         n = len(rows)
         ev, max_re, live, errors = _stack_verdicts(
             re[:, _DRIFT].reshape(n, 4, 4), re[:, _RH] > 0.0, re[:, _WM])
-        all_live = np.count_nonzero(live) == n
         r = 1j * ev
         wm = re[:, _WM, None, None]
         shift = wm * _SHIFT_PER_WM  # (n, 3, 1)
         gap = _POLE_GAP * wm
         simple, close = _simple_weights(r, shift, gap)
-        if all_live and not np.count_nonzero(close):
-            totals = _residue_sums(r, simple, shift, rows)
-        else:
-            totals = np.zeros(n, dtype=complex)
-            plain = (live & ~close).nonzero()[0]
-            if plain.size:
-                totals[plain] = _residue_sums(r[plain], simple[plain],
-                                              shift[plain], rows[plain])
-            for i in (live & close).nonzero()[0]:
-                q, wt = _nodes(r[i], simple[i], shift[i], gap[i])
-                totals[i], = _residue_sums(q[None], wt[None], shift[i:i + 1],
-                                           rows[i:i + 1])
+        totals = _residue_sums(r, simple, shift, rows)
+        for i in (live & close).nonzero()[0]:
+            q, wt = _nodes(r[i], simple[i], shift[i], gap[i])
+            totals[i], = _residue_sums(q[None], wt[None], shift[i:i + 1],
+                                       rows[i:i + 1])
         # the real and imaginary parts over 2 pi, in one division
         value, leak = (totals.view(float).reshape(n, 2) / (2.0 * math.pi)).T
-        # finite, real to within _IMAG_RESIDUAL and positive; the points
-        # left out above have totals 0
-        ok = ((value > 0.0) & (value < math.inf)
+        # stable, finite, real to within _IMAG_RESIDUAL and positive
+        ok = (live & (value > 0.0) & (value < math.inf)
               & (np.abs(leak) <= _IMAG_RESIDUAL * value))
     if np.count_nonzero(ok) == n:
         return value, {}

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameter, NumericalFailure
+from .errors import InvalidParameter
 from .model import DerivedParams, Geometry, PhysicalParams
 
 __all__ = ["SteadyState", "steady_state_at_detuning", "find_steady_branches"]
@@ -153,9 +153,6 @@ def find_steady_branches(p: PhysicalParams, d: DerivedParams,
 
     real = [float(r.real) for r in roots
             if abs(r.imag) <= _REAL_ROOT_TOL * scale]
-    if not real:
-        raise NumericalFailure(
-            f"no real steady-state detuning found for bare detuning {d0!r}")
 
     def cubic(x: float) -> float:
         return ((x - d0) * x + kappa * kappa) * x + (shift - d0 * kappa * kappa)

@@ -43,7 +43,7 @@ from .model import (DerivedParams, PhysicalParams, _derive_column, _leading,
                     _violation, derive_params)
 from .spectra import (QuadratureConfig, _inputs, _variances,
                       entanglement_result, q_plus_variance)
-# re-exported: callers look the verdict up in this namespace
+# re-exported: bench/tracing.py and bench/tests look it up here
 from .stability import stability_verdict  # noqa: F401
 from .steady import _in_band
 

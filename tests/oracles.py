@@ -114,8 +114,9 @@ def thermal_weight(p):
         def weight(w):
             x = np.clip(alpha * w, -700.0, 700.0)
             with np.errstate(over="ignore"):
-                return np.where(x == 0.0, 2.0 / alpha,
-                                2.0 * w / -np.expm1(-2.0 * x))
+                den = -np.expm1(-2.0 * x)
+            return np.where(x == 0.0, 2.0 / alpha,
+                            2.0 * w / np.where(x == 0.0, 1.0, den))
     else:
         def weight(w):
             return np.where(w > 0.0, 2.0 * w, 0.0)

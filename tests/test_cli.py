@@ -652,6 +652,26 @@ def test_gnuplot_script_requires_file_output(tmp_path, monkeypatch, capsys):
         assert list(tmp_path.iterdir()) == []
 
 
+def test_gnuplot_script_must_not_be_the_output_file(tmp_path, monkeypatch,
+                                                   capsys):
+    # the same spelling, and a relative path against an absolute one: no
+    # sweep runs and the file there is left as it was
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda spec: calls.append(spec))
+    data = tmp_path / "a.csv"
+    data.write_text("kept\n")
+    for script in ("a.csv", str(data)):
+        code, out, err = run(["fig2", "--points", "5", "--output", "a.csv",
+                              "--gnuplot-script", script], capsys)
+        assert code == 1
+        assert calls == []
+        assert out == ""
+        assert err.endswith("error: gnuplot_script: is the --output file\n")
+        assert data.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [data]
+
+
 def test_json_sweep_rows(capsys):
     code, out, err = run(["fig2", "--points", "3", "--format", "json"],
                          capsys)

@@ -22,3 +22,19 @@ def test_every_exported_name_resolves():
         assert [n for n in names if not hasattr(mod, n)] == [], mod.__name__
         checked.append(mod.__name__)
     assert {"ringcav", "ringcav.cli", "ringcav.spectra"} <= set(checked)
+
+
+def test_names_the_benchmark_looks_up_resolve():
+    # bench/tracing.py wraps every public function of these modules where
+    # it is bound, and bench/ also runs the two oracles; no package code
+    # calls these names, so without this test they could go unnoticed
+    import oracles
+    spectra, stability, sweep, quadrature = (
+        importlib.import_module(f"ringcav.{m}")
+        for m in ("spectra", "stability", "sweep", "quadrature"))
+    assert sweep.stability_verdict is stability.stability_verdict
+    assert "stability_verdict" in stability.__all__
+    assert spectra.integrate_adaptive is quadrature.integrate_adaptive
+    assert "integrate_adaptive" in quadrature.__all__
+    assert callable(oracles.trapezoid_momentum_variance)
+    assert callable(oracles.characteristic_polynomial_roots)

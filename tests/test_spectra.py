@@ -385,13 +385,11 @@ def test_transfer_function_density_matches_raw_terms():
         wm = p.mech_freq
         w = np.linspace(-5.0, 5.0, 2001) * wm
         thermal = thermal_weight(p)
-        # thermal_weight divides 0 by 0 at w = 0 before taking its limit
-        with np.errstate(invalid="ignore"):
-            a, b, c = raw_terms(w, p, d, s, thermal)
-            got = transfer_density(
-                w, thermal, p.wavelength, p.cavity_length, p.mirror_mass,
-                p.cavity_decay, wm, p.mech_quality, p.fold_angle,
-                p.laser_power, p.squeeze_r, p.squeeze_phase, s.detuning)
+        a, b, c = raw_terms(w, p, d, s, thermal)
+        got = transfer_density(
+            w, thermal, p.wavelength, p.cavity_length, p.mirror_mass,
+            p.cavity_decay, wm, p.mech_quality, p.fold_angle,
+            p.laser_power, p.squeeze_r, p.squeeze_phase, s.detuning)
         bound = (3e-12 if delta == 0.0 else 5e-10 if delta == 1e3 * wm
                  else 1e-13)
         for want, x in zip((w * w * a, w * (w - 2.0 * wm) * b,
@@ -617,7 +615,8 @@ def test_stack_rows_equal_stacks_of_one():
     # no Bose part (T = 0), Binet's formula alone, beta L at and just
     # below pi (the Bernoulli series), E1 tails changing from 2 to 1 and
     # from 1 to 0 terms at k beta L = 39, a squeeze phase, the four-mirror
-    # geometry, a double pole (zero detuning) and unstable points
+    # geometry, a double pole (zero detuning) and unstable points, these
+    # also with no Bose part, an E1 tail and the Bernoulli series
     wm = rc.baseline_params().mech_freq
     edges = {b: _temps_around(b, 50.0, wm) for b in (math.pi, 19.5, 39.0)}
     variants = [dict(bath_temp=t) for t in [0.0, 41.4e-6]
@@ -625,6 +624,8 @@ def test_stack_rows_equal_stacks_of_one():
     variants += [dict(squeeze_phase=1.3),
                  dict(geometry=rc.Geometry.FOUR_MIRROR_TOTAL),
                  dict(laser_power=20e-3)]
+    variants += [dict(laser_power=20e-3, bath_temp=t)
+                 for t in (0.0, 200e-6, 5e-3)]
     points = []
     for v in variants:
         p = rc.baseline_params(**v)
