@@ -10,28 +10,22 @@ entanglement criteria, and exposes the same machinery on the command
 line (``ringcav --help``).
 """
 
-from .constants import C_LIGHT, HBAR, KB
-from .errors import (ConfigError, InternalInconsistency, InvalidParameter,
-                     NoStablePoint, NumericalFailure, ParseError,
-                     RingCavError, UnknownKey, UnstableOperatingPoint,
-                     ValidationError)
-from .model import (DerivedParams, Geometry, PhysicalParams,
-                    baseline_params, derive_params, validate)
-from .spectra import (EntanglementResult, QuadratureConfig,
-                      entanglement_result, momentum_variance,
-                      q_plus_variance)
-from .stability import (StabilityVerdict, drift_matrix, eigenvalues,
-                        routh_hurwitz_stable, stability_verdict)
-from .steady import (SteadyState, find_steady_branches,
-                     steady_state_at_detuning)
-from .sweep import (MinimizeResult, SweepAxis, SweepRow, SweepSpec,
-                    minimize_over_detuning, run_sweep)
+# each module's __all__ is its public interface; all are republished
+# but that of quadrature, which no production code calls
+from . import constants, errors, model, spectra, stability, steady, sweep
+from .constants import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .model import *  # noqa: F403
+from .spectra import *  # noqa: F403
+from .stability import *  # noqa: F403
+from .steady import *  # noqa: F403
+from .sweep import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 # the command line loads on first use: ``python -m ringcav.cli`` then
 # runs the module once, as __main__, without a copy imported before it
-_CLI_NAMES = ("RunConfig", "main", "parse_config", "serialize_config")
+_CLI_NAMES = ("RunConfig", "parse_config", "serialize_config", "main")
 
 
 def __getattr__(name):
@@ -43,20 +37,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "C_LIGHT", "HBAR", "KB",
-    "RingCavError", "InvalidParameter", "ConfigError", "ParseError",
-    "UnknownKey", "ValidationError", "NumericalFailure",
-    "UnstableOperatingPoint", "NoStablePoint", "InternalInconsistency",
-    "Geometry", "PhysicalParams", "DerivedParams", "validate",
-    "derive_params", "baseline_params",
-    "SteadyState", "steady_state_at_detuning", "find_steady_branches",
-    "StabilityVerdict", "drift_matrix", "eigenvalues",
-    "routh_hurwitz_stable", "stability_verdict",
-    "QuadratureConfig", "EntanglementResult",
-    "momentum_variance", "q_plus_variance", "entanglement_result",
-    "SweepAxis", "SweepSpec", "SweepRow", "MinimizeResult", "run_sweep",
-    "minimize_over_detuning",
-    "RunConfig", "parse_config", "serialize_config", "main",
-    "__version__",
-]
+__all__ = [name for module in (constants, errors, model, steady, stability,
+                               spectra, sweep)
+           for name in module.__all__] + [*_CLI_NAMES, "__version__"]

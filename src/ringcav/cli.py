@@ -384,17 +384,18 @@ def _load_config(ns: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+# override flag: the PhysicalParams field it sets and its unit in SI
+_OVERRIDES = {"r": ("squeeze_r", 1.0), "power_mw": ("laser_power", 1e-3),
+              "temp_uk": ("bath_temp", 1e-6)}
+
+
 def _apply_overrides(cfg: RunConfig, ns: argparse.Namespace) -> RunConfig:
     p = cfg.params
-    changes = {}
+    changes = {name: unit * getattr(ns, flag)
+               for flag, (name, unit) in _OVERRIDES.items()
+               if getattr(ns, flag) is not None}
     if ns.geometry is not None:
         changes["geometry"] = Geometry(ns.geometry)
-    if ns.r is not None:
-        changes["squeeze_r"] = ns.r
-    if ns.power_mw is not None:
-        changes["laser_power"] = 1e-3 * ns.power_mw
-    if ns.temp_uk is not None:
-        changes["bath_temp"] = 1e-6 * ns.temp_uk
     if changes:
         p = replace(p, **changes)
         cfg = replace(cfg, params=p,
@@ -484,6 +485,14 @@ def _results(ns: argparse.Namespace, cfg: RunConfig):
 
 def _dispatch(ns: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load_config(ns), ns)
+    # the sweep would overwrite the override on every row
+    swept = _PRESETS[ns.command][2].value if ns.command in _PRESETS else None
+    if ns.command == "sweep" and cfg.sweep is not None:
+        swept = cfg.sweep.axis.value
+    for flag, (name, _) in _OVERRIDES.items():
+        if getattr(ns, flag) is not None and name == swept:
+            raise ValidationError(f"--{flag.replace('_', '-')}",
+                                  f"sets {name}, which {ns.command} sweeps")
     gnuplot = getattr(ns, "gnuplot_script", None)
     if gnuplot is not None and (cfg.output_format != "csv"
                                 or cfg.output_path == "-"):

@@ -9,6 +9,10 @@ codes.
 
 from __future__ import annotations
 
+__all__ = ["RingCavError", "InvalidParameter", "ConfigError", "ParseError",
+           "UnknownKey", "ValidationError", "NumericalFailure",
+           "UnstableOperatingPoint", "NoStablePoint", "InternalInconsistency"]
+
 
 class RingCavError(Exception):
     """Base class for all errors raised by this package."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameter
-from .model import DerivedParams, Geometry, PhysicalParams
+from .model import DerivedParams, Geometry, PhysicalParams, _violation
 
 __all__ = ["SteadyState", "steady_state_at_detuning", "find_steady_branches"]
 
@@ -35,9 +35,10 @@ def _in_band(delta, kappa: float):
     return abs(delta) < kappa / _REAL_ROOT_TOL
 
 
-def _detuning_error(name: str, value: float,
-                    kappa: float) -> InvalidParameter:
-    """The error for a detuning outside _in_band.
+def _detuning_error(name: str, value, kappa: float) -> InvalidParameter | None:
+    """The error for a detuning that is not an int or a float (a float32
+    would carry its precision into kappa^2 + delta^2), not finite or
+    outside _in_band; None for one that is fine.
 
     Beyond that bound the cubic's complex pair of roots near +/- i kappa
     passes the real-root test as spurious branches; further out kappa
@@ -45,8 +46,9 @@ def _detuning_error(name: str, value: float,
     in the drift-matrix eigenvalues -kappa +/- i delta), and with it the
     decay that decides stability.
     """
-    if not math.isfinite(value):
-        return InvalidParameter(name, value, "finite")
+    err = _violation(name, value, "finite", math.isfinite)
+    if err is not None or _in_band(value, kappa):
+        return err
     limit = kappa / _REAL_ROOT_TOL
     return InvalidParameter(name, value,
                             f"|{name}| < 1e6 kappa = {limit!r} rad/s")
@@ -100,10 +102,10 @@ def steady_state_at_detuning(p: PhysicalParams, d: DerivedParams,
                              delta: float) -> SteadyState:
     """Steady state for a prescribed *effective* detuning delta (rad/s),
     in the bits that the stacks of every sweep axis take from their
-    detuning arrays.  A non-finite delta, or one with |delta| >= 1e6
-    kappa, raises InvalidParameter."""
-    if not _in_band(delta, p.cavity_decay):
-        raise _detuning_error("delta", delta, p.cavity_decay)
+    detuning arrays.  A delta that is not an int or a float, not finite,
+    or with |delta| >= 1e6 kappa raises InvalidParameter."""
+    if (err := _detuning_error("delta", delta, p.cavity_decay)) is not None:
+        raise err
     u, v, n = _field(d.drive_eps, p.cavity_decay, delta)
     disp = 2.0 * d.coupling_g * d.chi * n / p.mech_freq
     if p.geometry is Geometry.THREE_MIRROR_RELATIVE:
@@ -134,8 +136,9 @@ def find_steady_branches(p: PhysicalParams, d: DerivedParams,
     detuning outside the range steady_state_at_detuning accepts, or a
     drive so strong that S overflows, raises InvalidParameter.
     """
-    if not _in_band(bare_detuning, p.cavity_decay):
-        raise _detuning_error("bare_detuning", bare_detuning, p.cavity_decay)
+    if (err := _detuning_error("bare_detuning", bare_detuning,
+                               p.cavity_decay)) is not None:
+        raise err
     kappa = p.cavity_decay
     d0 = float(bare_detuning)
     try:

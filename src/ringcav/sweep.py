@@ -341,9 +341,9 @@ def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
         raise InvalidParameter("window", window,
                                "a (low, high) pair") from None
     for x in (lo, hi):
-        # a float32 would carry its precision into the grids
-        if not isinstance(x, (int, float)):
-            raise InvalidParameter("window", x, "an int or float")
+        if (err := _violation("window", x, "finite",
+                              math.isfinite)) is not None:
+            raise err
     wm, kappa = p.mech_freq, p.cavity_decay
     a, b = lo * wm, hi * wm
     # the grid divides the span b - a, which must not overflow

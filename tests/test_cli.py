@@ -672,6 +672,39 @@ def test_gnuplot_script_must_not_be_the_output_file(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == [data]
 
 
+@pytest.mark.parametrize("argv, axis", [
+    (["fig4", "--points", "3", "--temp-uk", "100"], "bath_temp"),
+    (["sweep", "--config", "run.cfg", "--temp-uk", "100"], "bath_temp"),
+    (["sweep", "--config", "run.cfg", "--power-mw", "2"], "laser_power"),
+    (["sweep", "--config", "run.cfg", "--r", "0.5"], "squeeze_r"),
+])
+def test_override_of_the_swept_field_is_refused(argv, axis, tmp_path,
+                                                monkeypatch, capsys):
+    # the sweep would set the field on every row and drop the override
+    # without a word; no sweep runs and the output file is kept
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda spec: calls.append(spec))
+    Path("run.cfg").write_text(f"[sweep]\naxis = {axis}\nstart = 0\n"
+                               "stop = 1e-4\npoints = 3\n"
+                               "delta = 5741920.308892601\n")
+    data = tmp_path / "a.csv"
+    data.write_text("kept\n")
+    code, out, err = run(argv + ["--output", "a.csv"], capsys)
+    assert (code, out, calls) == (1, "", [])
+    assert err.endswith(f"error: {argv[3]}: sets {axis}, which {argv[0]} "
+                        "sweeps\n")
+    assert data.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [["fig2", "--temp-uk", "30"],
+                                  ["fig4", "--r", "0.5"]])
+def test_override_of_a_fixed_field_still_runs(argv, capsys):
+    code, out, err = run(argv + ["--points", "3"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 4
+
+
 def test_json_sweep_rows(capsys):
     code, out, err = run(["fig2", "--points", "3", "--format", "json"],
                          capsys)

@@ -38,3 +38,26 @@ def test_names_the_benchmark_looks_up_resolve():
     assert "integrate_adaptive" in quadrature.__all__
     assert callable(oracles.trapezoid_momentum_variance)
     assert callable(oracles.characteristic_polynomial_roots)
+
+
+def test_ringcav_republishes_each_module_interface():
+    # each module's __all__ is the one list of its public names: ringcav
+    # binds every one of them to the module's object and exports no
+    # other name but the CLI's, which it loads on first use
+    republished = set()
+    for m in pkgutil.iter_modules(rc.__path__):
+        if m.name in ("__main__", "quadrature", "cli"):
+            continue
+        mod = importlib.import_module(f"{rc.__name__}.{m.name}")
+        for name in mod.__all__:
+            assert getattr(rc, name) is getattr(mod, name), name
+            republished.add(name)
+    assert set(rc.__all__) == republished | {*rc._CLI_NAMES, "__version__"}
+    assert len(rc.__all__) == len(set(rc.__all__))
+
+
+def test_the_lazy_cli_names_are_the_cli_interface():
+    # the loader's list cannot be read off cli without importing it
+    assert set(rc._CLI_NAMES) == set(rc.cli.__all__)
+    for name in rc._CLI_NAMES:
+        assert getattr(rc, name) is getattr(rc.cli, name)

@@ -95,6 +95,41 @@ def test_non_finite_detuning_rejected(baseline, bad):
         rc.find_steady_branches(p, d, bad)
 
 
+_DETUNING_ROUTES = {
+    "delta": (rc.steady_state_at_detuning, rc.entanglement_result),
+    "bare_detuning": (rc.find_steady_branches,),
+}
+
+
+@pytest.mark.parametrize("bad", [
+    # a float32 ran the point route in single precision: var_p_minus
+    # moved by 8e-7 relative at 0.965 omega_m
+    np.float32(5741920.5), np.int64(5741920), "1", None, 1 + 0j,
+])
+def test_detuning_must_be_an_int_or_a_float(baseline, bad):
+    p, d = baseline
+    for field, routes in _DETUNING_ROUTES.items():
+        for route in routes:
+            with pytest.raises(rc.InvalidParameter) as exc:
+                route(p, d, bad)
+            assert (exc.value.field, exc.value.bound) == (
+                field, "an int or float"), route.__name__
+            assert exc.value.value is bad
+
+
+def test_int_and_float64_detunings_keep_their_bits(baseline):
+    # each is the float that it stands for
+    p, d = baseline
+    for delta in (5741920, np.float64(5741920.5)):
+        as_float = float(delta)
+        assert (rc.steady_state_at_detuning(p, d, delta)
+                == rc.steady_state_at_detuning(p, d, as_float))
+        assert (rc.find_steady_branches(p, d, delta)
+                == rc.find_steady_branches(p, d, as_float))
+        assert (rc.entanglement_result(p, d, delta)
+                == rc.entanglement_result(p, d, as_float))
+
+
 @pytest.mark.parametrize("kappa_per_wm, mw", [(0.227, 3.8), (0.005, 1.0),
                                               (40.0, 0.0)])
 def test_detuning_array_gives_the_steady_state_bits(kappa_per_wm, mw):
