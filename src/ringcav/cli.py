@@ -38,8 +38,6 @@ from .sweep import (SweepAxis, SweepRow, SweepSpec, minimize_over_detuning,
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "main"]
 
-CSV_HEADER = "axis_value,var_q_plus,var_p_minus,product,sum,stable"
-
 _SECTION_RE = re.compile(r"\[([A-Za-z_][A-Za-z0-9_]*)\]")
 
 
@@ -61,6 +59,8 @@ class RunConfig:
     output_format: str
     provenance: tuple[str, ...] = field(default=(), compare=False)
 
+
+_FORMATS = ("csv", "json")
 
 _DEFAULTS = RunConfig(params=baseline_params(),
                       quadrature=QuadratureConfig(), sweep=None,
@@ -212,25 +212,26 @@ def parse_config(text: str) -> RunConfig:
     """
     raw = _scan(text)
     prov: list[str] = []
-    top = _fill(raw, "", prov)
-    if top["output_format"] not in ("csv", "json"):
-        raise ValidationError("output_format", "must be csv or json")
 
-    params = PhysicalParams(**_fill(raw, "params", prov))
+    def build(name: str, **fixed):
+        cls, _, prefix = _SECTIONS[name]
+        try:
+            return cls(**fixed, **_fill(raw, name, prov))
+        except InvalidParameter as err:
+            raise ValidationError(prefix + err.field, err.bound)
+
+    top = _fill(raw, "", prov)
+    if top["output_format"] not in _FORMATS:
+        raise ValidationError("output_format",
+                              "must be " + " or ".join(_FORMATS))
+
+    params = build("params")
     bad = validate(params)
     if bad:
         raise ValidationError(bad[0].field, bad[0].bound)
-    try:
-        quadrature = QuadratureConfig(**_fill(raw, "quadrature", prov))
-    except InvalidParameter as err:
-        raise ValidationError(f"quadrature.{err.field}", err.bound)
-    sweep_spec = None
-    if "sweep" in raw:
-        try:
-            sweep_spec = SweepSpec(fixed=params, quadrature=quadrature,
-                                   **_fill(raw, "sweep", prov))
-        except InvalidParameter as err:
-            raise ValidationError(f"sweep.{err.field}", err.bound)
+    quadrature = build("quadrature")
+    sweep_spec = (build("sweep", fixed=params, quadrature=quadrature)
+                  if "sweep" in raw else None)
 
     return RunConfig(params=params, quadrature=quadrature, sweep=sweep_spec,
                      provenance=tuple(prov), **top)
@@ -316,9 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="config file; defaults apply when omitted")
     shared.add_argument("--output", metavar="PATH",
                         help="output file, '-' for stdout (default)")
-    shared.add_argument("--format", choices=("csv", "json"),
+    shared.add_argument("--format", choices=_FORMATS,
                         help="output format (default csv)")
-    shared.add_argument("--geometry", choices=("3ring", "4ring"),
+    shared.add_argument("--geometry", choices=[g.value for g in Geometry],
                         help="mirror arrangement; numbers are identical, "
                              "labels of the two quadratures swap")
     shared.add_argument("--r", type=float, metavar="R",
@@ -373,12 +374,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(ns: argparse.Namespace) -> RunConfig:
     if ns.config is None:
-        cfg = replace(_DEFAULTS, provenance=("no config file; package "
-                                             "defaults in effect",))
-    else:
-        # utf-8-sig: a byte-order mark before the first line is not text
-        with open(ns.config, "r", encoding="utf-8-sig") as fh:
-            cfg = parse_config(fh.read())
+        print("config: no config file; package defaults in effect",
+              file=sys.stderr)
+        return _DEFAULTS
+    # utf-8-sig: a byte-order mark before the first line is not text
+    with open(ns.config, "r", encoding="utf-8-sig") as fh:
+        cfg = parse_config(fh.read())
     for line in cfg.provenance:
         print(f"config: {line}", file=sys.stderr)
     return cfg
@@ -390,21 +391,18 @@ _OVERRIDES = {"r": ("squeeze_r", 1.0), "power_mw": ("laser_power", 1e-3),
 
 
 def _apply_overrides(cfg: RunConfig, ns: argparse.Namespace) -> RunConfig:
-    p = cfg.params
     changes = {name: unit * getattr(ns, flag)
                for flag, (name, unit) in _OVERRIDES.items()
                if getattr(ns, flag) is not None}
     if ns.geometry is not None:
         changes["geometry"] = Geometry(ns.geometry)
+    top = {name: value for name, value in (("output_path", ns.output),
+                                            ("output_format", ns.format))
+           if value is not None}
     if changes:
-        p = replace(p, **changes)
-        cfg = replace(cfg, params=p,
-                      sweep=replace(cfg.sweep, fixed=p) if cfg.sweep else None)
-    if ns.output is not None:
-        cfg = replace(cfg, output_path=ns.output)
-    if ns.format is not None:
-        cfg = replace(cfg, output_format=ns.format)
-    return cfg
+        p = top["params"] = replace(cfg.params, **changes)
+        top["sweep"] = replace(cfg.sweep, fixed=p) if cfg.sweep else None
+    return replace(cfg, **top)
 
 
 def _summarise(rows: list[SweepRow], what: str) -> None:
@@ -494,14 +492,13 @@ def _dispatch(ns: argparse.Namespace) -> int:
             raise ValidationError(f"--{flag.replace('_', '-')}",
                                   f"sets {name}, which {ns.command} sweeps")
     gnuplot = getattr(ns, "gnuplot_script", None)
-    if gnuplot is not None and (cfg.output_format != "csv"
-                                or cfg.output_path == "-"):
-        raise ValidationError(
-            "gnuplot_script", "needs csv format and an --output file")
-    # the script would overwrite the data it plots
-    if gnuplot is not None and (os.path.realpath(gnuplot)
-                                == os.path.realpath(cfg.output_path)):
-        raise ValidationError("gnuplot_script", "is the --output file")
+    if gnuplot is not None:
+        if cfg.output_format != "csv" or cfg.output_path == "-":
+            raise ValidationError(
+                "gnuplot_script", "needs csv format and an --output file")
+        # the script would overwrite the data it plots
+        if os.path.realpath(gnuplot) == os.path.realpath(cfg.output_path):
+            raise ValidationError("gnuplot_script", "is the --output file")
     text = _render(_results(ns, cfg), cfg.output_format)
     # the data first: a write that fails leaves no script behind
     _emit(text, cfg.output_path)
@@ -520,8 +517,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 0 if code == 0 else 1
+        return 0 if exc.code == 0 else 1
     try:
         return _dispatch(ns)
     except (ConfigError, InvalidParameter, OSError,

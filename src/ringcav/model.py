@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,10 +135,12 @@ class DerivedParams:
 
 def _violation(field: str, value, bound: str, ok) -> InvalidParameter | None:
     """The violation of a real field, or None: it must be an int or a
-    float (a float32 would carry its precision on) for which ok holds."""
-    if not isinstance(value, (int, float)):
+    float (a float32 would carry its precision on) and not a bool, in
+    the double range (every bound is finite), for which ok holds."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         return InvalidParameter(field, value, "an int or float")
-    return None if ok(value) else InvalidParameter(field, value, bound)
+    return (None if abs(value) <= sys.float_info.max and ok(value)
+            else InvalidParameter(field, value, bound))
 
 
 # (field, bound, test) for each real field of PhysicalParams; a test

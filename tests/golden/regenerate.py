@@ -69,12 +69,6 @@ CASES = {
     "fig2_help": "fig2 --help",
 }
 
-# runs whose text argparse writes; its layout and wording change
-# between Python versions
-ARGPARSE_TEXT = frozenset(
-    {"format_xml", "geometry_5ring", "point_help", "fig2_help"})
-
-
 def header() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine()}

@@ -77,8 +77,9 @@ def test_criterion_04_decoupled_quadrature_variance():
 
 
 def test_criterion_05_quadrature_oracle_equivalence():
-    # adaptive integral vs a 2e6-point trapezoid transcription written
-    # independently in tests/oracles.py, on 20 random stable points
+    # the residue-summed momentum_variance vs a 2e6-point trapezoid
+    # transcription written independently in tests/oracles.py, on 20
+    # random stable points
     rng = np.random.default_rng(7)
     baseline = rc.baseline_params()
     wm = baseline.mech_freq

@@ -14,7 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import ringcav as rc
 from ringcav import cli
-from ringcav.cli import (CSV_HEADER, main, parse_config, serialize_config)
+from ringcav.cli import main, parse_config, serialize_config
+
+CSV_HEADER = "axis_value,var_q_plus,var_p_minus,product,sum,stable"
 
 BASELINE_CFG = (
     "output_path = -\n"
