@@ -34,6 +34,10 @@ CONFIGS = {
     "bath_temp.cfg": ("[sweep]\naxis = bath_temp\nstart = 0\n"
                       "stop = 0.0002\npoints = 11\n"
                       "delta = 5741920.308892601\n"),
+    "bath_temp_clustered.cfg": ("[sweep]\naxis = bath_temp\nstart = 0\n"
+                                "stop = 0.0002\npoints = 11\ndelta = 0\n"),
+    "squeeze_r.cfg": ("[sweep]\naxis = squeeze_r\nstart = 0\nstop = 3\n"
+                      "points = 13\ndelta = 5741920.308892601\n"),
     "cutoff.cfg": "[quadrature]\ncutoff = 1.0\n",
     "one_point.cfg": ("[sweep]\naxis = detuning\nstart = 3e6\n"
                       "stop = 9e6\npoints = 1\n"),
@@ -53,7 +57,11 @@ CASES = {
     "fig2": "fig2 --points 20",
     "fig2_hot": "fig2 --points 20 --power-mw 20 --temp-uk 5000",
     "fig4": "fig4 --points 21",
+    "fig4_json": "fig4 --points 21 --format json",
+    "fig4_unstable": "fig4 --points 3 --power-mw 200",
     "sweep_bath_temp": "sweep --config bath_temp.cfg",
+    "sweep_bath_temp_clustered": "sweep --config bath_temp_clustered.cfg",
+    "sweep_squeeze_r_json": "sweep --config squeeze_r.cfg --format json",
     "cutoff_too_small": "point --delta-per-wm 0.965 --config cutoff.cfg",
     "sweep_one_point": "sweep --config one_point.cfg",
     "negative_param": "point --delta-per-wm 0.965 --config negative.cfg",
