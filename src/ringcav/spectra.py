@@ -392,6 +392,15 @@ def _inputs(p: PhysicalParams, d: DerivedParams,
     return inputs
 
 
+def _shares_poles(p: PhysicalParams, d: DerivedParams) -> bool:
+    """Whether a stack of p and d at one fixed detuning shares its drift
+    matrix: none of omega_m, kappa, gamma_m, g, chi and the drive eps,
+    which with the detuning fix it, is a column."""
+    return not any(type(x) is np.ndarray for x in (
+        p.mech_freq, p.cavity_decay, d.gamma_m, d.coupling_g, d.chi,
+        d.drive_eps))
+
+
 def _point_inputs(points) -> np.ndarray:
     """_columns' inputs (13, n) at operating points (p, d, s), with the
     amplitude that each s holds."""
@@ -414,70 +423,86 @@ def _residue_sums(q: np.ndarray, wt: np.ndarray, shift: np.ndarray,
     """The density integrated over the window at m operating points,
     summed from their poles.
 
-    ``q`` (m, M) are points below the real axis: the zeros r_j = i
+    ``q`` (k, M) are points below the real axis: the zeros r_j = i
     lambda_j of d(w), or circle nodes around a cluster of them; ``wt``
-    (m, 3, M) their weights in the three pieces, ``shift`` (m, 3, 1) the
-    pieces' shifts s.  Each piece is a polynomial over Q(w) = P(w) P(s -
-    w), P(w) = prod_j (w - r_j), and partial fractions integrate it
-    exactly: int_-L^L dw / (w - q) = -2 atanh(L / q).  The mirror point
-    s - q has the opposite weight and the same g = w (w - s), so the pair
-    gives 2 R (atanh(L / (s - q)) - atanh(L / q)) for the residue R at q.
-    The bath weight's vacuum half 2 w theta(w) gives log(1 - L / q) on
-    [0, L], its Bose half _bose_kernel, and as H(w) = w^2 bath(w) / (d(w)
-    d(-w)) is even, -q adds the vacuum term at q with v = L / q negated.
-    A row's terms make one pairwise sum whose length M alone sets, so no
-    row depends on another.
+    (k, 3, M) their weights in the three pieces, ``shift`` (k, 3, 1) the
+    pieces' shifts s.  k = m, or k = 1 where the m ``rows`` share their
+    poles: the terms that the poles and the window alone fix are then
+    formed once, from the first row, and broadcast against the rows' own
+    squeezing and Bose columns.  Each piece is a polynomial over Q(w) =
+    P(w) P(s - w), P(w) = prod_j (w - r_j), and partial fractions
+    integrate it exactly: int_-L^L dw / (w - q) = -2 atanh(L / q).  The
+    mirror point s - q has the opposite weight and the same g = w (w -
+    s), so the pair gives 2 R (atanh(L / (s - q)) - atanh(L / q)) for
+    the residue R at q.  The bath weight's vacuum half 2 w theta(w) gives
+    log(1 - L / q) on [0, L], its Bose half _bose_kernel, and as H(w) =
+    w^2 bath(w) / (d(w) d(-w)) is even, -q adds the vacuum term at q with
+    v = L / q negated.  A row's terms make one pairwise sum whose length
+    M alone sets, so no row depends on another.
     """
-    m = len(q)
+    m, k = len(rows), len(q)
     lim, _, scale, kt, bl, zfac, k4 = rows.T[_L:_ALPHA, :, None]  # (m, 1)
-    alpha, beta = (rows[:, i:i + 3, None] for i in (_ALPHA, _BETA))
+    alpha = rows[:, _ALPHA:_ALPHA + 3, None]
+    # the columns that go with the poles, from the rows that hold them
+    window, scale, k4 = lim[:k], scale[:k], k4[:k]
+    beta = rows[:k, _BETA:_BETA + 3, None]
     g = q[:, None] * (q[:, None] - shift)
     ga = g[:, 0]
     # the numerator times g before the weight: where that overflows, the
     # variance is reported as not finite
     residues = g * (alpha * (beta + g)) * wt
     # atanh(L / (s - q)), at s = 0 (piece a) -atanh(L / q)
-    t = np.arctanh(lim[..., None] / (shift - q[:, None]))
-    v = lim / q
+    t = np.arctanh(window[..., None] / (shift - q[:, None]))
+    v = window / q
     kd2 = beta[:, 0]
     hq = scale * (q * (ga * wt[:, 0] * ((kd2 - ga) ** 2 + k4 * ga)))
+    vacuum = hq * (np.arctanh(v / (v - 2.0)) + np.arctanh(v / (v + 2.0)))
+    # the shared pole set for every row; where k = m, copies would cost a
+    # stack of one about 1.5 us
+    if k < m:
+        q, vacuum = q.repeat(m, 0), vacuum.repeat(m, 0)
     return np.concatenate([
         (2.0 * residues * (t + t[:, :1])).reshape(m, -1),
-        hq * (np.arctanh(v / (v - 2.0)) + np.arctanh(v / (v + 2.0))),
-        hq * _bose_kernel(q, lim, kt, bl, zfac)], axis=1).sum(1)
+        vacuum, hq * _bose_kernel(q, lim, kt, bl, zfac)], axis=1).sum(1)
 
 
-def _variances(inputs: np.ndarray, cutoff: float):
+def _variances(inputs: np.ndarray, cutoff: float, shared: bool = False):
     """Momentum variances at a stack of operating points, given by
     _columns' inputs (13, n).
 
     Returns the variances (n) and, in column order, {column: the
     RingCavError raised there} at the few points that have one, whose
-    variance entries mean nothing.  One eigen-solve for the whole stack
-    decides stability (both tests, cross-checked) and gives the poles;
-    one residue sum runs on every point's (n, 4) poles, and a stable point
-    whose eigenvalues nearly coincide is then summed again on its own over
-    _nodes' circles, which replaces its entry.  An entry does not depend
-    on the other points: a point alone gives the same bits.
+    variance entries mean nothing.  One eigen-solve decides stability
+    (both tests, cross-checked) and gives the poles (k, 4): of every
+    point (k = n), or once where the caller knows that the points share
+    their drift matrix (``shared``, k = 1: a sweep of temperature or
+    squeezing at a fixed detuning).  One residue sum runs on every point
+    against those poles, and a stable pole set whose eigenvalues nearly
+    coincide is then summed again over _nodes' circles for its points,
+    which replaces their entries.  An entry does not depend on the other
+    points: a point alone gives the same bits.
     """
     # overflow at huge inputs is reported below, not warned about; 1 / Q'
     # at a clustered pole may divide by zero, and is dropped in _nodes
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rows = _row_matrix(inputs, cutoff)
-        re = rows.real
         n = len(rows)
+        re = rows[:1].real if shared else rows.real
+        k = len(re)
         ev, max_re, live, errors = _stack_verdicts(
-            re[:, _DRIFT].reshape(n, 4, 4), re[:, _RH] > 0.0, re[:, _WM])
+            re[:, _DRIFT].reshape(k, 4, 4), re[:, _RH] > 0.0, re[:, _WM])
         r = 1j * ev
         wm = re[:, _WM, None, None]
-        shift = wm * _SHIFT_PER_WM  # (n, 3, 1)
+        shift = wm * _SHIFT_PER_WM  # (k, 3, 1)
         gap = _POLE_GAP * wm
         simple, close = _simple_weights(r, shift, gap)
         totals = _residue_sums(r, simple, shift, rows)
         for i in (live & close).nonzero()[0]:
             q, wt = _nodes(r[i], simple[i], shift[i], gap[i])
-            totals[i], = _residue_sums(q[None], wt[None], shift[i:i + 1],
-                                       rows[i:i + 1])
+            # the points of pole set i: point i, or all of a shared stack
+            at = slice(i, i + n - k + 1)
+            totals[at] = _residue_sums(q[None], wt[None], shift[i:i + 1],
+                                       rows[at])
         # the real and imaginary parts over 2 pi, in one division
         value, leak = (totals.view(float).reshape(n, 2) / (2.0 * math.pi)).T
         # stable, finite, real to within _IMAG_RESIDUAL and positive
@@ -487,11 +512,12 @@ def _variances(inputs: np.ndarray, cutoff: float):
         return value, {}
     failures = {}
     for i in (~ok).nonzero()[0].tolist():
-        if live[i]:
+        j = i % k  # the point's pole set
+        if live[j]:
             failures[i] = _failure(complex(totals[i]) / (2.0 * math.pi))
         else:
-            margin = -float(max_re[i])
-            failures[i] = errors[i] or UnstableOperatingPoint(
+            margin = -float(max_re[j])
+            failures[i] = errors[j] or UnstableOperatingPoint(
                 f"no stationary state at detuning "
                 f"{float(inputs[_DELTA_INPUT, i])!r} rad/s (stability margin "
                 f"{margin!r} rad/s)", margin)

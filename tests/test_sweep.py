@@ -363,14 +363,18 @@ def _row_loop(spec):
     return rows
 
 
-def _case(axis, start, stop, points, **fixed):
-    """A row-loop case, named by its grid and by the fields it sets."""
-    return pytest.param(axis, start, stop, points, fixed, id="-".join(
-        [str(axis), str(start), str(stop), str(points),
-         *(f"{k}={v}" for k, v in fixed.items())]))
+def _case(axis, start, stop, points, *, delta_per_wm=0.965, **fixed):
+    """A row-loop case at a fixed detuning, named by its grid, by the
+    detuning where it is not 0.965 omega_m and by the fields it sets."""
+    delta = [] if delta_per_wm == 0.965 else [f"delta={delta_per_wm}"]
+    return pytest.param(axis, start, stop, points, delta_per_wm, fixed,
+                        id="-".join([str(axis), str(start), str(stop),
+                                     str(points), *delta,
+                                     *(f"{k}={v}"
+                                       for k, v in fixed.items())]))
 
 
-@pytest.mark.parametrize("axis, start, stop, points, fixed", [
+@pytest.mark.parametrize("axis, start, stop, points, delta_per_wm, fixed", [
     _case(rc.SweepAxis.BATH_TEMP, 0.0, 200e-6, 21),
     # kB T underflows to 0 on the second row alone: the rows that
     # derive_params accepts are not one interval
@@ -398,10 +402,33 @@ def _case(axis, start, stop, points, **fixed):
     _case(rc.SweepAxis.SQUEEZE_R, 0.0, 315.0, 8),
     _case(rc.SweepAxis.SQUEEZE_R, -1.0, 1.0, 5),
     _case(rc.SweepAxis.SQUEEZE_R, 0.0, 1.0, 5, mirror_mass=-1.0),
+    # temperature and squeeze stacks solve their drift matrix once:
+    # delta = 0 makes a double pole on every row, summed over _nodes'
+    # circles
+    _case(rc.SweepAxis.BATH_TEMP, 0.0, 200e-6, 11, delta_per_wm=0.0),
+    _case(rc.SweepAxis.BATH_TEMP, 0.0, 2e-3, 21, delta_per_wm=0.0,
+          laser_power=20e-3),
+    _case(rc.SweepAxis.SQUEEZE_R, 0.0, 2.0, 9, delta_per_wm=0.0),
+    # unstable on every row, each with the point route's margin
+    _case(rc.SweepAxis.BATH_TEMP, 0.0, 200e-6, 11, delta_per_wm=0.3,
+          laser_power=20e-3),
+    _case(rc.SweepAxis.SQUEEZE_R, 0.0, 2.0, 5, delta_per_wm=0.3,
+          laser_power=20e-3),
+    # two stacks, of 256 and 44 rows
+    _case(rc.SweepAxis.BATH_TEMP, 0.0, 200e-6, 300),
+    _case(rc.SweepAxis.BATH_TEMP, 0.0, 1e-3, 300, delta_per_wm=0.0),
+    # beta L passes 39 at about 58 uK and pi at about 723 uK: Binet
+    # alone, with the E1 tail, and the Bernoulli series in one stack
+    _case(rc.SweepAxis.BATH_TEMP, 0.0, 1.5e-3, 31),
+    _case(rc.SweepAxis.BATH_TEMP, 50e-6, 800e-6, 76, delta_per_wm=1.2),
+    # the variance integral overflows at r = 320, after valid rows
+    _case(rc.SweepAxis.SQUEEZE_R, 0.0, 340.0, 18),
 ])
-def test_sweep_equals_the_row_loop(axis, start, stop, points, fixed):
+def test_sweep_equals_the_row_loop(axis, start, stop, points, delta_per_wm,
+                                   fixed):
     spec = rc.SweepSpec(axis=axis, start=start, stop=stop, points=points,
-                        fixed=rc.baseline_params(**fixed), delta=0.965 * _WM)
+                        fixed=rc.baseline_params(**fixed),
+                        delta=delta_per_wm * _WM)
     try:
         want = _row_loop(spec)
     except rc.RingCavError as err:
@@ -861,3 +888,58 @@ def test_eigen_solves_per_sweep_and_minimiser(baseline, monkeypatch):
     assert len(solves) == len(builds) == len(grids)
     # every build runs on a stack's arrays, none on one point's floats
     assert builds.count(()) == 0
+
+
+@pytest.mark.parametrize("axis, start, stop, stacks", [
+    # the swept field leaves the drift matrix alone: one solve a stack
+    (rc.SweepAxis.BATH_TEMP, 0.0, 200e-6, [(1, 4, 4), (1, 4, 4)]),
+    (rc.SweepAxis.SQUEEZE_R, 0.0, 2.0, [(1, 4, 4), (1, 4, 4)]),
+    # the drive moves the amplitude, and with it the drift matrix
+    (rc.SweepAxis.LASER_POWER, 1e-3, 4e-3, [(256, 4, 4), (44, 4, 4)]),
+])
+def test_a_fixed_detuning_stack_solves_its_drift_matrix_once(
+        baseline, monkeypatch, axis, start, stop, stacks):
+    # the shapes of the matrix stacks that np.linalg.eigvals receives
+    p, d = baseline
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    rows = rc.run_sweep(rc.SweepSpec(axis=axis, start=start, stop=stop,
+                                     points=300, fixed=p,
+                                     delta=0.965 * _WM))
+    assert len(rows) == 300 and all(r.stable for r in rows)
+    assert shapes == stacks
+    # the minimiser's grids share no drift matrix
+    shapes.clear()
+    rc.minimize_over_detuning(p, d)
+    assert shapes == [(37, 4, 4), (24, 4, 4), (3, 4, 4)]
+
+
+def test_a_failed_shared_eigen_solve_fails_the_first_row(baseline,
+                                                         monkeypatch):
+    # eigvals fails on the drift matrix that every row of a temperature
+    # sweep shares: the sweep raises the point route's error at its first
+    # row, with no partial rows and no inconsistency
+    p, d = baseline
+    delta = 0.965 * _WM
+    shared = rc.drift_matrix(p, d, rc.steady_state_at_detuning(p, d, delta))
+    eigvals = np.linalg.eigvals
+
+    def failing(a):
+        if (np.asarray(a) == shared).all((-2, -1)).any():
+            raise np.linalg.LinAlgError("marked matrix")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    spec = rc.SweepSpec(axis=rc.SweepAxis.BATH_TEMP, start=0.0,
+                        stop=200e-6, points=300, fixed=p, delta=delta)
+    with pytest.raises(rc.NumericalFailure) as err:
+        rc.run_sweep(spec)
+    assert type(err.value) is rc.NumericalFailure
+    assert str(err.value) == ("at axis value 0.0: eigenvalue computation "
+                              "failed: marked matrix")
