@@ -38,6 +38,9 @@ CONFIGS = {
                                 "stop = 0.0002\npoints = 11\ndelta = 0\n"),
     "squeeze_r.cfg": ("[sweep]\naxis = squeeze_r\nstart = 0\nstop = 3\n"
                       "points = 13\ndelta = 5741920.308892601\n"),
+    "laser_power.cfg": ("[sweep]\naxis = laser_power\nstart = 0\n"
+                        "stop = 0.012\npoints = 13\n"
+                        "delta = 5741920.308892601\n"),
     "cutoff.cfg": "[quadrature]\ncutoff = 1.0\n",
     "one_point.cfg": ("[sweep]\naxis = detuning\nstart = 3e6\n"
                       "stop = 9e6\npoints = 1\n"),
@@ -62,6 +65,7 @@ CASES = {
     "sweep_bath_temp": "sweep --config bath_temp.cfg",
     "sweep_bath_temp_clustered": "sweep --config bath_temp_clustered.cfg",
     "sweep_squeeze_r_json": "sweep --config squeeze_r.cfg --format json",
+    "sweep_laser_power": "sweep --config laser_power.cfg",
     "cutoff_too_small": "point --delta-per-wm 0.965 --config cutoff.cfg",
     "sweep_one_point": "sweep --config one_point.cfg",
     "negative_param": "point --delta-per-wm 0.965 --config negative.cfg",
