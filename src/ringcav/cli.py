@@ -5,7 +5,8 @@ The config format is flat ``key = value`` lines under section headers
 before the first header.  Keys are strict: anything unknown is an
 error, not a silently ignored typo.  Missing keys fall back to the
 package defaults and every such fallback is recorded in the returned
-provenance (and echoed to stderr by the command line).
+provenance (and echoed to stderr by the command line, but for the
+fields that its flags set).
 
 Angular rates accept two spellings: ``kappa_rad_s``/``mech_freq_rad_s``
 take rad/s, ``kappa_hz``/``mech_freq_hz`` take ordinary frequency in Hz
@@ -372,35 +373,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# override flag: the config section ('' the top level) and field that it
+# sets, and its value in that field
+_OVERRIDES = {"output": ("", "output_path", str),
+              "format": ("", "output_format", str),
+              "geometry": ("params", "geometry", Geometry),
+              "r": ("params", "squeeze_r", float),
+              "power_mw": ("params", "laser_power", lambda mw: 1e-3 * mw),
+              "temp_uk": ("params", "bath_temp", lambda uk: 1e-6 * uk)}
+
+
 def _load_config(ns: argparse.Namespace) -> RunConfig:
+    """The config file, or the package defaults, with the flags of ns
+    applied; the defaults that no flag replaces are echoed to stderr."""
     if ns.config is None:
         print("config: no config file; package defaults in effect",
               file=sys.stderr)
-        return _DEFAULTS
-    # utf-8-sig: a byte-order mark before the first line is not text
-    with open(ns.config, "r", encoding="utf-8-sig") as fh:
-        cfg = parse_config(fh.read())
+        cfg = _DEFAULTS
+    else:
+        # utf-8-sig: a byte-order mark before the first line is not text
+        with open(ns.config, "r", encoding="utf-8-sig") as fh:
+            cfg = parse_config(fh.read())
+    changes, given = {"": {}, "params": {}}, set()
+    for flag, (section, name, value) in _OVERRIDES.items():
+        if getattr(ns, flag) is not None:
+            changes[section][name] = value(getattr(ns, flag))
+            given.add(f"{section}.{name}".lstrip("."))  # provenance's key
     for line in cfg.provenance:
-        print(f"config: {line}", file=sys.stderr)
-    return cfg
-
-
-# override flag: the PhysicalParams field it sets and its unit in SI
-_OVERRIDES = {"r": ("squeeze_r", 1.0), "power_mw": ("laser_power", 1e-3),
-              "temp_uk": ("bath_temp", 1e-6)}
-
-
-def _apply_overrides(cfg: RunConfig, ns: argparse.Namespace) -> RunConfig:
-    changes = {name: unit * getattr(ns, flag)
-               for flag, (name, unit) in _OVERRIDES.items()
-               if getattr(ns, flag) is not None}
-    if ns.geometry is not None:
-        changes["geometry"] = Geometry(ns.geometry)
-    top = {name: value for name, value in (("output_path", ns.output),
-                                            ("output_format", ns.format))
-           if value is not None}
-    if changes:
-        p = top["params"] = replace(cfg.params, **changes)
+        if line.split()[0] not in given:
+            print(f"config: {line}", file=sys.stderr)
+    top = changes[""]
+    if changes["params"]:
+        p = top["params"] = replace(cfg.params, **changes["params"])
         top["sweep"] = replace(cfg.sweep, fixed=p) if cfg.sweep else None
     return replace(cfg, **top)
 
@@ -482,12 +486,12 @@ def _results(ns: argparse.Namespace, cfg: RunConfig):
 
 
 def _dispatch(ns: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load_config(ns), ns)
+    cfg = _load_config(ns)
     # the sweep would overwrite the override on every row
     swept = _PRESETS[ns.command][2].value if ns.command in _PRESETS else None
     if ns.command == "sweep" and cfg.sweep is not None:
         swept = cfg.sweep.axis.value
-    for flag, (name, _) in _OVERRIDES.items():
+    for flag, (_, name, _) in _OVERRIDES.items():
         if getattr(ns, flag) is not None and name == swept:
             raise ValidationError(f"--{flag.replace('_', '-')}",
                                   f"sets {name}, which {ns.command} sweeps")

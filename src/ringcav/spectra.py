@@ -365,8 +365,10 @@ def _columns(wm, kappa, temp, gm, g, chi, nsq, mre, mim, delta, u, v, n,
             kappa * kappa + delta * delta, c0r - 1j * c0i, c0r + 1j * c0i)
 
 
-# the index of delta among the inputs of _columns
+# the index of delta among _columns' inputs, and the inputs that fix the
+# drift matrix, Routh-Hurwitz verdict and window terms: all but T, N and M
 _DELTA_INPUT = 9
+_POLE_INPUTS = np.array([0, 1, 3, 4, 5, 9, 10, 11, 12])
 
 
 def _parameters(p: PhysicalParams, d: DerivedParams) -> tuple:
@@ -390,15 +392,6 @@ def _inputs(p: PhysicalParams, d: DerivedParams,
         inputs[i] = x
     inputs[_DELTA_INPUT:] = deltas, *_field(par[-1], p.cavity_decay, deltas)
     return inputs
-
-
-def _shares_poles(p: PhysicalParams, d: DerivedParams) -> bool:
-    """Whether a stack of p and d at one fixed detuning shares its drift
-    matrix: none of omega_m, kappa, gamma_m, g, chi and the drive eps,
-    which with the detuning fix it, is a column."""
-    return not any(type(x) is np.ndarray for x in (
-        p.mech_freq, p.cavity_decay, d.gamma_m, d.coupling_g, d.chi,
-        d.drive_eps))
 
 
 def _point_inputs(points) -> np.ndarray:
@@ -466,7 +459,7 @@ def _residue_sums(q: np.ndarray, wt: np.ndarray, shift: np.ndarray,
         vacuum, hq * _bose_kernel(q, lim, kt, bl, zfac)], axis=1).sum(1)
 
 
-def _variances(inputs: np.ndarray, cutoff: float, shared: bool = False):
+def _variances(inputs: np.ndarray, cutoff: float):
     """Momentum variances at a stack of operating points, given by
     _columns' inputs (13, n).
 
@@ -474,21 +467,26 @@ def _variances(inputs: np.ndarray, cutoff: float, shared: bool = False):
     RingCavError raised there} at the few points that have one, whose
     variance entries mean nothing.  One eigen-solve decides stability
     (both tests, cross-checked) and gives the poles (k, 4): of every
-    point (k = n), or once where the caller knows that the points share
-    their drift matrix (``shared``, k = 1: a sweep of temperature or
-    squeezing at a fixed detuning).  One residue sum runs on every point
-    against those poles, and a stable pole set whose eigenvalues nearly
-    coincide is then summed again over _nodes' circles for its points,
-    which replaces their entries.  An entry does not depend on the other
-    points: a point alone gives the same bits.
+    point (k = n), or once where every column is bit-equal to the first
+    in _POLE_INPUTS (k = 1: a temperature or squeezing sweep at a fixed
+    detuning).  One residue sum runs on every point against those poles,
+    and a stable pole set whose eigenvalues nearly coincide is then
+    summed again over _nodes' circles for its points, which replaces
+    their entries.  An entry does not depend on the other points: a
+    point alone gives the same bits.
     """
     # overflow at huge inputs is reported below, not warned about; 1 / Q'
     # at a clustered pole may divide by zero, and is dropped in _nodes
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rows = _row_matrix(inputs, cutoff)
         n = len(rows)
-        re = rows[:1].real if shared else rows.real
-        k = len(re)
+        # one pole set (k = 1) where the points agree bit for bit in the
+        # inputs that fix it; a detuning grid already differs at its ends
+        k = n
+        if n > 1 and inputs[_DELTA_INPUT, 0] == inputs[_DELTA_INPUT, -1]:
+            bits = inputs.view(np.int64).take(_POLE_INPUTS, 0)
+            k = 1 if (bits == bits[:, :1]).all() else n
+        re = rows[:k].real
         ev, max_re, live, errors = _stack_verdicts(
             re[:, _DRIFT].reshape(k, 4, 4), re[:, _RH] > 0.0, re[:, _WM])
         r = 1j * ev

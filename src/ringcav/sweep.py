@@ -8,9 +8,10 @@ minimiser's grids, are solved as stacks of up to _CHUNK operating points
 (one eigen-solve and one residue sum each); a row equals the
 ``entanglement_result`` at its point bit for bit.  A temperature or
 squeezing sweep at its fixed detuning leaves the drift matrix as it is,
-so each of its stacks solves that one matrix once (the eigen-solve, the
-stability verdicts and the pole weights) and broadcasts it against the
-rows' own bath and squeezing columns.  On every axis a
+and _variances, which sees that from a stack's own inputs, solves that
+one matrix once (the eigen-solve, the stability verdicts and the pole
+weights) and broadcasts it against the rows' own bath and squeezing
+columns.  On every axis a
 stack's steady-state inputs come straight from its detuning array (the
 swept detunings, or the fixed delta on each row), with no SteadyState
 per point, and the parameters are derived once: a temperature, power
@@ -45,7 +46,7 @@ from .errors import (InternalInconsistency, InvalidParameter,
                      NumericalFailure, NoStablePoint, UnstableOperatingPoint)
 from .model import (DerivedParams, PhysicalParams, _derive_column, _leading,
                     _violation, derive_params)
-from .spectra import (QuadratureConfig, _inputs, _shares_poles, _variances,
+from .spectra import (QuadratureConfig, _inputs, _variances,
                       entanglement_result, q_plus_variance)
 # re-exported: bench/tracing.py and bench/tests look it up here
 from .stability import stability_verdict  # noqa: F401
@@ -147,13 +148,12 @@ _CHUNK = 256
 
 
 def _solve(p: PhysicalParams, d: DerivedParams, deltas: np.ndarray,
-           cutoff: float, fixed: bool = False):
+           cutoff: float):
     """The variances, {row: margin} and the number k of rows solved in
     stacks of up to _CHUNK, up to the first detuning outside the band or
     variance that fails; +inf where a row is unstable.  The fields of p
-    and d are floats, or columns as long as deltas.  ``fixed``: deltas
-    holds one detuning throughout, so that each stack solves its drift
-    matrix once unless the swept field moves it (the power axis)."""
+    and d are floats, or columns as long as deltas.  _variances sees for
+    itself which stacks share one drift matrix."""
     k = _leading(_in_band(deltas, p.cavity_decay))
     values, margins = np.empty(k), {}
     if not k:  # d may be None
@@ -161,10 +161,8 @@ def _solve(p: PhysicalParams, d: DerivedParams, deltas: np.ndarray,
     # as no axis moves kappa, a fixed delta is in the band on every row
     # or on none, and a column then has the k entries of deltas[:k]
     inputs = _inputs(p, d, deltas[:k])
-    shared = fixed and _shares_poles(p, d)
     for start in range(0, k, _CHUNK):
-        v, failures = _variances(inputs[:, start:start + _CHUNK], cutoff,
-                                 shared)
+        v, failures = _variances(inputs[:, start:start + _CHUNK], cutoff)
         values[start:start + len(v)] = v
         for i, err in failures.items():
             if not isinstance(err, UnstableOperatingPoint):
@@ -213,8 +211,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     else:
         p, d = _derive_column(spec.fixed, field, grid)
         deltas = np.full(len(getattr(p, field)), spec.delta)
-    var_p, margins, k = _solve(p, d, deltas, spec.quadrature.cutoff,
-                               spec.axis is not SweepAxis.DETUNING)
+    var_p, margins, k = _solve(p, d, deltas, spec.quadrature.cutoff)
     if k:
         var_q = np.broadcast_to(q_plus_variance(p, d), deltas.shape)[:k]
         with np.errstate(over="ignore", invalid="ignore"):

@@ -723,6 +723,21 @@ def test_provenance_echoed_to_stderr(capsys):
     assert "config:" in err
 
 
+def test_provenance_leaves_out_the_fields_that_flags_set(tmp_path, capsys):
+    # the config omits output_format and laser_power, which the flags set
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[params]\nsqueeze_r = 0.5\n", encoding="utf-8")
+    code, out, err = run(["point", "--delta-per-wm", "0.965", "--config",
+                          str(cfg), "--format", "json", "--power-mw", "5"],
+                         capsys)
+    assert code == 0
+    assert json.loads(out)["delta"] == 0.965 * rc.baseline_params().mech_freq
+    said = [line.split()[1] for line in err.splitlines()]
+    assert "output_path" in said and "params.bath_temp" in said
+    assert "output_format" not in said and "params.laser_power" not in said
+    assert "params.squeeze_r" not in said
+
+
 # Flag and config values at and beyond the edges of the double range, and
 # the words the enumerated keys accept.
 _EDGE_VALUES = ("nan", "inf", "-inf", "0", "-0", "5e-324", "1e-300", "1e-9",

@@ -610,6 +610,41 @@ def _temps_around(beta_l, cutoff, wm):
     return [t, float(np.nextafter(t, 1.0))]
 
 
+# _columns' inputs by row: those that fix the drift matrix, the
+# Routh-Hurwitz verdict and the window terms, and the others
+_POLE_ROWS = {"wm": 0, "kappa": 1, "gm": 3, "g": 4, "chi": 5, "delta": 9,
+              "u": 10, "v": 11, "n": 12}
+_NOISE_ROWS = {"temp": 2, "nsq": 6, "mre": 7, "mim": 8}
+
+
+@pytest.mark.parametrize("row, solved", [(None, (1, 4, 4))]
+                         + [(i, (1, 4, 4)) for i in _NOISE_ROWS.values()]
+                         + [(i, (5, 4, 4)) for i in _POLE_ROWS.values()],
+                         ids=["same", *_NOISE_ROWS, *_POLE_ROWS])
+def test_a_stack_shares_its_poles_where_its_inputs_do(baseline, monkeypatch,
+                                                      row, solved):
+    # five points at the reference point, the last one moved by a relative
+    # 1e-9 in one input (by 1e-9 where it is zero)
+    inputs = np.repeat(_point_inputs([_ref_state(baseline)]), 5, axis=1)
+    if row is not None:
+        x = inputs[row, -1]
+        inputs[row, -1] = x * (1.0 + 1e-9) if x else 1e-9
+        assert inputs[row, -1] != x
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    values, failures = _variances(inputs, 50.0)
+    assert shapes == [solved] and not failures
+    for i in range(5):
+        (want,), alone = _variances(inputs[:, i:i + 1], 50.0)
+        assert not alone and values[i].hex() == want.hex()
+
+
 def test_stack_rows_equal_stacks_of_one():
     # the column-wise rows of a stack against its points one at a time:
     # no Bose part (T = 0), Binet's formula alone, beta L at and just
