@@ -57,7 +57,10 @@ CASES = {
     "branches": "branches --delta-per-wm 0.55",
     "stability_json": "stability --delta-per-wm 0.965 --format json",
     "minimize": "minimize",
+    "minimize_json": "minimize --format json",
+    "minimize_window_json": "minimize --window 0.96 0.97 --format json",
     "fig2": "fig2 --points 20",
+    "fig2_json": "fig2 --points 5 --format json",
     "fig2_hot": "fig2 --points 20 --power-mw 20 --temp-uk 5000",
     "fig4": "fig4 --points 21",
     "fig4_json": "fig4 --points 21 --format json",
