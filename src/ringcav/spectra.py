@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, KB
-from .errors import NumericalFailure, UnstableOperatingPoint
+from .errors import (InvalidParameter, NumericalFailure,
+                     UnstableOperatingPoint)
 from .model import DerivedParams, PhysicalParams, _each, _violation
 # bench/tracing.py and bench/tests look it up in this namespace
 from .quadrature import integrate_adaptive  # noqa: F401
@@ -98,6 +99,14 @@ class QuadratureConfig:
                          lambda c: 2.0 < c <= 1e5)
         if err is not None:
             raise err
+
+
+def _cutoff(quad) -> float:
+    """The cutoff of quad; InvalidParameter where quad is not a
+    QuadratureConfig."""
+    if not isinstance(quad, QuadratureConfig):
+        raise InvalidParameter("quad", quad, "a QuadratureConfig")
+    return quad.cutoff
 
 
 def _binet(z: np.ndarray) -> np.ndarray:
@@ -345,30 +354,34 @@ def _columns(wm, kappa, temp, gm, g, chi, nsq, mre, mim, delta, u, v, n,
     binet = (kt > 0.0) & (bl >= math.pi) & (bl < math.inf)
     pref = 8.0 * kappa * g * g * chi * chi
     sq = pref * n
-    # C = pref conj(c_s)^2 M for b, its conjugate for c
+    # C = pref conj(c_s)^2 M = cr + ci for b, its conjugate for c
     pu = pref * u
     pv = pref * v
     r1 = pu * u - pv * v
     i1 = -(pu * v) - pv * u
     cr = r1 * mre - i1 * mim
-    ci = r1 * mim + i1 * mre
-    # c0 = (kappa -+ i delta) (kappa -+ i e) for b and c
+    ci = 1j * (r1 * mim + i1 * mre)
+    # c0 = (kappa -+ i delta) (kappa -+ i e) = c0r -+ c0i for b and c
     e = delta + 2.0 * wm
     c0r = kappa * kappa - delta * e
-    c0i = kappa * e + delta * kappa
+    c0i = 1j * (kappa * e + delta * kappa)
     return (*_drift_entries(wm, kappa, gm, g, chi, delta, u, v),
             _hurwitz(wm, kappa, gm, g, chi, delta, n),
             lim, wm, 4.0 * (2.0 * gm / wm), kt, bl,
             1j * (binet * (1.0 / (2.0 * math.pi * kt1))),
             4.0 * kappa * kappa,
-            sq * (2.0 * nsq + 1.0), cr + 1j * ci, cr - 1j * ci,
-            kappa * kappa + delta * delta, c0r - 1j * c0i, c0r + 1j * c0i)
+            sq * (2.0 * nsq + 1.0), cr + ci, cr - ci,
+            kappa * kappa + delta * delta, c0r - c0i, c0r + c0i)
 
 
 # the index of delta among _columns' inputs, and the inputs that fix the
 # drift matrix, Routh-Hurwitz verdict and window terms: all but T, N and M
 _DELTA_INPUT = 9
-_POLE_INPUTS = np.array([0, 1, 3, 4, 5, 9, 10, 11, 12])
+_POLE_INPUTS = (0, 1, 3, 4, 5, 9, 10, 11, 12)
+# stacks of up to this many points build their rows point by point on
+# floats: a detuning grid's rows cost about the same both ways at 11
+# to 12 points (a stack with fewer columns crosses over sooner)
+_POINTWISE = 11
 
 
 def _parameters(p: PhysicalParams, d: DerivedParams) -> tuple:
@@ -379,19 +392,18 @@ def _parameters(p: PhysicalParams, d: DerivedParams) -> tuple:
             d.m_squeeze.imag, d.drive_eps)
 
 
-def _inputs(p: PhysicalParams, d: DerivedParams,
-            deltas: np.ndarray) -> np.ndarray:
-    """_columns' inputs (13, n) at the detunings deltas (n): the stacks of
-    every sweep axis and minimiser grid.  The fields of p and d are
-    floats, or for a swept field and what derives from it columns (n),
-    one entry per detuning.  The steady state comes from the detuning
-    array, in the bits of steady_state_at_detuning."""
+def _inputs(p: PhysicalParams, d: DerivedParams, deltas) -> list:
+    """_columns' 13 inputs at the detunings deltas, for the stacks of
+    every sweep axis and minimiser grid: a float where every point
+    shares the input, a column (n) where it varies.  The fields of p and
+    d are floats, or columns for a swept field and what derives from it;
+    deltas is a detuning grid (n) or one fixed detuning, from which the
+    steady state comes in the bits of steady_state_at_detuning.  A stack
+    none of whose _POLE_INPUTS is a column shares one pole set."""
     par = _parameters(p, d)
-    inputs = np.empty((13, len(deltas)))
-    for i, x in enumerate(par[:_DELTA_INPUT]):
-        inputs[i] = x
-    inputs[_DELTA_INPUT:] = deltas, *_field(par[-1], p.cavity_decay, deltas)
-    return inputs
+    inputs = (*par[:_DELTA_INPUT], deltas,
+              *_field(par[-1], p.cavity_decay, deltas))
+    return [x if isinstance(x, np.ndarray) else float(x) for x in inputs]
 
 
 def _point_inputs(points) -> np.ndarray:
@@ -402,13 +414,40 @@ def _point_inputs(points) -> np.ndarray:
                      for p, d, s in points], dtype=float).reshape(-1, 13).T
 
 
-def _row_matrix(inputs: np.ndarray, cutoff: float) -> np.ndarray:
-    """The _columns of a stack, one row (30) per column of its inputs
-    (13, n): evaluated on one point's floats, or column-wise on the
-    stack's arrays."""
-    cols = _columns(*(inputs[:, 0].tolist() if inputs.shape[1] == 1
-                      else inputs), cutoff)
-    return np.array(cols, dtype=complex).reshape(len(cols), -1).T
+def _size(inputs) -> int:
+    """The number of points of a stack: the length of its columns, 1
+    where it has none."""
+    for x in inputs:
+        if isinstance(x, np.ndarray):
+            return len(x)
+    return 1
+
+
+def _row_matrix(inputs, cutoff: float) -> np.ndarray:
+    """The _columns of a stack, one row (30) per point, from its 13
+    inputs (floats or columns (n), or an array (13, n) of columns).  Up
+    to _POINTWISE points are evaluated one at a time on floats.  A larger
+    stack runs _columns once on its inputs as they are, so an entry that
+    no column reaches (a shared stack's drift matrix and Routh-Hurwitz
+    verdict among them) is computed once and broadcast to every row."""
+    n = _size(inputs)
+    if n <= _POINTWISE:
+        # an array (13, n) gives its points in one call
+        points = (inputs.T.tolist() if isinstance(inputs, np.ndarray) else
+                  zip(*[x.tolist() if isinstance(x, np.ndarray) else [x] * n
+                        for x in inputs]))
+        return np.array([_columns(*x, cutoff) for x in points],
+                        dtype=complex)
+    cols = _columns(*inputs, cutoff)
+    # every entry broadcast down its row, then the columns written over
+    # their rows' placeholders
+    rows = np.empty((len(cols), n), dtype=complex)
+    rows[...] = np.array([0.0 if isinstance(c, np.ndarray) else c
+                          for c in cols], dtype=complex)[:, None]
+    for i, c in enumerate(cols):
+        if isinstance(c, np.ndarray):
+            rows[i] = c
+    return rows.T
 
 
 def _residue_sums(q: np.ndarray, wt: np.ndarray, shift: np.ndarray,
@@ -459,33 +498,31 @@ def _residue_sums(q: np.ndarray, wt: np.ndarray, shift: np.ndarray,
         vacuum, hq * _bose_kernel(q, lim, kt, bl, zfac)], axis=1).sum(1)
 
 
-def _variances(inputs: np.ndarray, cutoff: float):
+def _variances(inputs, cutoff: float):
     """Momentum variances at a stack of operating points, given by
-    _columns' inputs (13, n).
+    _columns' 13 inputs as _row_matrix takes them.
 
-    Returns the variances (n) and, in column order, {column: the
+    Returns the variances (n) and, in point order, {point: the
     RingCavError raised there} at the few points that have one, whose
     variance entries mean nothing.  One eigen-solve decides stability
     (both tests, cross-checked) and gives the poles (k, 4): of every
-    point (k = n), or once where every column is bit-equal to the first
-    in _POLE_INPUTS (k = 1: a temperature or squeezing sweep at a fixed
-    detuning).  One residue sum runs on every point against those poles,
-    and a stable pole set whose eigenvalues nearly coincide is then
-    summed again over _nodes' circles for its points, which replaces
-    their entries.  An entry does not depend on the other points: a
-    point alone gives the same bits.
+    point (k = n), or once where none of _POLE_INPUTS is a column (k =
+    1: a temperature or squeezing sweep at a fixed detuning, whose drift
+    matrix _row_matrix also builds once); the form of the inputs decides
+    that, not their values.  One residue sum runs on every point against
+    those poles, and a stable pole set whose eigenvalues nearly coincide
+    is then summed again over _nodes' circles for its points, which
+    replaces their entries.  An entry does not depend on the other
+    points: a point alone gives the same bits.
     """
     # overflow at huge inputs is reported below, not warned about; 1 / Q'
     # at a clustered pole may divide by zero, and is dropped in _nodes
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rows = _row_matrix(inputs, cutoff)
         n = len(rows)
-        # one pole set (k = 1) where the points agree bit for bit in the
-        # inputs that fix it; a detuning grid already differs at its ends
-        k = n
-        if n > 1 and inputs[_DELTA_INPUT, 0] == inputs[_DELTA_INPUT, -1]:
-            bits = inputs.view(np.int64).take(_POLE_INPUTS, 0)
-            k = 1 if (bits == bits[:, :1]).all() else n
+        # one pole set (k = 1) where no input that fixes it is a column
+        k = n if n > 1 and any(isinstance(inputs[i], np.ndarray)
+                               for i in _POLE_INPUTS) else 1
         re = rows[:k].real
         ev, max_re, live, errors = _stack_verdicts(
             re[:, _DRIFT].reshape(k, 4, 4), re[:, _RH] > 0.0, re[:, _WM])
@@ -509,6 +546,7 @@ def _variances(inputs: np.ndarray, cutoff: float):
     if np.count_nonzero(ok) == n:
         return value, {}
     failures = {}
+    deltas = np.broadcast_to(inputs[_DELTA_INPUT], n).tolist()
     for i in (~ok).nonzero()[0].tolist():
         j = i % k  # the point's pole set
         if live[j]:
@@ -516,9 +554,8 @@ def _variances(inputs: np.ndarray, cutoff: float):
         else:
             margin = -float(max_re[j])
             failures[i] = errors[j] or UnstableOperatingPoint(
-                f"no stationary state at detuning "
-                f"{float(inputs[_DELTA_INPUT, i])!r} rad/s (stability margin "
-                f"{margin!r} rad/s)", margin)
+                f"no stationary state at detuning {deltas[i]!r} rad/s "
+                f"(stability margin {margin!r} rad/s)", margin)
     return value, failures
 
 
@@ -551,7 +588,7 @@ def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
         If the variance overflows, leaks a non-negligible imaginary
         part or comes out non-positive.
     """
-    value, failures = _variances(_point_inputs([(p, d, s)]), quad.cutoff)
+    value, failures = _variances(_point_inputs([(p, d, s)]), _cutoff(quad))
     if failures:
         raise failures[0]
     return float(value[0])

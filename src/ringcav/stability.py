@@ -50,12 +50,12 @@ def _drift_entries(wm, kappa, gm, g, chi, delta, u, v) -> tuple:
     u + i v, on floats or arrays."""
     zero = 0.0 * wm  # in the inputs' shape (omega_m > 0)
     gchi2 = 2.0 * g * chi
-    gu = gchi2 * u
+    ngu = -(gchi2 * u)
     gv = gchi2 * v
     return (zero, wm, zero, zero,
-            -wm, -gm, -gu, -gv,
+            -wm, -gm, ngu, -gv,
             gv, zero, -kappa, delta,
-            -gu, zero, -delta, -kappa)
+            ngu, zero, -delta, -kappa)
 
 
 def eigenvalues(a: np.ndarray) -> np.ndarray:

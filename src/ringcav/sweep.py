@@ -6,19 +6,21 @@ criteria at every point; unstable points are reported as such instead
 of aborting the scan.  Rows come back in grid order.  The rows, and the
 minimiser's grids, are solved as stacks of up to _CHUNK operating points
 (one eigen-solve and one residue sum each); a row equals the
-``entanglement_result`` at its point bit for bit.  A temperature or
-squeezing sweep at its fixed detuning leaves the drift matrix as it is,
-and _variances, which sees that from a stack's own inputs, solves that
-one matrix once (the eigen-solve, the stability verdicts and the pole
-weights) and broadcasts it against the rows' own bath and squeezing
-columns.  On every axis a
-stack's steady-state inputs come straight from its detuning array (the
-swept detunings, or the fixed delta on each row), with no SteadyState
+``entanglement_result`` at its point bit for bit.  A stack's inputs
+are floats where all its rows share them and columns where they vary.
+Its steady-state inputs come straight from its detunings (the swept
+grid, or the one fixed delta of the other axes), with no SteadyState
 per point, and the parameters are derived once: a temperature, power
 or squeezing sweep carries its field as a column through derive_params'
-arithmetic and checks.  The stacks stop at the first row that fails
-(see _solve and run_sweep), and that row alone goes through
-entanglement_result, which raises its error as a row-by-row loop would.
+arithmetic and checks.  A stack shares one pole set when none of its
+pole inputs is a column: a temperature or squeezing sweep at its fixed
+detuning leaves the drift matrix as it is, so _row_matrix builds that
+matrix once and _variances solves it once (the eigen-solve, the
+stability verdicts and the pole weights) and broadcasts it against the
+rows' own bath and squeezing columns.  The stacks stop at the first
+row that fails (see _solve and run_sweep), and that row alone goes
+through entanglement_result, which raises its error as a row-by-row
+loop would.
 
 The minimiser works in units of the cavity linewidth kappa and of the
 mechanical frequency omega_m: a coarse grid of spacing
@@ -46,7 +48,7 @@ from .errors import (InternalInconsistency, InvalidParameter,
                      NumericalFailure, NoStablePoint, UnstableOperatingPoint)
 from .model import (DerivedParams, PhysicalParams, _derive_column, _leading,
                     _violation, derive_params)
-from .spectra import (QuadratureConfig, _inputs, _variances,
+from .spectra import (QuadratureConfig, _cutoff, _inputs, _variances,
                       entanglement_result, q_plus_variance)
 # re-exported: bench/tracing.py and bench/tests look it up here
 from .stability import stability_verdict  # noqa: F401
@@ -147,22 +149,28 @@ class SweepRow:
 _CHUNK = 256
 
 
-def _solve(p: PhysicalParams, d: DerivedParams, deltas: np.ndarray,
+def _solve(p: PhysicalParams, d: DerivedParams, deltas, points: int,
            cutoff: float):
     """The variances, {row: margin} and the number k of rows solved in
     stacks of up to _CHUNK, up to the first detuning outside the band or
-    variance that fails; +inf where a row is unstable.  The fields of p
-    and d are floats, or columns as long as deltas.  _variances sees for
-    itself which stacks share one drift matrix."""
-    k = _leading(_in_band(deltas, p.cavity_decay))
+    variance that fails; +inf where a row is unstable.  deltas is the
+    detuning grid (points) or a fixed detuning, and the fields of p and
+    d are floats, or columns of points entries.  _variances sees from
+    the form of a stack's inputs whether its rows share one drift
+    matrix."""
+    # as no axis moves kappa, a fixed delta is in the band on every row
+    # or on none: only a detuning grid stops short of its points
+    grid = isinstance(deltas, np.ndarray)
+    ok = _in_band(deltas, p.cavity_decay)
+    k = _leading(ok) if grid else points if ok else 0
     values, margins = np.empty(k), {}
     if not k:  # d may be None
         return values, margins, k
-    # as no axis moves kappa, a fixed delta is in the band on every row
-    # or on none, and a column then has the k entries of deltas[:k]
-    inputs = _inputs(p, d, deltas[:k])
+    inputs = _inputs(p, d, deltas[:k] if grid else deltas)
     for start in range(0, k, _CHUNK):
-        v, failures = _variances(inputs[:, start:start + _CHUNK], cutoff)
+        v, failures = _variances(
+            [x[start:start + _CHUNK] if isinstance(x, np.ndarray) else x
+             for x in inputs], cutoff)
         values[start:start + len(v)] = v
         for i, err in failures.items():
             if not isinstance(err, UnstableOperatingPoint):
@@ -208,12 +216,14 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     field = spec.axis.value
     if spec.axis is SweepAxis.DETUNING:
         p, d, deltas = spec.fixed, derive_params(spec.fixed), grid
+        n = spec.points
     else:
+        # the rows that derive_params accepts, all at the one detuning
         p, d = _derive_column(spec.fixed, field, grid)
-        deltas = np.full(len(getattr(p, field)), spec.delta)
-    var_p, margins, k = _solve(p, d, deltas, spec.quadrature.cutoff)
+        deltas, n = float(spec.delta), len(getattr(p, field))
+    var_p, margins, k = _solve(p, d, deltas, n, spec.quadrature.cutoff)
     if k:
-        var_q = np.broadcast_to(q_plus_variance(p, d), deltas.shape)[:k]
+        var_q = np.broadcast_to(q_plus_variance(p, d), n)[:k]
         with np.errstate(over="ignore", invalid="ignore"):
             prod = var_q * var_p
             tot = var_q + var_p
@@ -250,7 +260,7 @@ def _grid_variances(p: PhysicalParams, d: DerivedParams, deltas,
     """The variance at each detuning, +inf where the point is unstable,
     solved in stacks; the first point that fails goes to _raise_at."""
     deltas = np.asarray(deltas, float)
-    values, _, k = _solve(p, d, deltas, quad.cutoff)
+    values, _, k = _solve(p, d, deltas, len(deltas), _cutoff(quad))
     if k < len(deltas):
         delta = float(deltas[k])
         _raise_at(f"at detuning {delta!r} rad/s", p, d, delta, quad)

@@ -13,11 +13,13 @@ from oracles import (breakpoints as _breakpoints, denominator,
                      mpmath_momentum_variance, raw_terms, thermal_weight,
                      transfer_density, trapezoid_momentum_variance)
 from ringcav.constants import HBAR, KB
+from ringcav.model import _derive_column
 from ringcav.quadrature import integrate_adaptive
-from ringcav.spectra import (_BETA, _BL, _DRIFT, _KT, _POLE_GAP, _RH,
-                             _SCALE, _SHIFT_PER_WM, _WM, _ZFAC, _binet,
-                             _exp_e1, _point_inputs, _product_sum,
-                             _row_matrix, _simple_weights, _variances)
+from ringcav.spectra import (_BETA, _BL, _DRIFT, _KT, _POINTWISE,
+                             _POLE_GAP, _RH, _SCALE, _SHIFT_PER_WM, _WM,
+                             _ZFAC, _binet, _exp_e1, _inputs, _point_inputs,
+                             _product_sum, _row_matrix, _simple_weights,
+                             _variances)
 from ringcav.stability import _stack_verdicts
 
 DELTA_965 = 5741920.308892601
@@ -46,6 +48,25 @@ def test_quadrature_config_defaults_and_bounds():
             rc.QuadratureConfig(cutoff=bad)
     assert rc.QuadratureConfig(cutoff=2.5).cutoff == 2.5
     assert rc.QuadratureConfig(cutoff=1e5).cutoff == 1e5
+
+
+@pytest.mark.parametrize("quad", [None, 50.0, {"cutoff": 50.0}],
+                         ids=["None", "float", "dict"])
+@pytest.mark.parametrize("call", ["momentum_variance", "entanglement_result",
+                                  "minimize_over_detuning"])
+def test_a_quad_that_is_not_a_quadrature_config_is_refused(baseline, call,
+                                                           quad):
+    # these used to fail with an AttributeError on quad.cutoff
+    p, d, s = _ref_state(baseline)
+    args = {"momentum_variance": (p, d, s),
+            "entanglement_result": (p, d, DELTA_965),
+            "minimize_over_detuning": (p, d, (0.5, 1.5))}[call]
+    with pytest.raises(rc.InvalidParameter) as exc:
+        getattr(rc, call)(*args, quad)
+    assert (exc.value.field, exc.value.value, exc.value.bound) == (
+        "quad", quad, "a QuadratureConfig")
+    with pytest.raises(rc.InvalidParameter):
+        getattr(rc, call)(*args, quad=quad)
 
 
 def test_response_denominator_frozen_value(baseline):
@@ -623,13 +644,18 @@ _NOISE_ROWS = {"temp": 2, "nsq": 6, "mre": 7, "mim": 8}
                          ids=["same", *_NOISE_ROWS, *_POLE_ROWS])
 def test_a_stack_shares_its_poles_where_its_inputs_do(baseline, monkeypatch,
                                                       row, solved):
-    # five points at the reference point, the last one moved by a relative
-    # 1e-9 in one input (by 1e-9 where it is zero)
-    inputs = np.repeat(_point_inputs([_ref_state(baseline)]), 5, axis=1)
+    # five points at the reference point, every input a float but one
+    # column whose last entry moves by a relative 1e-9 (by 1e-9 where it
+    # is zero); "same" has a column in each of T, N and M, all five
+    # entries equal
+    point = _point_inputs([_ref_state(baseline)])[:, 0].tolist()
+    inputs = list(point)
+    for i in _NOISE_ROWS.values() if row is None else [row]:
+        inputs[i] = np.full(5, point[i])
     if row is not None:
-        x = inputs[row, -1]
-        inputs[row, -1] = x * (1.0 + 1e-9) if x else 1e-9
-        assert inputs[row, -1] != x
+        x = point[row]
+        inputs[row][-1] = x * (1.0 + 1e-9) if x else 1e-9
+        assert inputs[row][-1] != x
     shapes = []
     eigvals = np.linalg.eigvals
 
@@ -641,8 +667,78 @@ def test_a_stack_shares_its_poles_where_its_inputs_do(baseline, monkeypatch,
     values, failures = _variances(inputs, 50.0)
     assert shapes == [solved] and not failures
     for i in range(5):
-        (want,), alone = _variances(inputs[:, i:i + 1], 50.0)
+        (want,), alone = _variances(_point_of(inputs, i), 50.0)
         assert not alone and values[i].hex() == want.hex()
+
+
+def _point_of(inputs, i):
+    """Point i of a stack's inputs, as 13 floats."""
+    return [float(x[i]) if isinstance(x, np.ndarray) else x for x in inputs]
+
+
+# the inputs that each stack form has as columns
+_FORMS = {"detuning": {9, 10, 11, 12}, "bath_temp": {2},
+          "squeeze_r": {6, 7, 8}, "laser_power": {10, 11, 12}}
+
+
+def _stack(baseline, form, n):
+    """The inputs of an n-point stack in the form of a detuning sweep
+    from the double pole at zero detuning into unstable points, or of a
+    sweep of the field form at a fixed detuning: the double pole for
+    temperature and squeezing, 0.965 omega_m for the power sweep into
+    instability."""
+    p, d = baseline
+    wm = p.mech_freq
+    if form == "detuning":
+        return _inputs(p, d, np.linspace(0.0, 1.7, n) * wm)
+    stop = {"bath_temp": 5e-3, "squeeze_r": 2.0, "laser_power": 0.5}[form]
+    q, e = _derive_column(p, form, np.linspace(0.0, stop, n))
+    return _inputs(q, e, 0.965 * wm if form == "laser_power" else 0.0)
+
+
+@pytest.mark.parametrize("form", _FORMS)
+@pytest.mark.parametrize("n", [1, 2, _POINTWISE, _POINTWISE + 1, 24, 37,
+                               300])
+def test_every_stack_form_gives_the_bits_of_its_points(baseline, monkeypatch,
+                                                       form, n):
+    # a stack's rows and variances, built point by point up to _POINTWISE
+    # points and by one column-wise _columns call beyond, against its
+    # points one at a time and against the same stack with every input a
+    # column (13, n)
+    inputs = _stack(baseline, form, n)
+    assert {i for i, x in enumerate(inputs)
+            if isinstance(x, np.ndarray)} == _FORMS[form]
+    assert all(len(x) == n for x in inputs if isinstance(x, np.ndarray))
+    points = [_point_of(inputs, i) for i in range(n)]
+    full = np.array([np.broadcast_to(x, n) for x in inputs])
+    calls = []
+    columns = rc.spectra._columns
+
+    def counted(*args):
+        calls.append(args)
+        return columns(*args)
+
+    monkeypatch.setattr(rc.spectra, "_columns", counted)
+    rows = _row_matrix(inputs, 50.0)
+    assert len(calls) == (n if n <= _POINTWISE else 1)
+    monkeypatch.undo()
+    ones = np.concatenate([_row_matrix(pt, 50.0) for pt in points])
+    assert rows.shape == (n, _BETA + 3)
+    assert rows.tobytes() == ones.tobytes()
+    assert rows.tobytes() == _row_matrix(full, 50.0).tobytes()
+
+    def solved(stack):
+        values, failures = _variances(stack, 50.0)
+        return ([v.hex() for i, v in enumerate(values.tolist())
+                 if i not in failures],
+                {i: (type(e), str(e)) for i, e in failures.items()})
+
+    alone = [solved(pt) for pt in points]
+    want = ([v for vs, _ in alone for v in vs],
+            {i: e for i, (_, f) in enumerate(alone) for e in f.values()})
+    assert solved(inputs) == want == solved(full)
+    if n == 300 and form in ("detuning", "laser_power"):
+        assert 0 < len(want[1]) < n  # stable and unstable points
 
 
 def test_stack_rows_equal_stacks_of_one():

@@ -154,7 +154,7 @@ def test_detuning_array_gives_the_steady_state_bits(kappa_per_wm, mw):
     states = [rc.steady_state_at_detuning(p, d, float(x)) for x in deltas]
     want = np.array([(s.detuning, s.amplitude.real, s.amplitude.imag,
                       s.photon_number) for s in states]).T
-    assert got[9:].tobytes() == want.tobytes()
+    assert np.array(got[9:]).tobytes() == want.tobytes()
 
 
 _CORNER_WM = (1e-20, 1.0, 1e20)
@@ -188,8 +188,8 @@ def test_amplitude_at_the_domain_corners():
                       for x in deltas]
         want = np.array([(s.detuning, s.amplitude.real, s.amplitude.imag,
                           s.photon_number) for s in states]).T
-        assert got[9:].tobytes() == want.tobytes(), (wm, ratio, watts,
-                                                       scaled)
+        assert np.array(got[9:]).tobytes() == want.tobytes(), (
+            wm, ratio, watts, scaled)
         for x, s in zip(deltas, states):
             exact = d.drive_eps / complex(kappa, x)
             assert abs(s.amplitude - exact) <= 4e-16 * abs(exact)

@@ -6,6 +6,7 @@ import pytest
 
 import ringcav as rc
 from ringcav import sweep as sweep_mod
+from ringcav.spectra import _DELTA_INPUT
 
 _WM = rc.baseline_params().mech_freq
 
@@ -844,8 +845,10 @@ def test_unstable_rows_mid_stack_leave_their_neighbours_be():
 
 
 def test_eigen_solves_per_sweep_and_minimiser(baseline, monkeypatch):
-    # one stacked eigen-solve and one column-wise row build per chunk of
-    # rows and per minimiser grid: no row-by-row fallback
+    # one stacked eigen-solve per chunk of rows and per minimiser grid,
+    # and one column-wise row build for each, but the probe's three
+    # points, which _row_matrix builds one at a time: no row-by-row
+    # fallback
     p, d = baseline
     wm = p.mech_freq
     solves = []
@@ -858,7 +861,7 @@ def test_eigen_solves_per_sweep_and_minimiser(baseline, monkeypatch):
         return eigvals(a)
 
     def counted_columns(*args):
-        builds.append(np.shape(args[0]))
+        builds.append(np.shape(args[_DELTA_INPUT]))
         return columns(*args)
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
@@ -868,7 +871,7 @@ def test_eigen_solves_per_sweep_and_minimiser(baseline, monkeypatch):
                                      points=200, fixed=p))
     assert len(rows) == 200
     assert len(solves) <= math.ceil(200 / sweep_mod._CHUNK)
-    assert len(builds) == math.ceil(200 / sweep_mod._CHUNK)
+    assert builds == [(200,)]
 
     solves.clear()
     builds.clear()
@@ -885,9 +888,11 @@ def test_eigen_solves_per_sweep_and_minimiser(baseline, monkeypatch):
                                       wm)
     # a refinement grid, then a parabolic probe of three points
     assert grids == [coarse, sweep_mod._REFINE_POINTS, 3] == [37, 24, 3]
-    assert len(solves) == len(builds) == len(grids)
-    # every build runs on a stack's arrays, none on one point's floats
-    assert builds.count(()) == 0
+    assert len(solves) == len(grids)
+    # the grids' builds run on their detuning columns, the probe's on
+    # one point's floats at a time
+    assert 3 <= rc.spectra._POINTWISE < 24
+    assert builds == [(37,), (24,), (), (), ()]
 
 
 @pytest.mark.parametrize("axis, start, stop, stacks", [
