@@ -209,16 +209,18 @@ def _bose_kernel(q: np.ndarray, lim, kt, bl, zfac) -> np.ndarray:
     From beta L = pi on (where _columns sets i / (2 pi kt)), Binet's
     integral less the tail, where n = sum_k exp(-k beta w) gives exp(-k
     beta L) G(k beta (L -+ q)) summed over -+, G = _exp_e1, negligible
-    from k beta L = 39 on.  Below, the Bernoulli series of n, termwise
-    against f_m = int_0^1 u^2m / (u^2 - rho^2) du."""
+    from k beta L = 39 on; its rows go through _paired.  Below, the
+    Bernoulli series of n, termwise against f_m = int_0^1 u^2m / (u^2 -
+    rho^2) du, at every point: its atanh(1 / rho) is odd, and atanh(-z)
+    is not -atanh(z) bit for bit."""
     # count_nonzero: the cheapest any() and all() on a short array
     if np.count_nonzero(zfac) == len(zfac):  # Binet's formula on every row
-        return _binet_less_tail(q, lim, kt, bl, zfac)
+        return _paired(_binet_less_tail, q, lim, kt, bl, zfac)
     out = np.zeros_like(q)
     warm = (zfac[:, 0] != 0.0).nonzero()[0]
     if warm.size:
-        out[warm] = _binet_less_tail(q[warm], lim[warm], kt[warm], bl[warm],
-                                     zfac[warm])
+        out[warm] = _paired(_binet_less_tail, q[warm], lim[warm], kt[warm],
+                            bl[warm], zfac[warm])
     cool = ((kt.real[:, 0] > 0.0) & (bl.real[:, 0] < math.pi)).nonzero()[0]
     if cool.size:
         out[cool] = _bernoulli_kernel(q[cool], bl[cool].real,
@@ -269,6 +271,38 @@ def _bernoulli_kernel(q: np.ndarray, bl: np.ndarray,
             - np.arctanh(v / (v + 2.0))
             + (2.0 * _BERNOULLI * bl[..., None] ** (2 * m - 1)
                * f[..., 1:]).sum(-1))
+
+
+def _vacuum(q: np.ndarray, lim) -> np.ndarray:
+    """The vacuum kernel atanh(v / (v - 2)) + atanh(v / (v + 2)) = log(1 -
+    v^2) / 2, v = L / q, at points q (m, k) with the rows' windows L (m,
+    1)."""
+    v = lim / q
+    return np.arctanh(v / (v - 2.0)) + np.arctanh(v / (v + 2.0))
+
+
+def _paired(f, q: np.ndarray, *cols) -> np.ndarray:
+    """f(q, *cols) at points q (m, k) with their rows' columns (m, 1), for
+    an elementwise kernel f with f(-conj z) = conj(f(z)) bit for bit.
+
+    Above _PAIRED rows of four points, a slot 1 or 3 whose bits are -conj
+    of slot 0 or 2 takes the conjugate of that slot's value, and f runs
+    on slots 0 and 2 and on the slots that mirror nothing.  A real drift
+    matrix's poles r_j = i lambda_j come so: LAPACK writes a complex pair
+    of eigenvalues as l, conj(l) in adjacent slots, and i conj(l) =
+    -conj(i l); a real eigenvalue (at low detuning, say) mirrors none."""
+    m = len(q)
+    if m <= _PAIRED or q.shape[1] != 4:
+        return f(q, *cols)
+    bits = q.view(np.uint64).reshape(m, 2, 2, 2)  # row, pair, slot, re/im
+    r, j = (bits[:, :, 1] != bits[:, :, 0] ^ _NEG_CONJ).any(-1).nonzero()
+    out = np.empty_like(q)
+    out[:, ::2] = f(q[:, ::2], *cols)
+    np.conjugate(out[:, ::2], out=out[:, 1::2])
+    if r.size:
+        j = 2 * j + 1
+        out[r, j] = f(q[r, j, None], *[c[r] for c in cols])[:, 0]
+    return out
 
 
 def _simple_weights(r: np.ndarray, shift: np.ndarray, gap: np.ndarray):
@@ -382,6 +416,13 @@ _POLE_INPUTS = (0, 1, 3, 4, 5, 9, 10, 11, 12)
 # floats: a detuning grid's rows cost about the same both ways at 11
 # to 12 points (a stack with fewer columns crosses over sooner)
 _POINTWISE = 11
+# kernels on more rows than this take a pole pair's mirror slot as the
+# conjugate of its partner (_paired): at 41.4 uK a detuning grid gains
+# from about 40 points on (hotter rows, with more E1 tail terms, sooner),
+# and the minimiser's stacks of 37, 24 and 3 points stay below
+_PAIRED = 64
+# -conj(x + iy) = -x + iy: the sign bit of the real part
+_NEG_CONJ = np.array([1 << 63, 0], dtype=np.uint64)
 
 
 def _parameters(p: PhysicalParams, d: DerivedParams) -> tuple:
@@ -470,7 +511,11 @@ def _residue_sums(q: np.ndarray, wt: np.ndarray, shift: np.ndarray,
     log(1 - L / q) on [0, L], its Bose half _bose_kernel, and as H(w) =
     w^2 bath(w) / (d(w) d(-w)) is even, -q adds the vacuum term at q with
     v = L / q negated.  A row's terms make one pairwise sum whose length
-    M alone sets, so no row depends on another.
+    M alone sets, so no row depends on another.  The vacuum and Bose
+    kernels go through _paired, which evaluates them once per conjugate
+    pole pair on more than _PAIRED rows of four poles; the pieces'
+    atanh(L / (s - q)) is formed at every pole, as atanh(-z) is not
+    -atanh(z) bit for bit.
     """
     m, k = len(rows), len(q)
     lim, _, scale, kt, bl, zfac, k4 = rows.T[_L:_ALPHA, :, None]  # (m, 1)
@@ -483,12 +528,11 @@ def _residue_sums(q: np.ndarray, wt: np.ndarray, shift: np.ndarray,
     # the numerator times g before the weight: where that overflows, the
     # variance is reported as not finite
     residues = g * (alpha * (beta + g)) * wt
-    # atanh(L / (s - q)), at s = 0 (piece a) -atanh(L / q)
+    # atanh(L / (s - q)), at s = 0 (piece a) -atanh(L / q), per pole
     t = np.arctanh(window[..., None] / (shift - q[:, None]))
-    v = window / q
     kd2 = beta[:, 0]
     hq = scale * (q * (ga * wt[:, 0] * ((kd2 - ga) ** 2 + k4 * ga)))
-    vacuum = hq * (np.arctanh(v / (v - 2.0)) + np.arctanh(v / (v + 2.0)))
+    vacuum = hq * _paired(_vacuum, q, window)
     # the shared pole set for every row; where k = m, copies would cost a
     # stack of one about 1.5 us
     if k < m:

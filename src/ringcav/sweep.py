@@ -39,7 +39,9 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from typing import NoReturn
 
 import numpy as np
@@ -106,7 +108,7 @@ class SweepSpec:
             raise InvalidParameter("points", self.points, "an integer >= 2")
         # a numpy integer is kept as the int that it stands for
         object.__setattr__(self, "points", operator.index(self.points))
-        if self.points > 1_000_000:  # a row holds about 0.9 KB
+        if self.points > 1_000_000:  # a row holds about 0.8 KB
             raise InvalidParameter("points", self.points, "at most 1000000")
         for f in ("start", "stop"):
             err = _violation(f, getattr(self, f), "finite", math.isfinite)
@@ -128,7 +130,7 @@ class SweepSpec:
             raise err
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One grid point of a sweep.
 
@@ -147,6 +149,9 @@ class SweepRow:
 
 # operating points per stacked solve: bounds the memory of a long sweep
 _CHUNK = 256
+# SweepRow's slot setters in field order: run_sweep fills its stable rows
+# through them, without the frozen __init__'s object.__setattr__ calls
+_SLOTS = [getattr(SweepRow, f.name).__set__ for f in fields(SweepRow)]
 
 
 def _solve(p: PhysicalParams, d: DerivedParams, deltas, points: int,
@@ -238,8 +243,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             q, delta = replace(spec.fixed, **{field: values[k]}), spec.delta
         _raise_at(f"at axis value {values[k]!r}", q, derive_params(q), delta,
                   spec.quadrature)
-    rows = [SweepRow(*row, True) for row in zip(
-        values, var_q.tolist(), var_p.tolist(), prod.tolist(), tot.tolist())]
+    rows = list(map(object.__new__, repeat(SweepRow, len(values))))
+    for put, column in zip(_SLOTS, (
+            values, var_q.tolist(), var_p.tolist(), prod.tolist(),
+            tot.tolist(), repeat(True), repeat(None))):
+        deque(map(put, rows, column), 0)
     for i, margin in margins.items():
         rows[i] = SweepRow(values[i], None, None, None, None, False,
                            f"unstable, margin {margin!r} rad/s")

@@ -15,10 +15,11 @@ from oracles import (breakpoints as _breakpoints, denominator,
 from ringcav.constants import HBAR, KB
 from ringcav.model import _derive_column
 from ringcav.quadrature import integrate_adaptive
-from ringcav.spectra import (_BETA, _BL, _DRIFT, _KT, _POINTWISE,
-                             _POLE_GAP, _RH, _SCALE, _SHIFT_PER_WM, _WM,
-                             _ZFAC, _binet, _exp_e1, _inputs, _point_inputs,
-                             _product_sum, _row_matrix, _simple_weights,
+from ringcav.spectra import (_BETA, _BL, _DRIFT, _KT, _L, _PAIRED,
+                             _POINTWISE, _POLE_GAP, _RH, _SCALE,
+                             _SHIFT_PER_WM, _WM, _ZFAC, _binet, _bose_kernel,
+                             _exp_e1, _inputs, _point_inputs, _product_sum,
+                             _row_matrix, _simple_weights, _vacuum,
                              _variances)
 from ringcav.stability import _stack_verdicts
 
@@ -698,13 +699,14 @@ def _stack(baseline, form, n):
 
 @pytest.mark.parametrize("form", _FORMS)
 @pytest.mark.parametrize("n", [1, 2, _POINTWISE, _POINTWISE + 1, 24, 37,
-                               300])
+                               _PAIRED, _PAIRED + 1, 300])
 def test_every_stack_form_gives_the_bits_of_its_points(baseline, monkeypatch,
                                                        form, n):
     # a stack's rows and variances, built point by point up to _POINTWISE
-    # points and by one column-wise _columns call beyond, against its
-    # points one at a time and against the same stack with every input a
-    # column (13, n)
+    # points and by one column-wise _columns call beyond, with its kernels
+    # evaluated once per conjugate pole pair beyond _PAIRED points,
+    # against its points one at a time and against the same stack with
+    # every input a column (13, n)
     inputs = _stack(baseline, form, n)
     assert {i for i, x in enumerate(inputs)
             if isinstance(x, np.ndarray)} == _FORMS[form]
@@ -741,13 +743,15 @@ def test_every_stack_form_gives_the_bits_of_its_points(baseline, monkeypatch,
         assert 0 < len(want[1]) < n  # stable and unstable points
 
 
-def test_stack_rows_equal_stacks_of_one():
+def test_stack_rows_equal_stacks_of_one(monkeypatch):
     # the column-wise rows of a stack against its points one at a time:
     # no Bose part (T = 0), Binet's formula alone, beta L at and just
     # below pi (the Bernoulli series), E1 tails changing from 2 to 1 and
     # from 1 to 0 terms at k beta L = 39, a squeeze phase, the four-mirror
     # geometry, a double pole (zero detuning) and unstable points, these
-    # also with no Bose part, an E1 tail and the Bernoulli series
+    # also with no Bose part, an E1 tail and the Bernoulli series; then
+    # sweep-form stacks whose kernels _paired evaluates once per
+    # conjugate pole pair
     wm = rc.baseline_params().mech_freq
     edges = {b: _temps_around(b, 50.0, wm) for b in (math.pi, 19.5, 39.0)}
     variants = [dict(bath_temp=t) for t in [0.0, 41.4e-6]
@@ -787,6 +791,59 @@ def test_stack_rows_equal_stacks_of_one():
         else:
             assert i not in failures
             assert values[i].hex() == want.hex()
+
+    # beyond _PAIRED points: a 200-row detuning grid from 0.3 omega_m at
+    # 10^-2.5 W, whose first three rows have two real optical
+    # eigenvalues (slots 2 and 3 mirror nothing there), a temperature
+    # sweep at 0.965 omega_m, 100 rows from 0 to 1 mK, whose hotter rows
+    # take the E1 tail, and that grid in a window of 2.1 omega_m at 10 to
+    # 60 uK, across beta L = pi with more than _PAIRED rows, each with
+    # its own poles, on either side
+    p = rc.baseline_params(laser_power=10.0 ** -2.5)
+    d = rc.derive_params(p)
+    grid = _inputs(p, d, np.linspace(0.3, 1.7, 200) * wm)
+    ev = np.linalg.eigvals(
+        _row_matrix(grid, 50.0)[:, _DRIFT].real.reshape(-1, 4, 4))
+    assert (ev.imag == 0.0).sum(1).tolist() == [2] * 3 + [0] * 197
+    q, e = _derive_column(p, "bath_temp", np.linspace(0.0, 1e-3, 100))
+    hot = list(grid)
+    hot[2] = np.linspace(10e-6, 60e-6, 200)
+    stacks = [(grid, 50.0), (_inputs(q, e, 0.965 * wm), 50.0), (hot, 2.1)]
+    for (inputs, cutoff), cool in zip(stacks[1:], (1, _PAIRED + 1)):
+        rows = _row_matrix(inputs, cutoff)
+        binet = rows[:, _ZFAC] != 0.0
+        assert np.count_nonzero(binet) > _PAIRED
+        assert (binet & (rows[:, _BL].real < 39.0)).any()
+        assert np.count_nonzero(rows[:, _BL].real < math.pi) >= cool
+    for inputs, cutoff in stacks:
+        values, failures = _variances(inputs, cutoff)
+        assert not failures
+        for i, v in enumerate(values.tolist()):
+            (want,), alone = _variances(_point_of(inputs, i), cutoff)
+            assert not alone and v.hex() == want.hex()
+
+    # the work: on a 200-row detuning grid at 200 uK, every row on
+    # Binet's formula with an E1 tail and every pole in a mirrored pair,
+    # _binet and _exp_e1 see half the elements of the unpaired route
+    p = rc.baseline_params(bath_temp=200e-6)
+    grid = _inputs(p, rc.derive_params(p), np.linspace(0.5, 1.5, 200) * wm)
+    seen = {"_binet": [], "_exp_e1": []}
+    for name, got in seen.items():
+        kernel = getattr(rc.spectra, name)
+        monkeypatch.setattr(rc.spectra, name,
+                            lambda z, k=kernel, got=got:
+                            got.append(z.size) or k(z))
+    paired = _variances(grid, 50.0)
+    counts = {name: sum(got) for name, got in seen.items()}
+    for got in seen.values():
+        got.clear()
+    monkeypatch.setattr(rc.spectra, "_PAIRED", 200)
+    unpaired = _variances(grid, 50.0)
+    assert {name: sum(got) for name, got in seen.items()} == {
+        name: 2 * c for name, c in counts.items()}
+    assert counts["_binet"] == 400 and counts["_exp_e1"] > 400
+    assert paired[0].tobytes() == unpaired[0].tobytes()
+    assert not paired[1] and not unpaired[1]
 
 
 def test_exp_e1_matches_mpmath():
@@ -863,10 +920,68 @@ def test_exp_e1_of_a_non_finite_argument_is_nan():
     assert got[len(bad):].tobytes() == _exp_e1(z[len(bad):]).tobytes()
 
 
+def _production_poles(n, seed):
+    """The poles r_j = i lambda_j (m, 4) at the stable ones of n seeded
+    operating points: squeezing r 0.3 to 1.7, power 10^-3.2 to 10^-1.7 W
+    and detuning 0.3 to 3 omega_m, in LAPACK's slot order."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for r, logp, x in zip(rng.uniform(0.3, 1.7, n), rng.uniform(-3.2, -1.7, n),
+                          rng.uniform(0.3, 3.0, n)):
+        p = rc.baseline_params(squeeze_r=r, laser_power=10.0 ** logp)
+        d = rc.derive_params(p)
+        points.append((p, d, rc.steady_state_at_detuning(p, d,
+                                                         x * p.mech_freq)))
+    drift = _row_matrix(_point_inputs(points), 50.0)[:, _DRIFT].real
+    q = 1j * np.linalg.eigvals(drift.reshape(-1, 4, 4))
+    return q[(q.imag < 0.0).all(1)]
+
+
+def test_the_bose_and_vacuum_kernels_are_conjugation_symmetric():
+    # f(-conj q) = conj(f(q)) byte for byte, which lets _paired take a
+    # mirrored pole's value as its partner's conjugate: at seeded
+    # production poles, each row alone, with no Bose part (T = 0), with
+    # Binet's formula alone (beta L >= 39) and with the E1 tail (pi <=
+    # beta L < 39), each on both _binet routes (every |z| below 4.79, or
+    # one above); the pieces' atanh(L / (s - q)) would need atanh(-z) =
+    # -atanh(z), which does not hold bit for bit, and stays per pole
+    q = _production_poles(60, 3030)
+    p = rc.baseline_params()
+    wm = p.mech_freq
+    routes = set()
+    for cutoff, beta_l in [(50.0, math.inf), (50.0, 55.0), (50.0, 2e3),
+                           (50.0, 11.0), (2.1, 30.0), (2.1, 5.0)]:
+        temp = (0.0 if beta_l == math.inf
+                else cutoff * wm * HBAR / (KB * beta_l))
+        pt = rc.baseline_params(bath_temp=temp)
+        dt = rc.derive_params(pt)
+        row = _row_matrix(_point_inputs(
+            [(pt, dt, rc.steady_state_at_detuning(pt, dt, DELTA_965))]),
+            cutoff)
+        lim, kt, bl, zfac = (row[:, [i]] for i in (_L, _KT, _BL, _ZFAC))
+        for qq in q[:, None]:
+            mirror = -qq.conj()
+            vacuum = _vacuum(qq, lim)
+            assert _vacuum(mirror, lim).tobytes() == vacuum.conj().tobytes()
+            bose = _bose_kernel(qq, lim, kt, bl, zfac)
+            if temp == 0.0:
+                assert not bose.any()
+                assert not _bose_kernel(mirror, lim, kt, bl, zfac).any()
+                continue
+            assert (_bose_kernel(mirror, lim, kt, bl, zfac).tobytes()
+                    == bose.conj().tobytes())
+            size = np.abs(qq * zfac).max()
+            routes.add((bl.real.item() < 39.0, size < 4.79))
+    assert routes == {(tail, full) for tail in (True, False)
+                      for full in (True, False)}
+
+
 def test_kernels_give_each_row_its_bits_alone():
     # _binet on an odd number of rows of four, with and without a row
-    # beyond |z| = 4.79, and _simple_weights on rows of poles: a stack's
-    # rows against the rows alone
+    # beyond |z| = 4.79, _simple_weights on rows of poles, and the Bose
+    # and vacuum kernels on more than _PAIRED rows of poles, which
+    # _paired evaluates once per conjugate pair: a stack's rows against
+    # the rows alone
     rng = np.random.default_rng(4791)
     z = (10.0 ** rng.uniform(-3.0, 0.6, (37, 4))
          * np.exp(1j * rng.uniform(-1.5, 1.5, (37, 4))))
@@ -886,3 +1001,21 @@ def test_kernels_give_each_row_its_bits_alone():
     assert simple.tobytes() == np.concatenate([w for w, _ in ones]).tobytes()
     assert close.tolist() == [bool(c[0]) for _, c in ones]
     assert close[0] and not close[1:].any()
+
+    # the 200-row grid from 0.3 omega_m at 10^-2.5 W, whose first three
+    # rows have real optical eigenvalues, in a 2.1 omega_m window at 0 to
+    # 60 uK: no Bose part, the E1 tail, and beta L below pi on more than
+    # _PAIRED rows (the Bernoulli series, whose atanh(1 / rho) is not
+    # conjugation-symmetric bit for bit)
+    p = rc.baseline_params(laser_power=10.0 ** -2.5)
+    inputs = _inputs(p, rc.derive_params(p), np.linspace(0.3, 1.7, 200) * wm)
+    inputs[2] = np.linspace(0.0, 60e-6, 200)
+    rows = _row_matrix(inputs, 2.1)
+    r = 1j * np.linalg.eigvals(rows[:, _DRIFT].real.reshape(-1, 4, 4))
+    cols = [rows[:, [i]] for i in (_L, _KT, _BL, _ZFAC)]
+    assert np.count_nonzero(rows[:, _BL].real < math.pi) > _PAIRED
+    assert (r.real == 0.0).any() and not rows[0, _KT]
+    for kernel, args in ((_bose_kernel, cols), (_vacuum, cols[:1])):
+        alone = np.concatenate([kernel(r[i:i + 1], *[c[i:i + 1] for c in args])
+                                for i in range(200)])
+        assert kernel(r, *args).tobytes() == alone.tobytes()

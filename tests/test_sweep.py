@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -98,6 +99,29 @@ def test_detuning_sweep_rows(baseline):
         assert row.sum == pytest.approx(
             row.var_q_plus + row.var_p_minus, rel=1e-15)
         assert row.branch_note is None
+
+
+def test_rows_filled_through_the_slots_are_sweep_rows():
+    # run_sweep fills its stable rows through SweepRow's slot setters;
+    # each equals, hashes, prints and pickles as the row that
+    # SweepRow(...) builds from its fields, stays frozen, and
+    # dataclasses.replace makes a new row from it
+    rows = rc.run_sweep(_spec(points=4))
+    for row in rows:
+        built = rc.SweepRow(*(getattr(row, f.name) for f in fields(row)))
+        assert type(row) is rc.SweepRow
+        assert row == built and hash(row) == hash(built)
+        assert repr(row) == repr(built)
+        assert not hasattr(row, "__dict__")
+        again = pickle.loads(pickle.dumps(row))
+        assert again == row and repr(again) == repr(row)
+        with pytest.raises(FrozenInstanceError):
+            row.var_p_minus = 0.0
+        other = replace(row, stable=False, branch_note="x")
+        assert (other.stable, other.branch_note) == (False, "x")
+        assert replace(other, stable=True, branch_note=None) == row
+    assert rows[0].stable and rows[0].branch_note is None
+    assert rows[0] != rows[1]
 
 
 def test_unstable_rows_are_flagged_not_fatal():
