@@ -42,7 +42,7 @@ from .model import DerivedParams, PhysicalParams, _each, _violation
 # bench/tracing.py and bench/tests look it up in this namespace
 from .quadrature import integrate_adaptive  # noqa: F401
 from .stability import _drift_entries, _hurwitz, _stack_verdicts
-from .steady import SteadyState, _field, steady_state_at_detuning
+from .steady import SteadyState, steady_state_at_detuning
 
 __all__ = [
     "QuadratureConfig",
@@ -425,58 +425,34 @@ _PAIRED = 64
 _NEG_CONJ = np.array([1 << 63, 0], dtype=np.uint64)
 
 
-def _parameters(p: PhysicalParams, d: DerivedParams) -> tuple:
-    """The first nine inputs of _columns, which p and d give, and the
-    drive eps."""
-    return (p.mech_freq, p.cavity_decay, p.bath_temp, d.gamma_m,
-            d.coupling_g, d.chi, d.n_squeeze, d.m_squeeze.real,
-            d.m_squeeze.imag, d.drive_eps)
-
-
-def _inputs(p: PhysicalParams, d: DerivedParams, deltas) -> list:
-    """_columns' 13 inputs at the detunings deltas, for the stacks of
-    every sweep axis and minimiser grid: a float where every point
-    shares the input, a column (n) where it varies.  The fields of p and
-    d are floats, or columns for a swept field and what derives from it;
-    deltas is a detuning grid (n) or one fixed detuning, from which the
-    steady state comes in the bits of steady_state_at_detuning.  A stack
-    none of whose _POLE_INPUTS is a column shares one pole set."""
-    par = _parameters(p, d)
-    inputs = (*par[:_DELTA_INPUT], deltas,
-              *_field(par[-1], p.cavity_decay, deltas))
+def _inputs(p: PhysicalParams, d: DerivedParams, delta, u, v, n) -> list:
+    """_columns' 13 inputs, the one builder of _variances' inputs: a
+    float where every point of the stack shares the input, a column with
+    an entry per point where it varies.  The fields of p and d are
+    floats, or columns for a swept field and what derives from it; the
+    steady state (the detuning delta, the amplitude c_s = u + i v and
+    the photon number n) comes from the caller: a point's SteadyState,
+    or steady._field on a stack's detunings.  A stack none of whose
+    _POLE_INPUTS is a column shares one pole set."""
+    inputs = (p.mech_freq, p.cavity_decay, p.bath_temp, d.gamma_m,
+              d.coupling_g, d.chi, d.n_squeeze, d.m_squeeze.real,
+              d.m_squeeze.imag, delta, u, v, n)
     return [x if isinstance(x, np.ndarray) else float(x) for x in inputs]
 
 
-def _point_inputs(points) -> np.ndarray:
-    """_columns' inputs (13, n) at operating points (p, d, s), with the
-    amplitude that each s holds."""
-    return np.array([(*_parameters(p, d)[:_DELTA_INPUT], s.detuning,
-                      s.amplitude.real, s.amplitude.imag, s.photon_number)
-                     for p, d, s in points], dtype=float).reshape(-1, 13).T
-
-
-def _size(inputs) -> int:
-    """The number of points of a stack: the length of its columns, 1
-    where it has none."""
-    for x in inputs:
-        if isinstance(x, np.ndarray):
-            return len(x)
-    return 1
-
-
 def _row_matrix(inputs, cutoff: float) -> np.ndarray:
-    """The _columns of a stack, one row (30) per point, from its 13
-    inputs (floats or columns (n), or an array (13, n) of columns).  Up
-    to _POINTWISE points are evaluated one at a time on floats.  A larger
-    stack runs _columns once on its inputs as they are, so an entry that
-    no column reaches (a shared stack's drift matrix and Routh-Hurwitz
-    verdict among them) is computed once and broadcast to every row."""
-    n = _size(inputs)
-    if n <= _POINTWISE:
-        # an array (13, n) gives its points in one call
-        points = (inputs.T.tolist() if isinstance(inputs, np.ndarray) else
-                  zip(*[x.tolist() if isinstance(x, np.ndarray) else [x] * n
-                        for x in inputs]))
+    """The _columns of a stack, one row (30) per point, from _inputs'
+    floats and columns (n).  A stack with no column is its one point,
+    and up to _POINTWISE points are evaluated one at a time on floats.
+    A larger stack runs _columns once on its inputs as they are, so an
+    entry that no column reaches (a shared stack's drift matrix and
+    Routh-Hurwitz verdict among them) is computed once and broadcast to
+    every row."""
+    n = next((len(x) for x in inputs if isinstance(x, np.ndarray)), None)
+    if n is None or n <= _POINTWISE:
+        points = [inputs] if n is None else zip(
+            *[x.tolist() if isinstance(x, np.ndarray) else [x] * n
+              for x in inputs])
         return np.array([_columns(*x, cutoff) for x in points],
                         dtype=complex)
     cols = _columns(*inputs, cutoff)
@@ -544,7 +520,7 @@ def _residue_sums(q: np.ndarray, wt: np.ndarray, shift: np.ndarray,
 
 def _variances(inputs, cutoff: float):
     """Momentum variances at a stack of operating points, given by
-    _columns' 13 inputs as _row_matrix takes them.
+    _columns' 13 inputs as _inputs builds them, a point's as floats.
 
     Returns the variances (n) and, in point order, {point: the
     RingCavError raised there} at the few points that have one, whose
@@ -621,7 +597,8 @@ def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
     The spectral density over [-cutoff, cutoff] * omega_m, summed
     exactly from the poles that the drift-matrix eigenvalues give; the
     same eigenvalues decide stability first.  A stack of one for
-    _variances, so a sweep row gives the same bits.
+    _variances, with the amplitude that s holds, so a sweep row gives
+    the same bits.
 
     Raises
     ------
@@ -632,7 +609,9 @@ def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
         If the variance overflows, leaks a non-negligible imaginary
         part or comes out non-positive.
     """
-    value, failures = _variances(_point_inputs([(p, d, s)]), _cutoff(quad))
+    value, failures = _variances(
+        _inputs(p, d, s.detuning, s.amplitude.real, s.amplitude.imag,
+                s.photon_number), _cutoff(quad))
     if failures:
         raise failures[0]
     return float(value[0])

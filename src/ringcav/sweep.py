@@ -54,7 +54,7 @@ from .spectra import (QuadratureConfig, _cutoff, _inputs, _variances,
                       entanglement_result, q_plus_variance)
 # re-exported: bench/tracing.py and bench/tests look it up here
 from .stability import stability_verdict  # noqa: F401
-from .steady import _in_band
+from .steady import _field, _in_band
 
 __all__ = [
     "SweepAxis",
@@ -160,9 +160,10 @@ def _solve(p: PhysicalParams, d: DerivedParams, deltas, points: int,
     stacks of up to _CHUNK, up to the first detuning outside the band or
     variance that fails; +inf where a row is unstable.  deltas is the
     detuning grid (points) or a fixed detuning, and the fields of p and
-    d are floats, or columns of points entries.  _variances sees from
-    the form of a stack's inputs whether its rows share one drift
-    matrix."""
+    d are floats, or columns of points entries.  The stacks' inputs come
+    from _inputs, with the steady state that steady._field gives at
+    deltas; _variances sees from their form whether a stack's rows share
+    one drift matrix."""
     # as no axis moves kappa, a fixed delta is in the band on every row
     # or on none: only a detuning grid stops short of its points
     grid = isinstance(deltas, np.ndarray)
@@ -171,7 +172,9 @@ def _solve(p: PhysicalParams, d: DerivedParams, deltas, points: int,
     values, margins = np.empty(k), {}
     if not k:  # d may be None
         return values, margins, k
-    inputs = _inputs(p, d, deltas[:k] if grid else deltas)
+    deltas = deltas[:k] if grid else deltas
+    inputs = _inputs(p, d, deltas, *_field(d.drive_eps, p.cavity_decay,
+                                           deltas))
     for start in range(0, k, _CHUNK):
         v, failures = _variances(
             [x[start:start + _CHUNK] if isinstance(x, np.ndarray) else x

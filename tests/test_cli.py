@@ -370,6 +370,18 @@ def test_non_finite_detuning_is_usage_error(command, value, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["branches", "--delta-per-wm=-1e-3"],
+    ["minimize", "--window", "-0.001", "0.5"],
+])
+def test_negative_values_in_the_documented_spellings_parse(argv, capsys):
+    # argparse reads a separate "-1e-3" as an option; the README gives
+    # these two spellings of a negative value instead
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert out and "error" not in err
+
+
+@pytest.mark.parametrize("argv", [
     ["branches", "--delta-per-wm", "1e300"],
     ["point", "--delta-per-wm", "1e300"],
     ["stability", "--delta-per-wm", "1e200"],

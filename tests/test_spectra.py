@@ -18,10 +18,10 @@ from ringcav.quadrature import integrate_adaptive
 from ringcav.spectra import (_BETA, _BL, _DRIFT, _KT, _L, _PAIRED,
                              _POINTWISE, _POLE_GAP, _RH, _SCALE,
                              _SHIFT_PER_WM, _WM, _ZFAC, _binet, _bose_kernel,
-                             _exp_e1, _inputs, _point_inputs, _product_sum,
-                             _row_matrix, _simple_weights, _vacuum,
-                             _variances)
+                             _exp_e1, _inputs, _product_sum, _row_matrix,
+                             _simple_weights, _vacuum, _variances)
 from ringcav.stability import _stack_verdicts
+from ringcav.steady import _field
 
 DELTA_965 = 5741920.308892601
 
@@ -34,6 +34,20 @@ C_AT_WM = -2.3182779644638919e-23 + 5.183909703918767e-23j
 VARIANCE_REF = 0.2647923816
 Q_PLUS_REF = 1.0006113107617336
 ONE_PLUS_2NBAR = 2.0012226215234672
+
+
+def _point_inputs(points):
+    """_variances' inputs (13, n) at operating points (p, d, s), with the
+    amplitude that each s holds: every input a column."""
+    return np.array([_inputs(p, d, s.detuning, s.amplitude.real,
+                             s.amplitude.imag, s.photon_number)
+                     for p, d, s in points]).reshape(-1, 13).T
+
+
+def _stack_inputs(p, d, deltas):
+    """_variances' inputs at the detunings deltas, as sweep._solve builds
+    them: the steady state from steady._field."""
+    return _inputs(p, d, deltas, *_field(d.drive_eps, p.cavity_decay, deltas))
 
 
 def _ref_state(baseline):
@@ -691,10 +705,10 @@ def _stack(baseline, form, n):
     p, d = baseline
     wm = p.mech_freq
     if form == "detuning":
-        return _inputs(p, d, np.linspace(0.0, 1.7, n) * wm)
+        return _stack_inputs(p, d, np.linspace(0.0, 1.7, n) * wm)
     stop = {"bath_temp": 5e-3, "squeeze_r": 2.0, "laser_power": 0.5}[form]
     q, e = _derive_column(p, form, np.linspace(0.0, stop, n))
-    return _inputs(q, e, 0.965 * wm if form == "laser_power" else 0.0)
+    return _stack_inputs(q, e, 0.965 * wm if form == "laser_power" else 0.0)
 
 
 @pytest.mark.parametrize("form", _FORMS)
@@ -729,18 +743,87 @@ def test_every_stack_form_gives_the_bits_of_its_points(baseline, monkeypatch,
     assert rows.tobytes() == ones.tobytes()
     assert rows.tobytes() == _row_matrix(full, 50.0).tobytes()
 
-    def solved(stack):
-        values, failures = _variances(stack, 50.0)
-        return ([v.hex() for i, v in enumerate(values.tolist())
-                 if i not in failures],
-                {i: (type(e), str(e)) for i, e in failures.items()})
-
-    alone = [solved(pt) for pt in points]
-    want = ([v for vs, _ in alone for v in vs],
-            {i: e for i, (_, f) in enumerate(alone) for e in f.values()})
-    assert solved(inputs) == want == solved(full)
+    alone = [_outcomes(pt, 50.0)[0] for pt in points]
+    assert _outcomes(inputs, 50.0) == alone == _outcomes(full, 50.0)
     if n == 300 and form in ("detuning", "laser_power"):
-        assert 0 < len(want[1]) < n  # stable and unstable points
+        # stable and unstable points
+        assert 0 < sum(isinstance(x, tuple) for x in alone) < n
+
+
+def _outcomes(inputs, cutoff):
+    """Each point's variance from _variances on a stack, as its hex, or
+    the type and message of its error."""
+    values, failures = _variances(inputs, cutoff)
+    return [(type(failures[i]), str(failures[i])) if i in failures
+            else v.hex() for i, v in enumerate(values.tolist())]
+
+
+# draws from the README input domain about the baseline: r (one in eight
+# where the residue sum overflows), power, bath temperature (beta L
+# crosses pi and 39 at both cutoffs) and detuning per omega_m, zero
+# (clustered poles) among them
+_R = st.integers(0, 7).flatmap(
+    lambda i: st.floats(295.0, 354.0) if i == 0 else st.floats(0.0, 2.5))
+_WATTS = st.floats(-3.5, -1.5).map(lambda x: 10.0 ** x)
+_TEMPS = st.just(0.0) | st.floats(-7.0, -2.5).map(lambda x: 10.0 ** x)
+_DELTAS_PER_WM = st.just(0.0) | st.floats(-0.5, 2.0)
+
+
+@st.composite
+def _any_stack(draw, n):
+    """A stack of n points' inputs and cutoff, and a permutation of its
+    points: points each with their own drawn inputs, or a stack of one
+    of _FORMS whose column takes drawn values at otherwise fixed drawn
+    inputs, a shared pole set for a temperature or squeeze stack."""
+    form = draw(st.sampled_from(["points", *_FORMS]))
+
+    def params():
+        return rc.baseline_params(
+            squeeze_r=draw(_R), laser_power=draw(_WATTS),
+            bath_temp=draw(_TEMPS),
+            squeeze_phase=draw(st.floats(-math.pi, math.pi)),
+            geometry=draw(st.sampled_from(rc.Geometry)))
+
+    wm = rc.baseline_params().mech_freq
+    if form == "points":
+        points = []
+        for _ in range(n):
+            p = params()
+            d = rc.derive_params(p)
+            points.append((p, d, rc.steady_state_at_detuning(
+                p, d, draw(_DELTAS_PER_WM) * wm)))
+        inputs = list(_point_inputs(points))
+    else:
+        p = params()
+        values = np.array(draw(st.lists(
+            {"detuning": _DELTAS_PER_WM, "bath_temp": _TEMPS,
+             "squeeze_r": _R, "laser_power": _WATTS}[form],
+            min_size=n, max_size=n)))
+        if form == "detuning":
+            inputs = _stack_inputs(p, rc.derive_params(p), values * wm)
+        else:
+            q, e = _derive_column(p, form, values)
+            inputs = _stack_inputs(q, e, draw(_DELTAS_PER_WM) * wm)
+    return (inputs, draw(st.sampled_from([2.1, 50.0])),
+            draw(st.permutations(range(n))))
+
+
+@pytest.mark.parametrize("n", [1, 2, _POINTWISE, _POINTWISE + 1, _PAIRED,
+                               _PAIRED + 1])
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(data=st.data())
+def test_any_stack_gives_the_bits_of_its_points(n, data):
+    # every row of a drawn stack, of a size on either side of _POINTWISE
+    # and _PAIRED, equals its stack of one, in bits or in its error's
+    # type and message, and the stack with its points permuted gives
+    # them in that order
+    inputs, cutoff, order = data.draw(_any_stack(n))
+    got = _outcomes(inputs, cutoff)
+    assert got == [_outcomes(_point_of(inputs, i), cutoff)[0]
+                   for i in range(len(got))]
+    permuted = [x[list(order)] if isinstance(x, np.ndarray) else x
+                for x in inputs]
+    assert _outcomes(permuted, cutoff) == [got[i] for i in order]
 
 
 def test_stack_rows_equal_stacks_of_one(monkeypatch):
@@ -801,14 +884,15 @@ def test_stack_rows_equal_stacks_of_one(monkeypatch):
     # its own poles, on either side
     p = rc.baseline_params(laser_power=10.0 ** -2.5)
     d = rc.derive_params(p)
-    grid = _inputs(p, d, np.linspace(0.3, 1.7, 200) * wm)
+    grid = _stack_inputs(p, d, np.linspace(0.3, 1.7, 200) * wm)
     ev = np.linalg.eigvals(
         _row_matrix(grid, 50.0)[:, _DRIFT].real.reshape(-1, 4, 4))
     assert (ev.imag == 0.0).sum(1).tolist() == [2] * 3 + [0] * 197
     q, e = _derive_column(p, "bath_temp", np.linspace(0.0, 1e-3, 100))
     hot = list(grid)
     hot[2] = np.linspace(10e-6, 60e-6, 200)
-    stacks = [(grid, 50.0), (_inputs(q, e, 0.965 * wm), 50.0), (hot, 2.1)]
+    stacks = [(grid, 50.0), (_stack_inputs(q, e, 0.965 * wm), 50.0),
+              (hot, 2.1)]
     for (inputs, cutoff), cool in zip(stacks[1:], (1, _PAIRED + 1)):
         rows = _row_matrix(inputs, cutoff)
         binet = rows[:, _ZFAC] != 0.0
@@ -826,7 +910,8 @@ def test_stack_rows_equal_stacks_of_one(monkeypatch):
     # Binet's formula with an E1 tail and every pole in a mirrored pair,
     # _binet and _exp_e1 see half the elements of the unpaired route
     p = rc.baseline_params(bath_temp=200e-6)
-    grid = _inputs(p, rc.derive_params(p), np.linspace(0.5, 1.5, 200) * wm)
+    grid = _stack_inputs(p, rc.derive_params(p),
+                         np.linspace(0.5, 1.5, 200) * wm)
     seen = {"_binet": [], "_exp_e1": []}
     for name, got in seen.items():
         kernel = getattr(rc.spectra, name)
@@ -1008,7 +1093,8 @@ def test_kernels_give_each_row_its_bits_alone():
     # _PAIRED rows (the Bernoulli series, whose atanh(1 / rho) is not
     # conjugation-symmetric bit for bit)
     p = rc.baseline_params(laser_power=10.0 ** -2.5)
-    inputs = _inputs(p, rc.derive_params(p), np.linspace(0.3, 1.7, 200) * wm)
+    inputs = _stack_inputs(p, rc.derive_params(p),
+                          np.linspace(0.3, 1.7, 200) * wm)
     inputs[2] = np.linspace(0.0, 60e-6, 200)
     rows = _row_matrix(inputs, 2.1)
     r = 1j * np.linalg.eigvals(rows[:, _DRIFT].real.reshape(-1, 4, 4))

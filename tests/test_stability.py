@@ -3,7 +3,7 @@ import pytest
 
 import ringcav as rc
 from oracles import characteristic_polynomial_roots
-from ringcav.spectra import _point_inputs, _variances
+from ringcav.spectra import _inputs, _variances
 from ringcav.stability import _stack_verdicts
 
 DELTA_965 = 5741920.308892601
@@ -27,6 +27,14 @@ def _point(baseline, delta, **overrides):
     else:
         p, d = baseline
     return p, d, rc.steady_state_at_detuning(p, d, delta)
+
+
+def _point_inputs(points):
+    """_variances' inputs (13, n) at operating points (p, d, s), with the
+    amplitude that each s holds: every input a column."""
+    return np.array([_inputs(p, d, s.detuning, s.amplitude.real,
+                             s.amplitude.imag, s.photon_number)
+                     for p, d, s in points]).reshape(-1, 13).T
 
 
 def test_drift_matrix_entries(baseline):

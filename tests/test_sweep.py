@@ -1,9 +1,15 @@
+import contextlib
+import io
 import math
 import pickle
+import tempfile
+import warnings
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ringcav as rc
 from ringcav import sweep as sweep_mod
@@ -852,6 +858,67 @@ def test_stability_tests_disagreeing_in_a_stack_is_a_bug(baseline,
     # the minimiser's grids pass it on as it is
     with pytest.raises(rc.InternalInconsistency, match="tests disagree"):
         rc.minimize_over_detuning(p, d)
+
+
+# each axis' range (omega_m for detuning): into unstable rows, r where
+# the variance overflows (about 302 to 355) and beyond, where derive_params
+# rejects the row
+_AXIS_RANGES = {rc.SweepAxis.DETUNING: (-1.0, 3.0),
+                rc.SweepAxis.SQUEEZE_R: (0.0, 1000.0),
+                rc.SweepAxis.LASER_POWER: (0.0, 0.3),
+                rc.SweepAxis.BATH_TEMP: (0.0, 1e-2)}
+
+
+@st.composite
+def _any_sweep(draw):
+    """A SweepSpec over a drawn range of a drawn axis, 2 to 257 points
+    (across _CHUNK), at drawn fixed r, power, bath temperature, cutoff
+    and operating detuning."""
+    axis = draw(st.sampled_from(rc.SweepAxis))
+    start, stop = sorted(draw(st.lists(st.floats(*_AXIS_RANGES[axis]),
+                                       min_size=2, max_size=2, unique=True)))
+    p = rc.baseline_params(
+        squeeze_r=draw(st.floats(0.0, 2.5)),
+        laser_power=10.0 ** draw(st.floats(-3.5, -1.5)),
+        bath_temp=draw(st.just(0.0) | st.floats(1e-7, 3e-3)))
+    unit, delta = _WM, None
+    if axis is not rc.SweepAxis.DETUNING:
+        unit, delta = 1.0, draw(st.floats(-0.5, 2.0)) * _WM
+    return rc.SweepSpec(
+        axis=axis, start=start * unit, stop=stop * unit,
+        points=draw(st.sampled_from([2, 12, 65, sweep_mod._CHUNK + 1])),
+        fixed=p, delta=delta,
+        quadrature=rc.QuadratureConfig(draw(st.sampled_from([2.1, 50.0]))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_any_sweep())
+def test_any_sweep_fails_as_a_ring_cav_error_with_its_exit_code(spec):
+    # run_sweep and the sweep command on the same config: a failure is a
+    # RingCavError, the command exits with its documented code (1 for a
+    # usage or parameter error, 2 for physics or numerics) and message,
+    # and neither raises a warning
+    config = rc.serialize_config(rc.RunConfig(
+        params=spec.fixed, quadrature=spec.quadrature, sweep=spec,
+        output_path="-", output_format="csv"))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
+        warnings.simplefilter("error")
+        try:
+            rows, code = rc.run_sweep(spec), 0
+        except rc.RingCavError as exc:
+            rows, message = None, f"error: {exc}\n"
+            code = 1 if isinstance(exc, (rc.InvalidParameter,
+                                         rc.ConfigError)) else 2
+        path = Path(tmp, "run.cfg")
+        path.write_text(config)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            got = rc.main(["sweep", "--config", str(path)])
+    assert got == code, err.getvalue()
+    if code:
+        assert err.getvalue().endswith(message) and not out.getvalue()
+    else:
+        assert out.getvalue().count("\n") == len(rows) + 1
 
 
 def test_unstable_rows_mid_stack_leave_their_neighbours_be():
