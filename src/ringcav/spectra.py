@@ -42,7 +42,8 @@ from .model import DerivedParams, PhysicalParams, _each, _violation
 # bench/tracing.py and bench/tests look it up in this namespace
 from .quadrature import integrate_adaptive  # noqa: F401
 from .stability import _drift_entries, _hurwitz, _stack_verdicts
-from .steady import SteadyState, steady_state_at_detuning
+from .steady import (SteadyState, _detuning_error,
+                     steady_state_at_detuning)
 
 __all__ = [
     "QuadratureConfig",
@@ -602,6 +603,8 @@ def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
 
     Raises
     ------
+    InvalidParameter
+        If s.detuning is one that steady_state_at_detuning refuses.
     UnstableOperatingPoint
         If the drift matrix has an eigenvalue with non-negative real
         part; the stationary variance does not exist there.
@@ -609,6 +612,9 @@ def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
         If the variance overflows, leaks a non-negligible imaginary
         part or comes out non-positive.
     """
+    if (err := _detuning_error("detuning", s.detuning,
+                               p.cavity_decay)) is not None:
+        raise err
     value, failures = _variances(
         _inputs(p, d, s.detuning, s.amplitude.real, s.amplitude.imag,
                 s.photon_number), _cutoff(quad))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InternalInconsistency, NumericalFailure
 from .model import DerivedParams, PhysicalParams
-from .steady import SteadyState
+from .steady import SteadyState, _detuning_error
 
 __all__ = [
     "StabilityVerdict",
@@ -118,10 +118,15 @@ def stability_verdict(p: PhysicalParams, d: DerivedParams,
 
     Raises
     ------
+    InvalidParameter
+        If s.detuning is one that steady_state_at_detuning refuses.
     InternalInconsistency
         If the two tests disagree while the slowest eigenvalue is not
         within 1e-9 * omega_m of the imaginary axis.
     """
+    if (err := _detuning_error("detuning", s.detuning,
+                               p.cavity_decay)) is not None:
+        raise err
     ev = eigenvalues(drift_matrix(p, d, s))
     max_re = float(ev[0].real)
     eig_ok = max_re < 0.0

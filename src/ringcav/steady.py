@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, NumericalFailure
 from .model import DerivedParams, Geometry, PhysicalParams, _violation
 
 __all__ = ["SteadyState", "steady_state_at_detuning", "find_steady_branches"]
@@ -27,6 +27,10 @@ _MERGE_REL = 1e-6
 # A root of the branch cubic counts as real when its imaginary part is
 # below this fraction of the detuning scale.
 _REAL_ROOT_TOL = 1e-6
+
+# The ones below the diagonal of the branch cubic's companion matrix; its
+# leading n x n block serves a polynomial of degree n < 3.
+_SUBDIAGONAL = np.eye(3, k=-1)
 
 
 def _in_band(delta, kappa: float):
@@ -120,6 +124,31 @@ def steady_state_at_detuning(p: PhysicalParams, d: DerivedParams,
     )
 
 
+def _monic_roots(coeffs: list[float]) -> np.ndarray:
+    """The roots of the monic polynomial of degree at most 3 with
+    coefficients coeffs, in the bits and dtype of np.roots(coeffs)
+    without its generic work: the eigenvalues of the companion matrix
+    whose first row is -coeffs[1:] and which has ones below the
+    diagonal, after each trailing zero coefficient is stripped and
+    returned as a zero root.  A LinAlgError raises NumericalFailure, as
+    in stability.eigenvalues."""
+    zeros = 0
+    while coeffs[-1] == 0.0:
+        coeffs = coeffs[:-1]
+        zeros += 1
+    n = len(coeffs) - 1
+    companion = _SUBDIAGONAL[:n, :n].copy()
+    companion[:1] = [-c for c in coeffs[1:]]
+    try:
+        roots = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as err:
+        raise NumericalFailure(
+            f"root computation of the branch cubic failed: {err}") from err
+    if zeros:
+        roots = np.concatenate((roots, np.zeros(zeros, roots.dtype)))
+    return roots
+
+
 def find_steady_branches(p: PhysicalParams, d: DerivedParams,
                          bare_detuning: float) -> list[SteadyState]:
     """All coexisting steady states for a given bare detuning (rad/s).
@@ -129,12 +158,15 @@ def find_steady_branches(p: PhysicalParams, d: DerivedParams,
         Delta^3 - D0 Delta^2 + kappa^2 Delta - D0 kappa^2 + S = 0,
         S = 2 g^2 chi^2 eps^2 / omega_m,
 
-    for the effective detuning Delta, polishes each real root by Newton
-    iteration and returns the corresponding steady states sorted by
-    effective detuning.  Between one and three branches exist; branches
-    at a fold of the response curve carry ``tangent=True``.  A bare
-    detuning outside the range steady_state_at_detuning accepts, or a
-    drive so strong that S overflows, raises InvalidParameter.
+    for the effective detuning Delta.  Its roots are the eigenvalues of
+    its companion matrix, in the bits of np.roots; each real root is
+    polished by Newton iteration, roots that meet at a fold of the
+    response curve are merged into one branch with ``tangent=True``,
+    and the steady states come back sorted by effective detuning.
+    Between one and three branches exist.  A bare detuning outside the
+    range steady_state_at_detuning accepts, or a drive so strong that S
+    overflows, raises InvalidParameter; a failed eigenvalue solve raises
+    NumericalFailure.
     """
     if (err := _detuning_error("bare_detuning", bare_detuning,
                                p.cavity_decay)) is not None:
@@ -150,8 +182,8 @@ def find_steady_branches(p: PhysicalParams, d: DerivedParams,
                                "small enough that the detuning shift "
                                "2 g^2 chi^2 eps^2 / omega_m is finite")
 
-    coeffs = [1.0, -d0, kappa * kappa, shift - d0 * kappa * kappa]
-    roots = np.roots(coeffs)
+    roots = _monic_roots(
+        [1.0, -d0, kappa * kappa, shift - d0 * kappa * kappa])
     scale = max(abs(d0), kappa, abs(shift) ** (1.0 / 3.0))
 
     real = [float(r.real) for r in roots

@@ -18,6 +18,7 @@ import ringcav as rc
 
 P = rc.baseline_params()
 D = rc.derive_params(P)
+S = rc.steady_state_at_detuning(P, D, 0.965 * P.mech_freq)
 
 VALUES = {
     "True": True, "False": False, "1e400": 10**400, "-1e400": -10**400,
@@ -51,6 +52,10 @@ SLOTS = {
         P, D, v),
     "find_steady_branches": lambda v: rc.find_steady_branches(P, D, v),
     "entanglement_result": lambda v: rc.entanglement_result(P, D, v),
+    "momentum_variance.detuning": lambda v: rc.momentum_variance(
+        P, D, replace(S, detuning=v)),
+    "stability_verdict.detuning": lambda v: rc.stability_verdict(
+        P, D, replace(S, detuning=v)),
 }
 
 
@@ -81,3 +86,20 @@ def test_every_real_input_returns_or_raises_a_ringcav_error(slot, value):
     assert not refused, f"{slot} accepted {v!r}"
     assert not any(np.asarray(x).dtype == np.float32
                    for x in _leaves(result))
+
+
+@pytest.mark.parametrize("value", [
+    1e20, float("nan"), float("inf"), float("-inf"), np.float32(5741920.5),
+    True,
+], ids=["1e20", "nan", "inf", "-inf", "float32", "True"])
+@pytest.mark.parametrize("route", [rc.momentum_variance, rc.stability_verdict])
+def test_a_given_steady_state_detuning_is_checked(route, value):
+    # a caller's SteadyState goes through the check that
+    # steady_state_at_detuning makes: unchecked, 1e20 rad/s, far beyond
+    # 1e6 kappa, gives a finite variance and a "stable" verdict
+    with pytest.raises(rc.InvalidParameter):
+        rc.steady_state_at_detuning(P, D, value)
+    with pytest.raises(rc.InvalidParameter) as exc:
+        route(P, D, replace(S, detuning=value))
+    assert exc.value.field == "detuning"
+    assert exc.value.value is value

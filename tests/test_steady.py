@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringcav as rc
-from ringcav.steady import _field, _in_band
+from ringcav import steady
+from ringcav.cli import main
+from ringcav.steady import _field, _in_band, _monic_roots
 
 # Frozen high-precision values at delta = 0.965 * omega_m, baseline.
 DELTA_965 = 5741920.308892601
@@ -268,3 +270,76 @@ def test_branches_do_not_depend_on_the_frequency_unit():
         for g, w in zip(got, want):
             assert [x for x, _ in g] == pytest.approx(
                 [x for x, _ in w], rel=1e-9), lam
+
+
+def _fold_bare_detunings(p, d):
+    """Bare detunings at the folds, where (Delta^2 + kappa^2)^2 =
+    2 S Delta and Delta0 = Delta + S / (Delta^2 + kappa^2)."""
+    kappa = p.cavity_decay
+    shift = 2.0 * (d.coupling_g * d.chi * d.drive_eps) ** 2 / p.mech_freq
+    roots = np.roots([1.0, 0.0, 2.0 * kappa ** 2, -2.0 * shift, kappa ** 4])
+    return [float(r.real + shift / (r.real ** 2 + kappa ** 2)) for r in roots
+            if r.real > 0.0 and abs(r.imag) <= 1e-9 * abs(r)]
+
+
+def _hex(roots):
+    return (roots.dtype, [(float(r.real).hex(), float(r.imag).hex())
+                          for r in roots])
+
+
+def test_companion_roots_have_the_bits_of_np_roots(monkeypatch):
+    # every cubic that find_steady_branches solves, over drawn powers and
+    # bare detunings, the folds, signed zero detunings, zero power (whose
+    # zero constant term is stripped) and |D0| just inside 1e6 kappa
+    seen = []
+
+    def spy(coeffs):
+        roots = _monic_roots(coeffs)
+        seen.append((coeffs, roots))
+        return roots
+
+    monkeypatch.setattr(steady, "_monic_roots", spy)
+    rng = np.random.default_rng(32)
+    folds = 0
+    for watts in (0.0, *10.0 ** rng.uniform(-4.0, -1.3, 24)):
+        p = rc.baseline_params(laser_power=float(watts))
+        d = rc.derive_params(p)
+        edge = float(np.nextafter(1e6 * p.cavity_decay, 0.0))
+        fold = _fold_bare_detunings(p, d)
+        folds += len(fold)
+        for bare in (*rng.uniform(-0.5, 2.0, 24) * p.mech_freq, *fold,
+                     0.0, -0.0, edge, -edge):
+            rc.find_steady_branches(p, d, float(bare))
+    assert folds >= 20
+    assert any(c[-1] == 0.0 for c, _ in seen)
+    assert any(r.dtype == float for _, r in seen)
+    assert any(np.count_nonzero(r.imag == 0.0) == 3 for _, r in seen)
+    for coeffs, roots in seen:
+        assert _hex(roots) == _hex(np.roots(coeffs)), coeffs
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1.0, -0.0, 4.0, 0.0], [1.0, -2.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+    [1.0, -0.0, -0.0, -0.0], [1.0, 3.0, -0.0, 5.0], [1.0, -3.0, 3.0, -1.0],
+])
+def test_stripped_zero_roots_follow_np_roots(coeffs):
+    assert _hex(_monic_roots(coeffs)) == _hex(np.roots(coeffs))
+
+
+def test_failed_cubic_solve_is_a_numerical_failure(baseline, monkeypatch,
+                                                   capsys):
+    p, d = baseline
+    eigvals = np.linalg.eigvals
+
+    def failing(a):
+        if np.shape(a) == (3, 3):
+            raise np.linalg.LinAlgError("did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with pytest.raises(rc.NumericalFailure, match="branch cubic"):
+        rc.find_steady_branches(p, d, 0.55 * p.mech_freq)
+    assert main(["branches", "--delta-per-wm", "0.55"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "branch cubic" in out.err and "Traceback" not in out.err
