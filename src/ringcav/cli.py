@@ -239,7 +239,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Render cfg as config text; parse_config inverts this exactly."""
+    """Render cfg as config text; parse_config inverts this exactly.
+
+    A text value that would not read back as itself, one that is empty,
+    has leading or trailing whitespace or spans more than one line,
+    raises ValidationError naming its field."""
     lines = []
     for name, schema in _SCHEMA.items():
         obj = getattr(cfg, name) if name else cfg
@@ -249,6 +253,11 @@ def serialize_config(cfg: RunConfig) -> str:
             lines += ["", f"[{name}]"]
         for fname, _, keys, _ in schema:
             value = getattr(obj, fname)
+            if (isinstance(value, str)
+                    and value.splitlines() != [value.strip()]):
+                raise ValidationError(_SECTIONS[name][2] + fname,
+                                      "one non-empty line without "
+                                      "surrounding whitespace")
             if value is not None:
                 lines.append(f"{keys[0]} = {_plain(value)}")
     return "\n".join(lines) + "\n"

@@ -133,14 +133,14 @@ class DerivedParams:
     thermal_ratio: float
 
 
-def _violation(field: str, value, bound: str, ok) -> InvalidParameter | None:
-    """The violation of a real field, or None: it must be an int or a
-    float (a float32 would carry its precision on) and not a bool, in
-    the double range (every bound is finite), for which ok holds."""
+def _check(field: str, value, bound: str, ok) -> None:
+    """Raise InvalidParameter unless the real field is an int or a float
+    (a float32 would carry its precision on) and not a bool, in the
+    double range (every bound is finite), for which ok holds."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return InvalidParameter(field, value, "an int or float")
-    return (None if abs(value) <= sys.float_info.max and ok(value)
-            else InvalidParameter(field, value, bound))
+        raise InvalidParameter(field, value, "an int or float")
+    if not (abs(value) <= sys.float_info.max and ok(value)):
+        raise InvalidParameter(field, value, bound)
 
 
 # (field, bound, test) for each real field of PhysicalParams; a test
@@ -160,8 +160,9 @@ def validate(p: PhysicalParams) -> list[InvalidParameter]:
     """Return the list of constraint violations in p (empty if valid)."""
     out = []
     for f, bound, ok in _REAL_FIELDS:
-        err = _violation(f, getattr(p, f), bound, ok)
-        if err is not None:
+        try:
+            _check(f, getattr(p, f), bound, ok)
+        except InvalidParameter as err:
             out.append(err)
     if not isinstance(p.geometry, Geometry):
         out.append(InvalidParameter("geometry", p.geometry,

@@ -38,12 +38,11 @@ import numpy as np
 from .constants import HBAR, KB
 from .errors import (InvalidParameter, NumericalFailure,
                      UnstableOperatingPoint)
-from .model import DerivedParams, PhysicalParams, _each, _violation
+from .model import DerivedParams, PhysicalParams, _check, _each
 # bench/tracing.py and bench/tests look it up in this namespace
 from .quadrature import integrate_adaptive  # noqa: F401
 from .stability import _drift_entries, _hurwitz, _stack_verdicts
-from .steady import (SteadyState, _detuning_error,
-                     steady_state_at_detuning)
+from .steady import SteadyState, _check_detuning, steady_state_at_detuning
 
 __all__ = [
     "QuadratureConfig",
@@ -96,10 +95,8 @@ class QuadratureConfig:
     cutoff: float = 50.0
 
     def __post_init__(self):
-        err = _violation("cutoff", self.cutoff, "> 2 and <= 1e5",
-                         lambda c: 2.0 < c <= 1e5)
-        if err is not None:
-            raise err
+        _check("cutoff", self.cutoff, "> 2 and <= 1e5",
+               lambda c: 2.0 < c <= 1e5)
 
 
 def _cutoff(quad) -> float:
@@ -612,9 +609,7 @@ def momentum_variance(p: PhysicalParams, d: DerivedParams, s: SteadyState,
         If the variance overflows, leaks a non-negligible imaginary
         part or comes out non-positive.
     """
-    if (err := _detuning_error("detuning", s.detuning,
-                               p.cavity_decay)) is not None:
-        raise err
+    _check_detuning("detuning", s.detuning, p.cavity_decay)
     value, failures = _variances(
         _inputs(p, d, s.detuning, s.amplitude.real, s.amplitude.imag,
                 s.photon_number), _cutoff(quad))

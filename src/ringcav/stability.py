@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InternalInconsistency, NumericalFailure
 from .model import DerivedParams, PhysicalParams
-from .steady import SteadyState, _detuning_error
+from .steady import SteadyState, _check_detuning
 
 __all__ = [
     "StabilityVerdict",
@@ -124,9 +124,7 @@ def stability_verdict(p: PhysicalParams, d: DerivedParams,
         If the two tests disagree while the slowest eigenvalue is not
         within 1e-9 * omega_m of the imaginary axis.
     """
-    if (err := _detuning_error("detuning", s.detuning,
-                               p.cavity_decay)) is not None:
-        raise err
+    _check_detuning("detuning", s.detuning, p.cavity_decay)
     ev = eigenvalues(drift_matrix(p, d, s))
     max_re = float(ev[0].real)
     eig_ok = max_re < 0.0

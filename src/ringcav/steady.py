@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameter, NumericalFailure
-from .model import DerivedParams, Geometry, PhysicalParams, _violation
+from .model import DerivedParams, Geometry, PhysicalParams, _check
 
 __all__ = ["SteadyState", "steady_state_at_detuning", "find_steady_branches"]
 
@@ -39,10 +39,10 @@ def _in_band(delta, kappa: float):
     return abs(delta) < kappa / _REAL_ROOT_TOL
 
 
-def _detuning_error(name: str, value, kappa: float) -> InvalidParameter | None:
-    """The error for a detuning that is not an int or a float (a float32
-    would carry its precision into kappa^2 + delta^2), not finite or
-    outside _in_band; None for one that is fine.
+def _check_detuning(name: str, value, kappa: float) -> None:
+    """Raise InvalidParameter for a detuning that is not an int or a
+    float (a float32 would carry its precision into kappa^2 + delta^2),
+    not finite or outside _in_band.
 
     Beyond that bound the cubic's complex pair of roots near +/- i kappa
     passes the real-root test as spurious branches; further out kappa
@@ -50,12 +50,11 @@ def _detuning_error(name: str, value, kappa: float) -> InvalidParameter | None:
     in the drift-matrix eigenvalues -kappa +/- i delta), and with it the
     decay that decides stability.
     """
-    err = _violation(name, value, "finite", math.isfinite)
-    if err is not None or _in_band(value, kappa):
-        return err
-    limit = kappa / _REAL_ROOT_TOL
-    return InvalidParameter(name, value,
-                            f"|{name}| < 1e6 kappa = {limit!r} rad/s")
+    _check(name, value, "finite", math.isfinite)
+    if not _in_band(value, kappa):
+        limit = kappa / _REAL_ROOT_TOL
+        raise InvalidParameter(name, value,
+                               f"|{name}| < 1e6 kappa = {limit!r} rad/s")
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,7 @@ def steady_state_at_detuning(p: PhysicalParams, d: DerivedParams,
     in the bits that the stacks of every sweep axis take from their
     detuning arrays.  A delta that is not an int or a float, not finite,
     or with |delta| >= 1e6 kappa raises InvalidParameter."""
-    if (err := _detuning_error("delta", delta, p.cavity_decay)) is not None:
-        raise err
+    _check_detuning("delta", delta, p.cavity_decay)
     u, v, n = _field(d.drive_eps, p.cavity_decay, delta)
     disp = 2.0 * d.coupling_g * d.chi * n / p.mech_freq
     if p.geometry is Geometry.THREE_MIRROR_RELATIVE:
@@ -168,9 +166,7 @@ def find_steady_branches(p: PhysicalParams, d: DerivedParams,
     overflows, raises InvalidParameter; a failed eigenvalue solve raises
     NumericalFailure.
     """
-    if (err := _detuning_error("bare_detuning", bare_detuning,
-                               p.cavity_decay)) is not None:
-        raise err
+    _check_detuning("bare_detuning", bare_detuning, p.cavity_decay)
     kappa = p.cavity_decay
     d0 = float(bare_detuning)
     try:

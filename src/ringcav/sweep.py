@@ -48,8 +48,8 @@ import numpy as np
 
 from .errors import (InternalInconsistency, InvalidParameter,
                      NumericalFailure, NoStablePoint, UnstableOperatingPoint)
-from .model import (DerivedParams, PhysicalParams, _derive_column, _leading,
-                    _violation, derive_params)
+from .model import (DerivedParams, PhysicalParams, _check, _derive_column,
+                    _leading, derive_params)
 from .spectra import (QuadratureConfig, _cutoff, _inputs, _variances,
                       entanglement_result, q_plus_variance)
 # re-exported: bench/tracing.py and bench/tests look it up here
@@ -111,9 +111,7 @@ class SweepSpec:
         if self.points > 1_000_000:  # a row holds about 0.8 KB
             raise InvalidParameter("points", self.points, "at most 1000000")
         for f in ("start", "stop"):
-            err = _violation(f, getattr(self, f), "finite", math.isfinite)
-            if err is not None:
-                raise err
+            _check(f, getattr(self, f), "finite", math.isfinite)
         if not self.start < self.stop:
             raise InvalidParameter("start", self.start, "< stop")
         if self.axis is SweepAxis.DETUNING:
@@ -125,9 +123,8 @@ class SweepSpec:
             raise InvalidParameter(
                 "delta", self.delta,
                 "a finite operating detuning for a non-detuning axis")
-        elif (err := _violation("delta", self.delta, "finite",
-                                math.isfinite)) is not None:
-            raise err
+        else:
+            _check("delta", self.delta, "finite", math.isfinite)
 
 
 @dataclass(frozen=True, slots=True)
@@ -370,9 +367,7 @@ def minimize_over_detuning(p: PhysicalParams, d: DerivedParams,
         raise InvalidParameter("window", window,
                                "a (low, high) pair") from None
     for x in (lo, hi):
-        if (err := _violation("window", x, "finite",
-                              math.isfinite)) is not None:
-            raise err
+        _check("window", x, "finite", math.isfinite)
     wm, kappa = p.mech_freq, p.cavity_decay
     a, b = lo * wm, hi * wm
     # the grid divides the span b - a, which must not overflow

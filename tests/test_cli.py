@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -231,6 +232,22 @@ def test_serialized_config_parses_back(case):
     parsed = parse_config(text)
     assert parsed == cfg
     assert parsed.provenance == ()
+
+
+@pytest.mark.parametrize("path", ["", " a.csv", "a.csv\t", "a\nb", "a\rb",
+                                  "a\u2028b", "a\x1cb"])
+def test_unwritable_text_is_refused(path):
+    # each would read back as another value, fail to parse or inject
+    # lines of its own
+    cfg = replace(parse_config(""), output_path=path)
+    with pytest.raises(rc.ValidationError) as exc:
+        serialize_config(cfg)
+    assert exc.value.field == "output_path"
+
+
+def test_inner_space_round_trips():
+    cfg = replace(parse_config(""), output_path="a b")
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_comments_and_blank_lines_ignored():

@@ -4,7 +4,8 @@ Each slot below takes each value in turn, with everything else at
 baseline; the full product runs, so no case depends on a seed.  A call
 returns or raises a RingCavError, never anything else, and no float it
 returns is a float32.  A real input is an int or a float and not a
-bool, and an int must fit a float: the others raise InvalidParameter.
+bool, and an int must fit a float: the others raise InvalidParameter,
+which names the slot's field and carries the value itself.
 """
 
 from dataclasses import fields, is_dataclass, replace
@@ -58,6 +59,11 @@ SLOTS = {
         P, D, replace(S, detuning=v)),
 }
 
+# the field a refusal names where it is not the last part of the slot
+FIELDS = {"window.low": "window", "window.high": "window",
+          "steady_state_at_detuning": "delta", "entanglement_result": "delta",
+          "find_steady_branches": "bare_detuning"}
+
 
 def _leaves(x):
     if is_dataclass(x):
@@ -78,7 +84,10 @@ def test_every_real_input_returns_or_raises_a_ringcav_error(slot, value):
                or (isinstance(v, int) and abs(v) >= 2**1024))
     try:
         result = SLOTS[slot](v)
-    except rc.InvalidParameter:
+    except rc.InvalidParameter as exc:
+        if refused:
+            assert exc.field == FIELDS.get(slot, slot.rpartition(".")[2])
+            assert exc.value is v
         return
     except rc.RingCavError:
         assert not refused
